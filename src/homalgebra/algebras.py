@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .poly import Poly, PolyEndo, monomials_up_to, random_poly
-from .terms import as_fraction
+from .terms import as_coeff
 
 
 class UnitFlavor(Enum):
@@ -36,7 +36,7 @@ class HomAlgebraDescriptor:
     name: str
     zero: object
     add: Callable
-    scale: Callable           # (Fraction, elem) -> elem
+    scale: Callable           # (coefficient, elem) -> elem
     mul: Callable
     alpha: Callable
     eq: Callable
@@ -44,11 +44,11 @@ class HomAlgebraDescriptor:
     unit_flavor: UnitFlavor = UnitFlavor.NON_UNITAL
     sweep: tuple = ()
     rand: Optional[Callable] = None       # rng -> elem
-    decompose: Optional[Callable] = None  # elem -> [(Fraction, basis elem)]
+    decompose: Optional[Callable] = None  # elem -> [(coefficient, basis elem)]
     fmt: Callable = repr
 
     def sub(self, x, y):
-        return self.add(x, self.scale(Fraction(-1), y))
+        return self.add(x, self.scale(-1, y))
 
     def alpha_pow(self, x, k: int):
         for _ in range(k):
@@ -186,7 +186,7 @@ def poly_algebra(names, sweep_degree: int = 2) -> HomAlgebraDescriptor:
         name="Q[" + ",".join(names) + "]",
         zero=Poly.zero(),
         add=lambda p, q: p + q,
-        scale=lambda c, p: as_fraction(c) * p,
+        scale=lambda c, p: as_coeff(c) * p,
         mul=lambda p, q: p * q,
         alpha=lambda p: p,
         eq=lambda p, q: p == q,
@@ -251,7 +251,7 @@ def scaling_twist(names, images: dict[str, Poly]) -> PolyEndo:
 def q_poly_algebra(q, var: str = "t") -> HomAlgebraDescriptor:
     """The one-variable carrier twisted along t -> q t."""
     base = poly_algebra([var])
-    phi = PolyEndo({var: as_fraction(q) * Poly.var(var)})
+    phi = PolyEndo({var: as_coeff(q) * Poly.var(var)})
     return yau_twist_algebra(base, phi, phi_name=f"{var}->{q}{var}")
 
 
@@ -322,7 +322,7 @@ class Tensor2:
         cleaned = {}
         if pairs:
             for k, c in pairs.items():
-                c = as_fraction(c)
+                c = as_coeff(c)
                 if c:
                     cleaned[k] = c
         object.__setattr__(self, "pairs", cleaned)
@@ -376,7 +376,7 @@ def tensor_algebra(A: HomAlgebraDescriptor, B: HomAlgebraDescriptor) -> HomAlgeb
         return Tensor2(out)
 
     def scale(c, s):
-        c = as_fraction(c)
+        c = as_coeff(c)
         return Tensor2({k: c * v for k, v in s.pairs.items()})
 
     def mul(s, t):

@@ -29,9 +29,14 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
-from .terms import Leaf, LinComb, Node, Term, arity, shift_term, sort_key
+from .terms import (Coeff, Leaf, LinComb, Node, Term, arity, as_coeff,
+                    shift_term, sort_key)
 
 DEFAULT_TERM_CAP = 200_000
+
+# a sparse exact vector over the window: column -> nonzero coefficient, with
+# column 0 the unit and columns 1.. the windowed terms in canonical order
+Vec = dict[int, Coeff]
 
 
 class OutOfWindowError(ValueError):
@@ -53,9 +58,6 @@ class Bound:
             raise ValueError("max_arity must be >= 1")
         if self.max_exp < 0:
             raise ValueError("max_exp must be >= 0")
-
-    def contains(self, other: "Bound") -> bool:
-        return self.max_arity >= other.max_arity and self.max_exp >= other.max_exp
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,49 @@ def enumerate_terms(gens: Iterable[str], bound: Bound, cap: int = DEFAULT_TERM_C
     return out
 
 
+def _vectorize(index: dict[Term, int], v: LinComb) -> Optional[Vec]:
+    """The column vector of ``v``, or None if one of its terms has no column."""
+    vec: Vec = {0: v.unit} if v.unit else {}
+    for t, c in v.terms.items():
+        i = index.get(t)
+        if i is None:
+            return None
+        vec[i] = c
+    return vec
+
+
+def _out_of_window(index: dict[Term, int], v: LinComb, bound: Bound,
+                   what: str = "term") -> OutOfWindowError:
+    from .grammar import format_term
+    t = next(t for t in v.terms if t not in index)
+    return OutOfWindowError(f"{what} {format_term(t)} lies outside bound {bound}")
+
+
+def _reduce(rows: dict[int, Vec], vec: Vec) -> Vec:
+    """Residue of ``vec`` modulo echelon ``rows`` (pivot column -> row, with
+    coefficient 1 at the pivot), eliminating from the largest column down."""
+    vec = dict(vec)
+    out: Vec = {}
+    while vec:
+        p = max(vec)
+        c = vec.pop(p)
+        if type(c) is not int:
+            c = as_coeff(c)
+        row = rows.get(p)
+        if row is None:
+            out[p] = c
+            continue
+        for i, r in row.items():
+            if i == p:
+                continue
+            s = vec.get(i, 0) - c * r
+            if s:
+                vec[i] = s
+            else:
+                vec.pop(i, None)
+    return out
+
+
 class RelationBasis:
     """Row-reduced span of windowed relation instances; the equality oracle.
 
@@ -131,7 +176,7 @@ class RelationBasis:
     """
 
     def __init__(self, gens, bound: Bound, config: SaturationConfig,
-                 terms: list[Term], rows: dict[int, dict[int, Fraction]]):
+                 terms: list[Term], rows: dict[int, Vec]):
         self.gens = tuple(sorted(set(gens)))
         self.bound = bound
         self.config = config
@@ -139,44 +184,8 @@ class RelationBasis:
         self._index = {t: i + 1 for i, t in enumerate(terms)}
         self._rows = rows
 
-    # -- vector plumbing -----------------------------------------------------
-
-    def _vectorize(self, v: LinComb) -> dict[int, Fraction]:
-        vec: dict[int, Fraction] = {}
-        if v.unit:
-            vec[0] = v.unit
-        for t, c in v.terms.items():
-            i = self._index.get(t)
-            if i is None:
-                from .grammar import format_term
-                raise OutOfWindowError(
-                    f"term {format_term(t)} lies outside bound {self.bound}")
-            vec[i] = c
-        return vec
-
-    def _devectorize(self, vec: dict[int, Fraction]) -> LinComb:
-        unit = vec.get(0, Fraction(0))
-        return LinComb(unit, {self._terms[i - 1]: c for i, c in vec.items() if i})
-
-    def _reduce_vec(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        vec = dict(vec)
-        out: dict[int, Fraction] = {}
-        while vec:
-            p = max(vec)
-            c = vec.pop(p)
-            row = self._rows.get(p)
-            if row is None:
-                out[p] = c
-                continue
-            for i, r in row.items():
-                if i == p:
-                    continue
-                s = vec.get(i, 0) - c * r
-                if s:
-                    vec[i] = s
-                else:
-                    vec.pop(i, None)
-        return out
+    def _devectorize(self, vec: Vec) -> LinComb:
+        return LinComb(vec.get(0, 0), {self._terms[i - 1]: c for i, c in vec.items() if i})
 
     # -- public oracle --------------------------------------------------------
 
@@ -201,7 +210,10 @@ class RelationBasis:
 
     def reduce(self, v: LinComb) -> LinComb:
         """Canonical residue of ``v`` modulo the row space (linear, idempotent)."""
-        return self._devectorize(self._reduce_vec(self._vectorize(v)))
+        vec = _vectorize(self._index, v)
+        if vec is None:
+            raise _out_of_window(self._index, v, self.bound)
+        return self._devectorize(_reduce(self._rows, vec))
 
     def equal_mod(self, u: LinComb, v: LinComb) -> EqualityResult:
         residue = self.reduce(u - v)
@@ -227,21 +239,19 @@ class _Saturator:
         self.config = config
         self.terms = enumerate_terms(gens, bound, cap)
         self.index = {t: i + 1 for i, t in enumerate(self.terms)}
-        self.rows: dict[int, dict[int, Fraction]] = {}
+        self.rows: dict[int, Vec] = {}
         self.col_arity = [0] + [arity(t) for t in self.terms]
         self.cols_by_arity: dict[int, list[int]] = {}
         for i, t in enumerate(self.terms):
             self.cols_by_arity.setdefault(self.col_arity[i + 1], []).append(i + 1)
         self._alpha_term = alpha_term
-        self._alpha_memo: dict[int, Optional[dict[int, Fraction]]] = {}
+        self._alpha_memo: dict[int, Optional[Vec]] = {}
         self._graft_memo: dict[tuple[int, int], Optional[int]] = {}
 
-    # vectors: dict col -> Fraction, col 0 = unit
-
-    def _alpha_col(self, i: int) -> Optional[dict[int, Fraction]]:
+    def _alpha_col(self, i: int) -> Optional[Vec]:
         """Image of basis column i under the twist, or None if it escapes."""
         if i == 0:
-            return {0: Fraction(1)}
+            return {0: 1}
         got = self._alpha_memo.get(i)
         if i in self._alpha_memo:
             return got
@@ -249,18 +259,9 @@ class _Saturator:
         if self._alpha_term is None:
             img_term = shift_term(t, 1)
             j = self.index.get(img_term)
-            vec = None if j is None else {j: Fraction(1)}
+            vec = None if j is None else {j: 1}
         else:
-            img = self._alpha_term(t)
-            vec = {}
-            if img.unit:
-                vec[0] = img.unit
-            for s, c in img.terms.items():
-                j = self.index.get(s)
-                if j is None:
-                    vec = None
-                    break
-                vec[j] = vec.get(j, 0) + c
+            vec = _vectorize(self.index, self._alpha_term(t))
         self._alpha_memo[i] = vec
         return vec
 
@@ -280,8 +281,8 @@ class _Saturator:
         self._graft_memo[key] = col
         return col
 
-    def _alpha_vec(self, vec) -> Optional[dict[int, Fraction]]:
-        out: dict[int, Fraction] = {}
+    def _alpha_vec(self, vec: Vec) -> Optional[Vec]:
+        out: Vec = {}
         for i, c in vec.items():
             img = self._alpha_col(i)
             if img is None:
@@ -294,8 +295,8 @@ class _Saturator:
                     out.pop(j, None)
         return out
 
-    def _mul_vec(self, i: int, vec, on_left: bool) -> Optional[dict[int, Fraction]]:
-        out: dict[int, Fraction] = {}
+    def _mul_vec(self, i: int, vec: Vec, on_left: bool) -> Optional[Vec]:
+        out: Vec = {}
         for j, c in vec.items():
             col = self._graft(i, j) if on_left else self._graft(j, i)
             if col is None:
@@ -307,39 +308,24 @@ class _Saturator:
                 out.pop(col, None)
         return out
 
-    def _reduce(self, vec):
-        vec = dict(vec)
-        out: dict[int, Fraction] = {}
-        while vec:
-            p = max(vec)
-            c = vec.pop(p)
-            row = self.rows.get(p)
-            if row is None:
-                out[p] = c
-                continue
-            for i, r in row.items():
-                if i == p:
-                    continue
-                s = vec.get(i, 0) - c * r
-                if s:
-                    vec[i] = s
-                else:
-                    vec.pop(i, None)
-        return out
-
-    def insert(self, vec) -> Optional[int]:
+    def insert(self, vec: Vec) -> Optional[int]:
         """Reduce and insert; returns the new pivot column, or None."""
-        vec = self._reduce(vec)
+        vec = _reduce(self.rows, vec)
         if not vec:
             return None
         p = max(vec)
-        inv = 1 / vec[p]
-        self.rows[p] = {i: c * inv for i, c in vec.items()}
+        c = vec[p]
+        if c == -1:
+            vec = {i: -d for i, d in vec.items()}
+        elif c != 1:
+            inv = Fraction(1, c)
+            vec = {i: as_coeff(d * inv) for i, d in vec.items()}
+        self.rows[p] = vec
         return p
 
     # -- relation instance generation -----------------------------------------
 
-    def _assoc_vec(self, iu, iv, iw) -> Optional[dict[int, Fraction]]:
+    def _assoc_vec(self, iu, iv, iw) -> Optional[Vec]:
         """Associator row on basis columns (0 = unit), or None if it escapes."""
         aw = self._alpha_col(iw)
         au = self._alpha_col(iu)
@@ -427,8 +413,8 @@ class _Saturator:
         for p in sorted(self.rows):
             row = self.rows.pop(p)
             tail = {i: c for i, c in row.items() if i != p}
-            tail = self._reduce(tail)
-            tail[p] = Fraction(1)
+            tail = _reduce(self.rows, tail)
+            tail[p] = 1
             self.rows[p] = tail
 
 
@@ -447,16 +433,9 @@ def saturate(gens: Iterable[str], bound: Bound,
     worker = _Saturator(gens, bound, config, alpha_term, cap)
     seeds = []
     for rel in config.extra_relations:
-        vec: dict[int, Fraction] = {}
-        if rel.unit:
-            vec[0] = rel.unit
-        for t, c in rel.terms.items():
-            i = worker.index.get(t)
-            if i is None:
-                from .grammar import format_term
-                raise OutOfWindowError(
-                    f"extra relation term {format_term(t)} lies outside bound {bound}")
-            vec[i] = c
+        vec = _vectorize(worker.index, rel)
+        if vec is None:
+            raise _out_of_window(worker.index, rel, bound, "extra relation term")
         seeds.append(vec)
     worker.run(seeds)
     return RelationBasis(gens, bound, config, worker.terms, worker.rows)

@@ -14,9 +14,14 @@ unit component first, then terms ascending in the term order, ``@0`` omitted.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
-from .terms import AlphaNode, Leaf, LinComb, Node, RawTerm, Term, normalize_term
+from .terms import (AlphaNode, Leaf, LinComb, Node, RawTerm, Term, as_coeff,
+                    normalize_term)
+
+
+# Terms are parsed and traversed recursively; refusing deeper input keeps every
+# later traversal of a parsed term inside the interpreter's recursion limit.
+MAX_TERM_DEPTH = 300
 
 
 class TermSyntaxError(ValueError):
@@ -87,7 +92,7 @@ class _Parser:
         return self.next()
 
     # term := leaf | "(" term "*" term ")" | "(" "A" NAT term ")"
-    def term(self) -> RawTerm:
+    def term(self, depth: int = 0) -> RawTerm:
         kind, value, line, col = self.peek()
         if kind == "name":
             self.next()
@@ -101,6 +106,9 @@ class _Parser:
                 exp = int(v)
             return Leaf(value, exp)
         if kind == "sym" and value == "(":
+            if depth == MAX_TERM_DEPTH:
+                raise TermSyntaxError(
+                    f"term nested deeper than {MAX_TERM_DEPTH} parentheses", line, col)
             self.next()
             k, v, _, _ = self.peek()
             if k == "name" and v == "A" and self.tokens[self.i + 1][0] == "rat":
@@ -108,12 +116,12 @@ class _Parser:
                 wtok = self.next()
                 if not wtok[1].isdigit() or int(wtok[1]) < 1:
                     raise TermSyntaxError("twist weight must be a positive integer", wtok[2], wtok[3])
-                child = self.term()
+                child = self.term(depth + 1)
                 self.expect("sym", ")")
                 return AlphaNode(int(wtok[1]), child)
-            left = self.term()
+            left = self.term(depth + 1)
             self.expect("sym", "*")
-            right = self.term()
+            right = self.term(depth + 1)
             self.expect("sym", ")")
             return Node(left, right)
         self.fail("expected a term")
@@ -134,7 +142,7 @@ class _Parser:
         kind, value, _, _ = self.peek()
         if kind == "rat":
             self.next()
-            coeff = Fraction(value)
+            coeff = as_coeff(value)
             k, v, _, _ = self.peek()
             if k == "sym" and v == "*":
                 self.next()

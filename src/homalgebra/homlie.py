@@ -17,7 +17,6 @@ really is part of the doubled model's ideal (cross brackets vanish).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebras import CheckReport, HomAlgebraDescriptor, PreconditionError
 from .congruence import Bound, SaturationConfig, saturate
@@ -25,9 +24,9 @@ from .grammar import format_lincomb
 from .morphisms import FreeAlgebraHandle, MorphismAssignment, evaluate
 from .poly import parse_poly
 from .reports import LawItem, LawReport
-from .terms import Leaf, LinComb, Term, as_fraction, make_leaf
+from .terms import Coeff, Leaf, LinComb, Term, as_coeff, make_leaf
 
-Vec = tuple[Fraction, ...]
+Vec = tuple[Coeff, ...]
 
 
 @dataclass(frozen=True)
@@ -44,10 +43,10 @@ class HomLieAlgebra:
         return len(self.names)
 
     def basis_vec(self, i: int) -> Vec:
-        return tuple(Fraction(int(k == i)) for k in range(self.dim))
+        return tuple(int(k == i) for k in range(self.dim))
 
     def bracket(self, u: Vec, v: Vec) -> Vec:
-        out = [Fraction(0)] * self.dim
+        out = [0] * self.dim
         for i, ci in enumerate(u):
             if not ci:
                 continue
@@ -56,11 +55,11 @@ class HomLieAlgebra:
                     continue
                 for k, s in enumerate(self.bracket_table[i][j]):
                     out[k] += ci * cj * s
-        return tuple(out)
+        return tuple(as_coeff(c) for c in out)
 
     def alpha(self, v: Vec) -> Vec:
         return tuple(
-            sum((self.alpha_matrix[i][j] * v[j] for j in range(self.dim)), Fraction(0))
+            as_coeff(sum(self.alpha_matrix[i][j] * v[j] for j in range(self.dim)))
             for i in range(self.dim))
 
     def fmt(self, v: Vec) -> str:
@@ -79,23 +78,23 @@ def hom_lie_algebra(names, brackets: dict, alpha: dict) -> HomLieAlgebra:
     names = tuple(names)
     idx = {n: i for i, n in enumerate(names)}
     n = len(names)
-    table = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    table = [[[0] * n for _ in range(n)] for _ in range(n)]
     for (ni, nj), coords in brackets.items():
         i, j = idx[ni], idx[nj]
-        vec = [Fraction(0)] * n
+        vec = [0] * n
         for nk, c in coords.items():
-            vec[idx[nk]] = as_fraction(c)
+            vec[idx[nk]] = as_coeff(c)
         table[i][j] = vec
         table[j][i] = [-c for c in vec]
         if i == j and any(vec):
             raise ValueError(f"bracket of {ni} with itself must vanish")
-    mat = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    mat = [[int(i == j) for j in range(n)] for i in range(n)]
     for nj, coords in alpha.items():
         j = idx[nj]
         for i in range(n):
-            mat[i][j] = Fraction(0)
+            mat[i][j] = 0
         for ni, c in coords.items():
-            mat[idx[ni]][j] = as_fraction(c)
+            mat[idx[ni]][j] = as_coeff(c)
     return HomLieAlgebra(
         names,
         tuple(tuple(tuple(v) for v in row) for row in table),
@@ -140,7 +139,7 @@ def check_hom_lie(L: HomLieAlgebra, include_multiplicativity: bool = True) -> Ch
     bad = []
     run = 0
     n = L.dim
-    zero = tuple(Fraction(0) for _ in range(n))
+    zero = (0,) * n
     for i in range(n):
         for j in range(n):
             run += 1
@@ -153,7 +152,7 @@ def check_hom_lie(L: HomLieAlgebra, include_multiplicativity: bool = True) -> Ch
             for k in range(n):
                 run += 1
                 ei, ej, ek = (L.basis_vec(t) for t in (i, j, k))
-                total = [Fraction(0)] * n
+                total = [0] * n
                 for x, y, z in ((ei, ej, ek), (ek, ei, ej), (ej, ek, ei)):
                     part = L.bracket(L.alpha(x), L.bracket(y, z))
                     total = [a + b for a, b in zip(total, part)]
@@ -181,7 +180,7 @@ def commutator_checks(A: HomAlgebraDescriptor, count: int = 100,
     bad = []
     triples = _tuples(A, 3, count, seed)
     for x, y, z in triples:
-        if not A.eq(bracket(x, y), A.scale(Fraction(-1), bracket(y, x))):
+        if not A.eq(bracket(x, y), A.scale(-1, bracket(y, x))):
             bad.append(f"skew fails at {A.fmt(x)}, {A.fmt(y)}")
             continue
         total = A.zero
@@ -203,15 +202,14 @@ def direct_sum(parts, tags) -> HomLieAlgebra:
     for L, tag in zip(parts, tags):
         names.extend(n + tag for n in L.names)
     total = len(names)
-    table = [[tuple(Fraction(0) for _ in range(total)) for _ in range(total)]
-             for _ in range(total)]
-    mat = [[Fraction(0)] * total for _ in range(total)]
+    table = [[(0,) * total for _ in range(total)] for _ in range(total)]
+    mat = [[0] * total for _ in range(total)]
     offset = 0
     for L, tag in zip(parts, tags):
         n = L.dim
         for i in range(n):
             for j in range(n):
-                row = [Fraction(0)] * total
+                row = [0] * total
                 for k, c in enumerate(L.bracket_table[i][j]):
                     row[offset + k] = c
                 table[offset + i][offset + j] = tuple(row)
@@ -341,7 +339,7 @@ def delta_env_extend(L: HomLieAlgebra, v: LinComb) -> LinComb:
 def _alpha_square(L: HomLieAlgebra):
     m = L.alpha_matrix
     n = L.dim
-    return [[sum((m[i][k] * m[k][j] for k in range(n)), Fraction(0))
+    return [[as_coeff(sum(m[i][k] * m[k][j] for k in range(n)))
              for j in range(n)] for i in range(n)]
 
 

@@ -3,16 +3,16 @@
 These are the concrete commutative carriers: the coordinate ring of 2x2
 matrices on four variables, the plane on two, a one-variable ring for scaling
 twists.  Monomials are sorted tuples of (variable, power); coefficients are
-``Fraction``.  Polynomials are immutable and hashable, so they can serve as
-basis keys in formal tensors.
+exact, an ``int`` while integral and a ``Fraction`` otherwise.  Polynomials
+are immutable and hashable, so they can serve as basis keys in formal
+tensors.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
-from .terms import as_fraction
+from .terms import Coeff, as_coeff
 
 Mono = tuple[tuple[str, int], ...]
 
@@ -46,10 +46,11 @@ class Poly:
     __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs=None):
-        cleaned: dict[Mono, Fraction] = {}
+        cleaned: dict[Mono, Coeff] = {}
         if coeffs:
             for m, c in coeffs.items():
-                c = as_fraction(c)
+                if type(c) is not int:
+                    c = as_coeff(c)
                 if c:
                     cleaned[m] = c
         object.__setattr__(self, "coeffs", cleaned)
@@ -64,19 +65,19 @@ class Poly:
 
     @staticmethod
     def one() -> "Poly":
-        return Poly({_ONE: Fraction(1)})
+        return Poly({_ONE: 1})
 
     @staticmethod
     def const(c) -> "Poly":
-        return Poly({_ONE: as_fraction(c)})
+        return Poly({_ONE: c})
 
     @staticmethod
     def var(name: str) -> "Poly":
-        return Poly({((name, 1),): Fraction(1)})
+        return Poly({((name, 1),): 1})
 
     @staticmethod
     def monomial(m: Mono, c=1) -> "Poly":
-        return Poly({m: as_fraction(c)})
+        return Poly({m: c})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -112,7 +113,7 @@ class Poly:
     def __rmul__(self, c) -> "Poly":
         if isinstance(c, Poly):
             return NotImplemented
-        c = as_fraction(c)
+        c = as_coeff(c)
         if not c:
             return Poly.zero()
         return Poly({m: c * v for m, v in self.coeffs.items()})
@@ -120,7 +121,7 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        out: dict[Mono, Fraction] = {}
+        out: dict[Mono, Coeff] = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
                 m = _mono_mul(m1, m2)
@@ -150,13 +151,7 @@ class Poly:
             out = out + part
         return out
 
-    def degree(self) -> int:
-        return max((_mono_degree(m) for m in self.coeffs), default=0)
-
-    def variables(self) -> set[str]:
-        return {v for m in self.coeffs for v, _ in m}
-
-    def sorted_items(self) -> list[tuple[Mono, Fraction]]:
+    def sorted_items(self) -> list[tuple[Mono, Coeff]]:
         return sorted(self.coeffs.items(), key=lambda mc: (_mono_degree(mc[0]), mc[0]))
 
     def __repr__(self) -> str:
@@ -237,6 +232,9 @@ def random_poly(rng, names, degree: int = 2, terms: int = 3) -> Poly:
 # small expression parser for descriptor files:  3/2*x^2*y + t - 1
 # ---------------------------------------------------------------------------
 
+# nesting cap on parentheses and unary minus signs: the parser recurses on both
+MAX_POLY_DEPTH = 100
+
 _POLY_TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*'*)|(?P<sym>[-+*^()]))")
 
@@ -255,7 +253,7 @@ def parse_poly(text: str, allowed=None) -> Poly:
         pos = m.end()
     tokens.append(("eof", ""))
 
-    state = {"i": 0}
+    state = {"i": 0, "depth": 0}
 
     def peek():
         return tokens[state["i"]]
@@ -265,14 +263,22 @@ def parse_poly(text: str, allowed=None) -> Poly:
         state["i"] += 1
         return tok
 
+    def nested(parse) -> Poly:
+        if state["depth"] == MAX_POLY_DEPTH:
+            raise ValueError(f"polynomial nested deeper than {MAX_POLY_DEPTH} levels")
+        state["depth"] += 1
+        out = parse()
+        state["depth"] -= 1
+        return out
+
     def atom() -> Poly:
         kind, value = peek()
         if (kind, value) == ("sym", "-"):
             advance()
-            return -atom()
+            return -nested(atom)
         if kind == "num":
             advance()
-            return Poly.const(Fraction(value))
+            return Poly.const(as_coeff(value))
         if kind == "name":
             advance()
             if allowed is not None and value not in allowed:
@@ -280,7 +286,7 @@ def parse_poly(text: str, allowed=None) -> Poly:
             return Poly.var(value)
         if (kind, value) == ("sym", "("):
             advance()
-            e = expr()
+            e = nested(expr)
             if peek() != ("sym", ")"):
                 raise ValueError("missing ')'")
             advance()

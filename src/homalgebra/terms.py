@@ -6,8 +6,9 @@ is kept in multiplicativity normal form: it never appears as an explicit node,
 it only increments leaf exponents.  A raw tree form with explicit weighted
 twist nodes exists for input; ``normalize`` pushes the weights to the leaves.
 
-Everything is immutable and exact (``fractions.Fraction``); all operations are
-pure functions.
+Everything is immutable and exact: a coefficient is an ``int`` while it is
+integral and a ``fractions.Fraction`` otherwise, never a float (``as_coeff``).
+All operations are pure functions.
 """
 
 from __future__ import annotations
@@ -16,16 +17,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
-Q = Fraction
+Coeff = Union[int, Fraction]
 
 
-def as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
+def as_coeff(c) -> Coeff:
+    """The exact coefficient ``c``: an ``int`` when integral, else a ``Fraction``.
+
+    Ints and Fractions compare, hash and print alike, so normalizing changes
+    no answer; it only keeps integral arithmetic off the ``Fraction`` path.
+    """
+    if type(c) is int:
         return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     if isinstance(c, str):
-        return Fraction(c)
+        try:
+            return int(c)
+        except ValueError:
+            return as_coeff(Fraction(c))
     raise TypeError(f"not an exact rational: {c!r}")
 
 
@@ -154,18 +165,19 @@ class LinComb:
     """A finite rational combination of terms plus a unit component.
 
     ``unit`` is the coefficient of the adjoined unit 1; ``terms`` maps Term to
-    a nonzero Fraction.  Instances are treated as immutable: operations return
-    fresh objects and never mutate their inputs.
+    a nonzero coefficient (see ``as_coeff``).  Instances are treated as
+    immutable: operations return fresh objects and never mutate their inputs.
     """
 
     __slots__ = ("unit", "terms")
 
-    def __init__(self, unit=0, terms: Mapping[Term, Fraction] | None = None):
-        object.__setattr__(self, "unit", as_fraction(unit))
+    def __init__(self, unit=0, terms: Mapping[Term, Coeff] | None = None):
+        object.__setattr__(self, "unit", as_coeff(unit))
         cleaned = {}
         if terms:
             for t, c in terms.items():
-                c = as_fraction(c)
+                if type(c) is not int:
+                    c = as_coeff(c)
                 if c:
                     cleaned[t] = c
         object.__setattr__(self, "terms", cleaned)
@@ -189,7 +201,7 @@ class LinComb:
 
     @staticmethod
     def of_term(t: Term, c=1) -> "LinComb":
-        return LinComb(0, {t: as_fraction(c)})
+        return LinComb(0, {t: c})
 
     def is_zero(self) -> bool:
         return self.unit == 0 and not self.terms
@@ -229,13 +241,13 @@ class LinComb:
     def __rmul__(self, c) -> "LinComb":
         if isinstance(c, LinComb):
             return NotImplemented
-        c = as_fraction(c)
+        c = as_coeff(c)
         if c == 0:
             return LinComb.zero()
         return LinComb(c * self.unit, {t: c * v for t, v in self.terms.items()})
 
     def scale(self, c) -> "LinComb":
-        return as_fraction(c) * self
+        return as_coeff(c) * self
 
     # -- algebra operations ---------------------------------------------------
 
@@ -248,7 +260,7 @@ class LinComb:
         """
         if not isinstance(other, LinComb):
             return NotImplemented
-        out: dict[Term, Fraction] = {}
+        out: dict[Term, Coeff] = {}
 
         def acc(t, c):
             s = out.get(t, 0) + c
@@ -272,14 +284,9 @@ class LinComb:
         """Twist action in normal form: all leaf exponents up by one, unit fixed."""
         return LinComb(self.unit, {shift_term(t, 1): c for t, c in self.terms.items()})
 
-    def alpha_pow(self, k: int) -> "LinComb":
-        if k < 0:
-            raise ValueError("negative twist power")
-        return LinComb(self.unit, {shift_term(t, k): c for t, c in self.terms.items()})
-
     # -- inspection ----------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Term, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Term, Coeff]]:
         return sorted(self.terms.items(), key=lambda tc: sort_key(tc[0]))
 
     def generators(self) -> set[str]:
@@ -328,7 +335,7 @@ def rename(v: LinComb, mapping) -> LinComb:
             return Leaf(images[t.name], t.exp)
         return Node(go(t.left), go(t.right))
 
-    out: dict[Term, Fraction] = {}
+    out: dict[Term, Coeff] = {}
     for t, c in v.terms.items():
         out[go(t)] = out.get(go(t), 0) + c
     return LinComb(v.unit, out)
@@ -347,7 +354,7 @@ def random_lincomb(rng, gens: Iterable[str], max_arity: int = 3, max_exp: int = 
 
     out = LinComb.zero()
     for _ in range(n_terms):
-        c = Fraction(rng.randint(-2, 2))
+        c = rng.randint(-2, 2)
         if c == 0:
             continue
         t = random_term(rng.randint(1, max_arity))

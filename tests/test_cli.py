@@ -158,3 +158,25 @@ def test_timings_flag_is_opt_in():
     assert "elapsed_seconds" in doc
     out = run_cli("verify", "envelope", "--json")
     assert "elapsed_seconds" not in json.loads(out.stdout)
+
+
+def test_deeply_nested_term_exits_2_without_traceback():
+    comb = "x"
+    for _ in range(500):
+        comb = f"(x * {comb})"
+    out = run_cli("reduce", comb)
+    assert out.returncode == 2
+    assert "nested deeper than" in out.stderr and "line 1, column" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_deeply_nested_descriptor_polynomial_exits_2_without_traceback(tmp_path):
+    expr = "2*t"
+    for _ in range(2000):
+        expr = f"({expr})"
+    f = tmp_path / "deep.alg"
+    f.write_text(f"kind poly\nvars t\ntwist t = {expr}\n")
+    out = run_cli("check", "algebra", str(f))
+    assert out.returncode == 2
+    assert "nested deeper than" in out.stderr
+    assert "Traceback" not in out.stderr

@@ -1,5 +1,6 @@
 """The bounded congruence oracle: associators, saturation, reduction."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -8,7 +9,10 @@ import pytest
 from homalgebra.congruence import (Bound, OutOfWindowError, ResourceCapError,
                                    SaturationConfig, Verdict, enumerate_terms,
                                    hom_associator, saturate)
-from homalgebra.terms import LinComb, make_leaf, random_lincomb
+from homalgebra.grammar import format_lincomb, parse_lincomb
+from homalgebra.homlie import (LEG_TAGS2, LEG_TAGS3, affine_line_twisted,
+                               direct_sum, envelope)
+from homalgebra.terms import Leaf, LinComb, make_leaf, random_lincomb
 
 NON_UNITAL = SaturationConfig(unit_instances=False)
 UNITAL = SaturationConfig(unit_instances=True)
@@ -203,3 +207,118 @@ def test_enumerate_terms_counts():
     # leaves 6; arity 2: 36; arity 3: two shapes of 216
     terms = enumerate_terms(["x", "y", "z"], Bound(3, 1))
     assert len(terms) == 6 + 36 + 2 * 216
+
+
+# ---------------------------------------------------------------------------
+# exact coefficients: int while integral, Fraction otherwise, never a float
+# ---------------------------------------------------------------------------
+
+# a window whose rows need non-unit pivots: the extra relation has no +-1
+# leading coefficient
+FRACTIONAL_RELATION = "2 * (x * y) + -3 * (y * x) + 1/2 * (x * x)"
+
+
+def fractional_basis():
+    rel = parse_lincomb(FRACTIONAL_RELATION)
+    return saturate(["x", "y"], Bound(3, 1),
+                    SaturationConfig(unit_instances=False, extra_relations=(rel,)))
+
+
+def assert_exact(coeffs):
+    for c in coeffs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
+def lincomb_coeffs(v: LinComb):
+    return [v.unit, *v.terms.values()]
+
+
+def test_saturated_rows_and_residues_are_exact():
+    rng = random.Random(5)
+    for basis in (saturate(["x", "y", "z"], Bound(3, 1), NON_UNITAL),
+                  saturate(["x", "y", "z"], Bound(3, 1), UNITAL),
+                  fractional_basis()):
+        for row in basis._rows.values():
+            assert_exact(row.values())
+        for row in basis.rows_as_lincombs():
+            assert_exact(lincomb_coeffs(row))
+        gens = list(basis.gens)
+        for _ in range(20):
+            v = random_lincomb(rng, gens, max_arity=3, max_exp=1, with_unit=True)
+            v = Fraction(rng.randint(1, 3), rng.randint(1, 3)) * v
+            assert_exact(lincomb_coeffs(v))
+            assert_exact(lincomb_coeffs(basis.reduce(v)))
+
+
+def test_lincomb_results_are_exact():
+    half = Fraction(1, 2) * x()
+    for v in (half + half, 2 * half, half * (2 * y()), x() - half - half,
+              LinComb.scalar(Fraction(4, 2)), parse_lincomb("4/2 * x + 3/2 * y"),
+              (half * y()).scale(Fraction(2, 3)), half.alpha()):
+        assert_exact(lincomb_coeffs(v))
+    assert type((half + half).terms[Leaf("x")]) is int
+    with pytest.raises(TypeError):
+        LinComb.of_term(Leaf("x"), 0.5)
+
+
+def test_non_unit_pivots_stay_exact():
+    basis = fractional_basis()
+    assert basis.rows_count == 34
+    assert any(type(c) is Fraction for row in basis._rows.values() for c in row.values())
+    residue = basis.reduce(parse_lincomb("(y * x)"))
+    assert format_lincomb(residue) == "1/6 * (x * x) + 2/3 * (x * y)"
+    assert_exact(lincomb_coeffs(residue))
+    assert basis.reduce(parse_lincomb(FRACTIONAL_RELATION)).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# pinned row digests: a change to the saturator must not change a single row
+# ---------------------------------------------------------------------------
+
+def rows_digest(basis) -> str:
+    """sha256 of the rows listed by pivot, each as its sorted
+    (column, str(coefficient)) pairs."""
+    h = hashlib.sha256()
+    for p in sorted(basis._rows):
+        pairs = sorted((i, str(c)) for i, c in basis._rows[p].items())
+        h.update((f"{p}:" + ",".join(f"{i}={c}" for i, c in pairs) + "\n").encode())
+    return h.hexdigest()
+
+
+def envelope_basis(copies, max_arity, unit_instances):
+    L = affine_line_twisted()
+    if copies > 1:
+        L = direct_sum([L] * copies, list(LEG_TAGS2 if copies == 2 else LEG_TAGS3))
+    return envelope(L, max_arity=max_arity, unit_instances=unit_instances).basis
+
+
+ROW_DIGESTS = [
+    # (window, unit instances, rows_count, digest)
+    ("xyz-3-1", True, 435, "35daf5242c4b70f9fe9aad6093991d7f8eddb8e0acdcaf87bdfa37b1086f828b"),
+    ("xyz-3-1", False, 54, "bedb10754df5450121011e88c391c117f5fd705ebd0c80b1943f7da0b8f1a1e0"),
+    ("xy-4-2", True, 6924, "0ca9e4bc80ee616563b9dc109d21dd241e096c74ec76559af6b4943985527a1a"),
+    ("xy-4-2", False, 2528, "c8ea6879f5656727eeec930b31067b0e9379e78df25bc3082666329170bb8478"),
+    # the three envelope windows of ``verify envelope`` on the affine-line fixture
+    ("envelope", True, 4, "d3d4dbff022554eca04785e6e10e5f126e3ac09367f1a525483a2ba31f8dbf9c"),
+    ("envelope", False, 1, "f00a42300fad48f6e5263c0a4c579055e2cca23e032959b4949db636e08c78cc"),
+    ("envelope-doubled", True, 139, "8bc5a568a8d59f2f2f3c131bf669234d192fac05e684f9f8e6c3f31a0fd13eaf"),
+    ("envelope-doubled", False, 114, "3c55a2af4ef179dc465f276d54a2efac8fa03c0087eace6188ad679c96bff717"),
+    ("envelope-tripled", True, 455, "71a50ae4a1c0d2800585cd1ebf00df0ad424deca946bcc757b8cb50bc74b42a4"),
+    ("envelope-tripled", False, 391, "18ca607e7b33ec5191221bcdffcdd82d4e0a3b028ed6789cd0e5022cdd7378e1"),
+    ("fractional", False, 34, "7168cdd6dd4caba24108c078117b088aea2f9b4ed969430a157a335a43818cfc"),
+]
+
+
+@pytest.mark.parametrize("window,unital,rows_count,digest", ROW_DIGESTS)
+def test_pinned_row_digests(window, unital, rows_count, digest):
+    config = UNITAL if unital else NON_UNITAL
+    basis = {
+        "xyz-3-1": lambda: saturate(["x", "y", "z"], Bound(3, 1), config),
+        "xy-4-2": lambda: saturate(["x", "y"], Bound(4, 2), config),
+        "envelope": lambda: envelope_basis(1, 2, unital),
+        "envelope-doubled": lambda: envelope_basis(2, 3, unital),
+        "envelope-tripled": lambda: envelope_basis(3, 3, unital),
+        "fractional": fractional_basis,
+    }[window]()
+    assert basis.rows_count == rows_count
+    assert rows_digest(basis) == digest

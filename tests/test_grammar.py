@@ -76,3 +76,20 @@ def test_errors_carry_line_and_column():
 
 def test_whitespace_insensitive():
     assert parse_lincomb(" ( x *  y@1 ) ") == parse_lincomb("(x*y@1)")
+
+
+def test_nesting_depth_guard():
+    from homalgebra.grammar import MAX_TERM_DEPTH
+
+    def comb(depth):
+        text = "x"
+        for _ in range(depth):
+            text = f"(x * {text})"
+        return text
+
+    assert parse_lincomb(comb(MAX_TERM_DEPTH)).max_arity() == MAX_TERM_DEPTH + 1
+    with pytest.raises(TermSyntaxError) as err:
+        parse_lincomb(comb(MAX_TERM_DEPTH + 1))
+    assert (err.value.line, err.value.col) == (1, 1 + 5 * MAX_TERM_DEPTH)
+    with pytest.raises(TermSyntaxError):
+        parse_lincomb("(A 1 " * (MAX_TERM_DEPTH + 1) + "x" + ")" * (MAX_TERM_DEPTH + 1))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from homalgebra.algebras import q_poly_algebra
 from homalgebra.poly import (Poly, PolyEndo, monomials_up_to, parse_poly,
                              random_poly)
 
@@ -70,3 +71,45 @@ def test_repr_roundtrip():
     for _ in range(25):
         p = random_poly(rng, ["x", "y"], degree=3, terms=4)
         assert parse_poly(repr(p)) == p
+
+
+def assert_exact(p: Poly):
+    for c in p.coeffs.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
+def test_coefficients_are_int_until_a_denominator_appears():
+    half = Fraction(1, 2) * x
+    for p in (half + half, 2 * half, half * (2 * y), (x + half) ** 2 - x * x,
+              parse_poly("4/2*x + 3/2*y - 1"), Poly.const(Fraction(6, 3)),
+              PolyEndo({"x": half})(x * y + 2 * x)):
+        assert_exact(p)
+    assert type((half + half).coeffs[(("x", 1),)]) is int
+    assert type(parse_poly("4/2*x").coeffs[(("x", 1),)]) is int
+    with pytest.raises(TypeError):
+        Poly.const(0.5)
+
+
+def test_q_poly_half_round_trip_is_exact():
+    A = q_poly_algebra(Fraction(1, 2))
+    back = PolyEndo({"t": 2 * t})
+    rng = random.Random(43)
+    for _ in range(10):
+        p, q = A.rand(rng), A.rand(rng)
+        twisted = A.alpha_pow(p, 3)
+        assert twisted == p.substitute({"t": Fraction(1, 8) * t})
+        for r in (twisted, A.mul(p, q), A.mul(A.alpha(p), A.alpha(q))):
+            assert_exact(r)
+            assert parse_poly(repr(r)) == r
+        assert back(back(back(twisted))) == p
+        assert back(A.mul(p, q)) == p * q
+
+
+def test_parse_poly_nesting_guard():
+    from homalgebra.poly import MAX_POLY_DEPTH
+    depth = MAX_POLY_DEPTH
+    assert parse_poly("(" * depth + "2*t" + ")" * depth) == 2 * t
+    with pytest.raises(ValueError, match="nested deeper"):
+        parse_poly("(" * (depth + 1) + "2*t" + ")" * (depth + 1))
+    with pytest.raises(ValueError, match="nested deeper"):
+        parse_poly("- " * 5000 + "t")
