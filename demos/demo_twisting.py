@@ -23,13 +23,13 @@ print("\nscaling the classical matrix bialgebra with parameter 3:")
 phi_H, phi_A = lambda_scaling_pair(3)
 H = classical_m2_bialgebra()
 Ht = yau_twist_bialgebra(H, phi_H)
-print("  twisted comultiplication of b:", Ht.delta_eff(Poly.var("b")))
+print("  twisted comultiplication of b:", Ht.delta(Poly.var("b")))
 print("  twisted coassociativity:", "PASS" if check_hom_coassoc(Ht).passed else "FAIL")
 
 print("\ntwisting the plane comodule with the compatible pair:")
 C = classical_affine_comodule()
 Ct = twist_comodule(H, C, phi_H, phi_A)
-print("  twisted coaction of y:", Ct.rho_eff(Poly.var("y")))
+print("  twisted coaction of y:", Ct.coaction(Poly.var("y")))
 print("  comodule law:        ", "PASS" if check_comodule(Ct).passed else "FAIL")
 print("  morphism law:        ", "PASS" if check_comodule_homalgebra(Ct).passed else "FAIL")
 

@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional
 
 from .poly import Poly, PolyEndo, monomials_up_to, random_poly
@@ -244,10 +245,6 @@ def yau_twist_algebra(A: HomAlgebraDescriptor, phi,
     )
 
 
-def scaling_twist(names, images: dict[str, Poly]) -> PolyEndo:
-    return PolyEndo({v: images.get(v, Poly.var(v)) for v in names})
-
-
 def q_poly_algebra(q, var: str = "t") -> HomAlgebraDescriptor:
     """The one-variable carrier twisted along t -> q t."""
     base = poly_algebra([var])
@@ -353,27 +350,13 @@ def tensor_algebra(A: HomAlgebraDescriptor, B: HomAlgebraDescriptor) -> HomAlgeb
     if A.decompose is None or B.decompose is None:
         raise ValueError("tensor product needs carriers with basis decomposition")
 
-    def pure(a, b) -> Tensor2:
-        out = {}
-        for ca, ka in A.decompose(a):
-            for cb, kb in B.decompose(b):
-                k = (ka, kb)
-                s = out.get(k, 0) + ca * cb
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return Tensor2(out)
+    pure = partial(tensor_pure, A, B)
 
     def add(s, t):
         out = dict(s.pairs)
         for k, c in t.pairs.items():
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-        return Tensor2(out)
+            out[k] = out.get(k, 0) + c
+        return Tensor2(out)  # drops the zero sums
 
     def scale(c, s):
         c = as_coeff(c)
@@ -425,13 +408,8 @@ def tensor_pure(A: HomAlgebraDescriptor, B: HomAlgebraDescriptor, a, b) -> Tenso
     out: dict = {}
     for ca, ka in A.decompose(a):
         for cb, kb in B.decompose(b):
-            k = (ka, kb)
-            s = out.get(k, 0) + ca * cb
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-    return Tensor2(out)
+            out[ka, kb] = out.get((ka, kb), 0) + ca * cb
+    return Tensor2(out)  # drops the zero sums
 
 
 def tensor_swap(s: Tensor2) -> Tensor2:

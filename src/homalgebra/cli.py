@@ -30,18 +30,18 @@ from .bialgebras import (FreeHomBialgebra, check_comodule,
                          check_comodule_homalgebra, check_delta_is_morphism,
                          check_hom_coassoc, check_comultiplicative,
                          classical_affine_comodule, classical_m2_bialgebra,
-                         hom_affine_plane, lambda_scaling_pair, m_bialgebra,
-                         representability_check, twist_comodule,
+                         hom_affine_plane, lambda_scaling_pair, law_report,
+                         m_bialgebra, representability_check, twist_comodule,
                          yau_twist_bialgebra)
-from .congruence import (Bound, OutOfWindowError, ResourceCapError,
+from .congruence import (Bound, ResourceCapError,
                          SaturationConfig, saturate)
 from .grammar import TermSyntaxError, format_lincomb, parse_lincomb
-from .homlie import (affine_line_twisted, check_envelope_bialgebra,
-                     check_hom_lie, envelope, load_hom_lie)
+from .homlie import (affine_line_twisted, bracket_sides,
+                     check_envelope_bialgebra, check_hom_lie, envelope,
+                     load_hom_lie)
 from .morphisms import FreeAlgebraHandle
-from .poly import PolyEndo, parse_poly
-from .reports import LawReport, dump_json, render_text, report_document
-from .terms import LinComb
+from .poly import Poly, PolyEndo, parse_poly, read_directives
+from .reports import dump_json, render_text, report_document
 import random
 
 
@@ -134,15 +134,9 @@ def run_reduce(args):
         raise ValueError("no generators: pass --gens for constant inputs")
     basis = saturate(gens, Bound(args.max_arity, args.max_exp), _config(args))
     residue = basis.reduce(v)
-    report = LawReport("reduce", context=basis.describe())
-    from .reports import LawItem
     # reducing is a query, not a check: a nonzero residue is a normal outcome
-    report.items.append(LawItem(
-        label="residue class representative",
-        lhs=format_lincomb(v),
-        rhs=format_lincomb(residue),
-        verdict="PASS",
-        residue=format_lincomb(residue)))
+    report = law_report("reduce", basis.describe(), format_lincomb, [
+        ("residue class representative", v, residue, lambda _, r: ("PASS", format_lincomb(r)))])
     return [report], {"normalized": format_lincomb(v),
                       "residue": format_lincomb(residue),
                       "reduces_to_zero": residue.is_zero()}
@@ -152,22 +146,15 @@ def _load_free_bialgebra(path: str) -> FreeHomBialgebra:
     gens = None
     images = {}
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            head, _, rest = line.partition(" ")
-            rest = rest.strip()
+        for lineno, head, rest in read_directives(fh, ("kind", "gens", "delta")):
             if head == "kind":
                 if rest != "free-bialgebra":
                     raise ValueError(f"line {lineno}: expected kind free-bialgebra")
             elif head == "gens":
                 gens = tuple(rest.split())
-            elif head == "delta":
+            else:
                 name, _, expr = rest.partition("=")
                 images[name.strip()] = parse_lincomb(expr.strip())
-            else:
-                raise ValueError(f"line {lineno}: unknown directive {head!r}")
     if gens is None or set(images) != set(gens):
         raise ValueError("descriptor needs gens and a delta image per generator")
     return FreeHomBialgebra(FreeAlgebraHandle(gens), images)
@@ -180,9 +167,7 @@ def run_m_coassoc(args):
     reports = [
         check_hom_coassoc(B, bound=bound, config=config),
         check_comultiplicative(B),
-        check_delta_is_morphism(B, bound=bound,
-                                config=SaturationConfig(unit_instances=config.unit_instances),
-                                seed=args.seed),
+        check_delta_is_morphism(B, bound=bound, config=config, seed=args.seed),
     ]
     return reports, {}
 
@@ -193,9 +178,7 @@ def run_affine_comodule(args):
     config = _config(args)
     reports = [
         check_comodule(C, bound=bound, config=config),
-        check_comodule_homalgebra(C, bound=bound,
-                                  config=SaturationConfig(unit_instances=config.unit_instances),
-                                  seed=args.seed),
+        check_comodule_homalgebra(C, bound=bound, config=config, seed=args.seed),
     ]
     return reports, {}
 
@@ -204,11 +187,9 @@ def run_m2_representability(args):
     rng = random.Random(args.seed)
     reports = []
     if args.carrier == "classical":
-        entries = [f"{m}{i}{j}" for m in "xy" for i in (1, 2) for j in (1, 2)]
-        A = poly_algebra(entries)
-        from .poly import Poly
-        X = ((Poly.var("x11"), Poly.var("x12")), (Poly.var("x21"), Poly.var("x22")))
-        Y = ((Poly.var("y11"), Poly.var("y12")), (Poly.var("y21"), Poly.var("y22")))
+        X, Y = (tuple(tuple(Poly.var(f"{m}{i}{j}") for j in (1, 2)) for i in (1, 2))
+                for m in "xy")
+        A = poly_algebra([str(e) for M in (X, Y) for row in M for e in row])
         rep = representability_check(A, X, Y)
         rep.law = "matrix_representability (generic symbols)"
         reports.append(rep)
@@ -224,38 +205,25 @@ def run_m2_representability(args):
 
 def _load_twist_file(path: str):
     lam = None
-    phi_h = {}
-    phi_a = {}
+    phis = {"phi_H": {}, "phi_A": {}}
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            head, _, rest = line.partition(" ")
-            rest = rest.strip()
+        for lineno, head, rest in read_directives(fh, ("kind", "lambda", "phi_H", "phi_A")):
             if head == "kind":
                 if rest != "twist":
                     raise ValueError(f"line {lineno}: expected kind twist")
             elif head == "lambda":
                 lam = Fraction(rest)
-            elif head in ("phi_H", "phi_A"):
-                name, _, expr = rest.partition("=")
-                target = phi_h if head == "phi_H" else phi_a
-                target[name.strip()] = parse_poly(expr.strip())
             else:
-                raise ValueError(f"line {lineno}: unknown directive {head!r}")
+                name, _, expr = rest.partition("=")
+                phis[head][name.strip()] = parse_poly(expr.strip())
     if lam is not None:
         return lambda_scaling_pair(lam)
-    return PolyEndo(phi_h), PolyEndo(phi_a)
+    return PolyEndo(phis["phi_H"]), PolyEndo(phis["phi_A"])
 
 
 def run_twist(args):
-    if args.file:
-        phi_H, phi_A = _load_twist_file(args.file)
-        lam = None
-    else:
-        lam = Fraction(args.lam)
-        phi_H, phi_A = lambda_scaling_pair(lam)
+    lam = None if args.file else Fraction(args.lam)
+    phi_H, phi_A = _load_twist_file(args.file) if args.file else lambda_scaling_pair(lam)
     H = classical_m2_bialgebra()
     C = classical_affine_comodule()
     Ht = yau_twist_bialgebra(H, phi_H)
@@ -279,22 +247,9 @@ def run_envelope(args):
     reports = [check_hom_lie(L)]
     model = envelope(L, max_arity=min(args.max_arity, 2),
                      unit_instances=not args.non_unital)
-    from .reports import LawItem
-    bracket_rep = LawReport("bracket_relations", context=model.basis.describe())
-    for i, ni in enumerate(L.names):
-        for j in range(i + 1, L.dim):
-            nj = L.names[j]
-            u = model.gen(ni) * model.gen(nj) - model.gen(nj) * model.gen(ni)
-            rhs = LinComb.zero()
-            for k, c in enumerate(L.bracket_table[i][j]):
-                if c:
-                    rhs = rhs + c * model.gen(L.names[k])
-            res = model.equal_mod(u, rhs)
-            bracket_rep.items.append(LawItem(
-                f"[{ni},{nj}]", format_lincomb(u), format_lincomb(rhs),
-                res.verdict.value,
-                None if res.proven else format_lincomb(res.residue)))
-    reports.append(bracket_rep)
+    reports.append(law_report("bracket_relations", model.basis.describe(), format_lincomb,
+                              ((label, u, rhs, model.decide)
+                               for label, u, rhs in bracket_sides(L))))
     reports.extend(check_envelope_bialgebra(L, max_arity=args.max_arity,
                                             unit_instances=not args.non_unital))
     extra = {"hom_lie": list(L.names),
@@ -307,21 +262,14 @@ def _load_algebra_file(path: str):
     names = []
     twist = {}
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            head, _, rest = line.partition(" ")
-            rest = rest.strip()
+        for _, head, rest in read_directives(fh, ("kind", "vars", "twist")):
             if head == "kind":
                 kind = rest
             elif head == "vars":
                 names = rest.split()
-            elif head == "twist":
+            else:
                 name, _, expr = rest.partition("=")
                 twist[name.strip()] = parse_poly(expr.strip())
-            else:
-                raise ValueError(f"line {lineno}: unknown directive {head!r}")
     if kind not in ("poly", "matrix"):
         raise ValueError("descriptor kind must be poly or matrix")
     if not names:
@@ -346,44 +294,32 @@ def run_check_algebra(args):
 
 # ---------------------------------------------------------------------------
 
+# job name (command and subcommand, as the report records it) -> body
+JOBS = {
+    "reduce": run_reduce,
+    "verify m-coassoc": run_m_coassoc,
+    "verify affine-comodule": run_affine_comodule,
+    "verify m2-representability": run_m2_representability,
+    "verify twist": run_twist,
+    "verify envelope": run_envelope,
+    "check algebra": run_check_algebra,
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    job = " ".join(filter(None, (args.command, getattr(args, "suite", None),
+                                 getattr(args, "what", None))))
     t0 = time.time()
     try:
-        if args.command == "reduce":
-            job = "reduce"
-            reports, extra = run_reduce(args)
-        elif args.command == "verify" and args.suite == "m-coassoc":
-            job = "verify m-coassoc"
-            reports, extra = run_m_coassoc(args)
-        elif args.command == "verify" and args.suite == "affine-comodule":
-            job = "verify affine-comodule"
-            reports, extra = run_affine_comodule(args)
-        elif args.command == "verify" and args.suite == "m2-representability":
-            job = "verify m2-representability"
-            reports, extra = run_m2_representability(args)
-        elif args.command == "verify" and args.suite == "twist":
-            job = "verify twist"
-            reports, extra = run_twist(args)
-        elif args.command == "verify" and args.suite == "envelope":
-            job = "verify envelope"
-            reports, extra = run_envelope(args)
-        elif args.command == "check" and args.what == "algebra":
-            job = "check algebra"
-            reports, extra = run_check_algebra(args)
-        else:
-            print("unknown command", file=sys.stderr)
-            return 2
+        reports, extra = JOBS[job](args)
     except TermSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except (OutOfWindowError, ResourceCapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ZeroDivisionError, ResourceCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

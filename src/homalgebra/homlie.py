@@ -18,13 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebras import CheckReport, HomAlgebraDescriptor, PreconditionError
+from .algebras import (CheckReport, HomAlgebraDescriptor, PreconditionError,
+                       _tuples)
+from .bialgebras import (_equal_mod_or_outside, _FreeCarrier,
+                         check_comultiplicative, check_delta_is_morphism,
+                         check_hom_coassoc, coassoc_composites, exact,
+                         law_report)
 from .congruence import Bound, SaturationConfig, saturate
-from .grammar import format_lincomb
-from .morphisms import FreeAlgebraHandle, MorphismAssignment, evaluate
-from .poly import parse_poly
-from .reports import LawItem, LawReport
-from .terms import Coeff, Leaf, LinComb, Term, as_coeff, make_leaf
+from .poly import parse_poly, read_directives
+from .reports import LawReport
+from .terms import Coeff, Leaf, LinComb, Term, arity, as_coeff, make_leaf
 
 Vec = tuple[Coeff, ...]
 
@@ -106,18 +109,20 @@ def abelian_hom_lie(names, alpha: dict | None = None) -> HomLieAlgebra:
     return hom_lie_algebra(names, {}, alpha or {})
 
 
+def _non_multiplicative(L: HomLieAlgebra) -> list[str]:
+    """The basis pairs where alpha[x, y] = [alpha x, alpha y] fails."""
+    return [f"({L.names[i]}, {L.names[j]})" for i in range(L.dim) for j in range(L.dim)
+            if L.alpha(L.bracket_table[i][j])
+            != L.bracket(L.alpha(L.basis_vec(i)), L.alpha(L.basis_vec(j)))]
+
+
 def twist_hom_lie(L: HomLieAlgebra) -> HomLieAlgebra:
     """Compose the bracket with the twist (the Lie-side deformation); the
     twist matrix must be a bracket endomorphism of the input."""
     n = L.dim
-    for i in range(n):
-        for j in range(n):
-            lhs = L.alpha(L.bracket_table[i][j])
-            rhs = L.bracket(L.alpha(L.basis_vec(i)), L.alpha(L.basis_vec(j)))
-            if lhs != rhs:
-                raise PreconditionError(
-                    f"twist matrix is not a bracket endomorphism at "
-                    f"({L.names[i]}, {L.names[j]})")
+    bad = _non_multiplicative(L)
+    if bad:
+        raise PreconditionError(f"twist matrix is not a bracket endomorphism at {bad[0]}")
     table = tuple(tuple(L.alpha(L.bracket_table[i][j]) for j in range(n))
                   for i in range(n))
     return HomLieAlgebra(L.names, table, L.alpha_matrix)
@@ -161,21 +166,14 @@ def check_hom_lie(L: HomLieAlgebra, include_multiplicativity: bool = True) -> Ch
                         f"hom-Jacobi fails at ({L.names[i]}, {L.names[j]}, {L.names[k]}):"
                         f" {L.fmt(tuple(total))}")
     if include_multiplicativity:
-        for i in range(n):
-            for j in range(n):
-                run += 1
-                lhs = L.alpha(L.bracket_table[i][j])
-                rhs = L.bracket(L.alpha(L.basis_vec(i)), L.alpha(L.basis_vec(j)))
-                if lhs != rhs:
-                    bad.append(
-                        f"multiplicativity fails at ({L.names[i]}, {L.names[j]})")
+        run += n * n
+        bad += [f"multiplicativity fails at {pair}" for pair in _non_multiplicative(L)]
     return CheckReport("hom_lie_axioms", run, bad)
 
 
 def commutator_checks(A: HomAlgebraDescriptor, count: int = 100,
                       seed: int = 0) -> CheckReport:
     """Hom-Lie axioms for the commutator bracket of a carrier, on samples."""
-    from .algebras import _tuples
     bracket = lambda x, y: A.sub(A.mul(x, y), A.mul(y, x))
     bad = []
     triples = _tuples(A, 3, count, seed)
@@ -239,10 +237,7 @@ class EnvelopeModel:
         return make_leaf(name, 0)
 
     def alpha_elem(self, v: LinComb) -> LinComb:
-        out = LinComb.scalar(v.unit)
-        for t, c in v.sorted_terms():
-            out = out + c * _matrix_alpha_term(self.L, t)
-        return out
+        return _matrix_alpha(self.L, v)
 
     def reduce(self, v: LinComb) -> LinComb:
         return self.basis.reduce(v)
@@ -250,11 +245,14 @@ class EnvelopeModel:
     def equal_mod(self, u: LinComb, v: LinComb):
         return self.basis.equal_mod(u, v)
 
+    def decide(self, u: LinComb, v: LinComb):
+        """The oracle verdict and residue, as law reports carry them."""
+        return _equal_mod_or_outside(self.basis, u, v)
+
     def dimension_report(self) -> dict:
         pivots = self.basis.pivot_arities()
         totals: dict[int, int] = {}
         for t in self.basis._terms:
-            from .terms import arity
             totals[arity(t)] = totals.get(arity(t), 0) + 1
         return {
             a: {"terms": totals.get(a, 0), "pivots": pivots.get(a, 0),
@@ -277,20 +275,33 @@ def _matrix_alpha_term(L: HomLieAlgebra, t: Term) -> LinComb:
     return _matrix_alpha_term(L, t.left) * _matrix_alpha_term(L, t.right)
 
 
-def bracket_relations(L: HomLieAlgebra) -> list[LinComb]:
-    """e_i e_j - e_j e_i - [e_i, e_j] for i < j (the rest follows by skew)."""
+def _matrix_alpha(L: HomLieAlgebra, v: LinComb) -> LinComb:
+    out = LinComb.scalar(v.unit)
+    for t, c in v.sorted_terms():
+        out = out + c * _matrix_alpha_term(L, t)
+    return out
+
+
+def bracket_sides(L: HomLieAlgebra) -> list[tuple[str, LinComb, LinComb]]:
+    """``("[e_i,e_j]", e_i e_j - e_j e_i, [e_i, e_j])`` for i < j (the rest
+    follows by skew), the bracket from the structure constants."""
     out = []
-    for i in range(L.dim):
+    for i, ni in enumerate(L.names):
         for j in range(i + 1, L.dim):
+            nj = L.names[j]
             rhs = LinComb.zero()
             for k, c in enumerate(L.bracket_table[i][j]):
                 if c:
                     rhs = rhs + c * make_leaf(L.names[k], 0)
-            rel = (make_leaf(L.names[i]) * make_leaf(L.names[j])
-                   - make_leaf(L.names[j]) * make_leaf(L.names[i]) - rhs)
-            if not rel.is_zero():
-                out.append(rel)
+            out.append((f"[{ni},{nj}]",
+                        make_leaf(ni) * make_leaf(nj) - make_leaf(nj) * make_leaf(ni), rhs))
     return out
+
+
+def bracket_relations(L: HomLieAlgebra) -> list[LinComb]:
+    """e_i e_j - e_j e_i - [e_i, e_j] for i < j; never zero, since the
+    commutator of two distinct leaves has arity 2 and the bracket arity 1."""
+    return [u - rhs for _, u, rhs in bracket_sides(L)]
 
 
 def envelope(L: HomLieAlgebra, max_arity: int = 3, unit_instances: bool = True,
@@ -314,33 +325,36 @@ LEG_TAGS2 = ("'", "''")
 LEG_TAGS3 = ("'", "''", "'''")
 
 
+@dataclass(frozen=True)
+class EnvelopeBialgebra(_FreeCarrier):
+    """The envelope as a carrier of the bialgebra laws: basis leaves, the
+    twist through the structure matrix, and the primitive comultiplication
+    (the twist in the left leg plus the twist in the right leg)."""
+    L: HomLieAlgebra
+
+    @property
+    def gens(self) -> tuple:
+        return self.L.names
+
+    @property
+    def context(self) -> dict:
+        return {"hom_lie": list(self.L.names)}
+
+    def alpha(self, v: LinComb) -> LinComb:
+        return _matrix_alpha(self.L, v)
+
+    def tensor_alpha(self, v: LinComb) -> LinComb:
+        return self.compose(v, {n + t: self.twist_into(n, t)
+                                for t in LEG_TAGS2 for n in self.gens})
+
+    def delta_at(self, t1: str, t2: str) -> dict:
+        return {n: self.twist_into(n, t1) + self.twist_into(n, t2) for n in self.gens}
+
+
 def delta_env(L: HomLieAlgebra) -> dict:
     """Comultiplication on basis leaves: twist in the left leg plus twist in
     the right leg of the doubled model."""
-    images = {}
-    for j, name in enumerate(L.names):
-        v = LinComb.zero()
-        for i in range(L.dim):
-            c = L.alpha_matrix[i][j]
-            if c:
-                v = v + c * (make_leaf(L.names[i] + LEG_TAGS2[0])
-                             + make_leaf(L.names[i] + LEG_TAGS2[1]))
-        images[name] = v
-    return images
-
-
-def delta_env_extend(L: HomLieAlgebra, v: LinComb) -> LinComb:
-    """Morphism extension of the primitive comultiplication."""
-    doubled = FreeAlgebraHandle(tuple(
-        n + t for t in LEG_TAGS2 for n in L.names))
-    return evaluate(v, MorphismAssignment(doubled.descriptor(), delta_env(L)))
-
-
-def _alpha_square(L: HomLieAlgebra):
-    m = L.alpha_matrix
-    n = L.dim
-    return [[as_coeff(sum(m[i][k] * m[k][j] for k in range(n)))
-             for j in range(n)] for i in range(n)]
+    return EnvelopeBialgebra(L).delta_at(*LEG_TAGS2)
 
 
 def check_envelope_bialgebra(L: HomLieAlgebra, max_arity: int = 3,
@@ -349,101 +363,27 @@ def check_envelope_bialgebra(L: HomLieAlgebra, max_arity: int = 3,
 
     On basis leaves both twisted-coassociativity composites equal the same
     three-term sum exactly, before any quotient; on degree-2 products they
-    are compared through the tripled model's oracle.
+    are compared through the tripled model's oracle, and multiplicativity
+    through the doubled model's.
     """
-    names = L.names
-    L3 = direct_sum([L, L, L], list(LEG_TAGS3))
-    model3 = envelope(L3, max_arity=max_arity, unit_instances=unit_instances)
-    target3 = FreeAlgebraHandle(L3.names).descriptor()
+    E = EnvelopeBialgebra(L)
+    model3 = envelope(direct_sum([L, L, L], list(LEG_TAGS3)), max_arity=max_arity,
+                      unit_instances=unit_instances)
+    products = [(label, u * v) for label, u, v in E.pairs(0)]
+    coassoc = check_hom_coassoc(E, E.generators() + products, basis=model3.basis)
 
-    m2sq = _alpha_square(L)
-    images = delta_env(L)
+    def three_legs(e: LinComb) -> LinComb:
+        twice = E.alpha(E.alpha(e))
+        return sum((E.retag(twice, t) for t in LEG_TAGS3), LinComb.zero())
 
-    # (delta (x) alpha) and (alpha (x) delta) as assignments on the doubled legs
-    def tag_twist(name_idx: int, tag: str) -> LinComb:
-        out = LinComb.zero()
-        for i in range(L.dim):
-            c = L.alpha_matrix[i][name_idx]
-            if c:
-                out = out + c * make_leaf(names[i] + tag)
-        return out
-
-    m1 = {}
-    m2 = {}
-    for j, n in enumerate(names):
-        delta_12 = LinComb.zero()
-        delta_23 = LinComb.zero()
-        for i in range(L.dim):
-            c = L.alpha_matrix[i][j]
-            if c:
-                delta_12 = delta_12 + c * (make_leaf(names[i] + "'")
-                                           + make_leaf(names[i] + "''"))
-                delta_23 = delta_23 + c * (make_leaf(names[i] + "''")
-                                           + make_leaf(names[i] + "'''"))
-        m1[n + "'"] = delta_12
-        m1[n + "''"] = tag_twist(j, "'''")
-        m2[n + "'"] = tag_twist(j, "'")
-        m2[n + "''"] = delta_23
-    m1 = MorphismAssignment(target3, m1)
-    m2 = MorphismAssignment(target3, m2)
-
-    three_term = LawReport("primitive_three_term_identity",
-                           context={"hom_lie": list(names)})
-    coassoc = LawReport("hom_coassociativity", context=model3.basis.describe())
-    for j, n in enumerate(names):
-        d = delta_env_extend(L, make_leaf(n))
-        side1 = evaluate(d, m1)
-        side2 = evaluate(d, m2)
-        expected = LinComb.zero()
-        for i in range(L.dim):
-            c = m2sq[i][j]
-            if c:
-                expected = expected + c * (make_leaf(names[i] + "'")
-                                           + make_leaf(names[i] + "''")
-                                           + make_leaf(names[i] + "'''"))
-        three_term.items.append(LawItem(
-            f"left composite on {n}", format_lincomb(side1), format_lincomb(expected),
-            "EQUAL" if side1 == expected else "NOT_EQUAL"))
-        three_term.items.append(LawItem(
-            f"right composite on {n}", format_lincomb(side2), format_lincomb(expected),
-            "EQUAL" if side2 == expected else "NOT_EQUAL"))
-        res = model3.equal_mod(side1, side2)
-        coassoc.items.append(LawItem(
-            n, format_lincomb(side1), format_lincomb(side2), res.verdict.value,
-            None if res.proven else format_lincomb(res.residue)))
-    for i, ni in enumerate(names):
-        for j, nj in enumerate(names):
-            d = delta_env_extend(L, make_leaf(ni) * make_leaf(nj))
-            side1 = evaluate(d, m1)
-            side2 = evaluate(d, m2)
-            res = model3.equal_mod(side1, side2)
-            coassoc.items.append(LawItem(
-                f"{ni}*{nj}", format_lincomb(side1), format_lincomb(side2),
-                res.verdict.value,
-                None if res.proven else format_lincomb(res.residue)))
-
-    L2 = direct_sum([L, L], list(LEG_TAGS2))
-    model2 = envelope(L2, max_arity=max_arity, unit_instances=unit_instances)
-    comult = LawReport("comultiplicativity", context={"hom_lie": list(names)})
-    morph = LawReport("comultiplication_is_algebra_morphism",
-                      context=model2.basis.describe())
-    for n in names:
-        lhs = delta_env_extend(L, _matrix_alpha_term(L, Leaf(n, 0)))
-        rhs = model2.alpha_elem(delta_env_extend(L, make_leaf(n)))
-        comult.items.append(LawItem(
-            n, format_lincomb(lhs), format_lincomb(rhs),
-            "EQUAL" if lhs == rhs else "NOT_EQUAL"))
-    for i, ni in enumerate(names):
-        for j, nj in enumerate(names):
-            u, v = make_leaf(ni), make_leaf(nj)
-            lhs = delta_env_extend(L, u * v)
-            rhs = delta_env_extend(L, u) * delta_env_extend(L, v)
-            res = model2.equal_mod(lhs, rhs)
-            morph.items.append(LawItem(
-                f"{ni}*{nj}", format_lincomb(lhs), format_lincomb(rhs),
-                res.verdict.value,
-                None if res.proven else format_lincomb(res.residue)))
-    return [three_term, coassoc, comult, morph]
+    three_term = law_report("primitive_three_term_identity", E.context, E.fmt, (
+        (f"{side} composite on {n}", E.compose(E.delta(e), images), three_legs(e), exact)
+        for n, e in E.generators()
+        for side, images in zip(("left", "right"), coassoc_composites(E))))
+    model2 = envelope(direct_sum([L, L], list(LEG_TAGS2)), max_arity=max_arity,
+                      unit_instances=unit_instances)
+    return [three_term, coassoc, check_comultiplicative(E),
+            check_delta_is_morphism(E, basis=model2.basis)]
 
 
 # ---------------------------------------------------------------------------
@@ -476,35 +416,25 @@ def load_hom_lie(text: str) -> HomLieAlgebra:
     dim = None
     brackets = {}
     alpha = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+    directives = ("dim", "names", "bracket", "alpha")
+    for lineno, head, rest in read_directives(text.splitlines(), directives):
+        lhs, _, rhs = rest.partition("=")
         if head == "dim":
             dim = int(rest)
         elif head == "names":
             names = tuple(rest.split())
+        elif names is None:
+            raise ValueError(f"line {lineno}: names must come before "
+                             + ("brackets" if head == "bracket" else "alpha"))
         elif head == "bracket":
-            if names is None:
-                raise ValueError(f"line {lineno}: names must come before brackets")
-            lhs, _, rhs = rest.partition("=")
             pair = lhs.split()
             if len(pair) != 2 or pair[0] not in names or pair[1] not in names:
                 raise ValueError(f"line {lineno}: bracket needs two basis names")
-            coords = {} if rhs.strip() == "0" else _linear_coords(rhs, names)
-            brackets[(pair[0], pair[1])] = coords
-        elif head == "alpha":
-            if names is None:
-                raise ValueError(f"line {lineno}: names must come before alpha")
-            lhs, _, rhs = rest.partition("=")
-            n = lhs.strip()
-            if n not in names:
-                raise ValueError(f"line {lineno}: unknown basis name {n!r}")
-            alpha[n] = {} if rhs.strip() == "0" else _linear_coords(rhs, names)
+            brackets[(pair[0], pair[1])] = _linear_coords(rhs, names)
+        elif lhs.strip() not in names:
+            raise ValueError(f"line {lineno}: unknown basis name {lhs.strip()!r}")
         else:
-            raise ValueError(f"line {lineno}: unknown directive {head!r}")
+            alpha[lhs.strip()] = _linear_coords(rhs, names)
     if names is None:
         raise ValueError("missing 'names' line")
     if dim is not None and dim != len(names):

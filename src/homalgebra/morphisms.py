@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebras import HomAlgebraDescriptor, UnitFlavor
-from .congruence import Bound, RelationBasis, SaturationConfig, saturate
 from .terms import Leaf, LinComb, Term, make_leaf, random_lincomb, rename
 
 
@@ -45,13 +44,6 @@ class FreeAlgebraHandle:
         if name not in self.gens:
             raise KeyError(f"unknown generator {name!r}")
         return make_leaf(name, 0)
-
-    def one(self) -> LinComb:
-        return LinComb.one()
-
-    def saturated(self, bound: Bound, config: SaturationConfig = SaturationConfig(),
-                  cap: int = 200_000) -> RelationBasis:
-        return saturate(self.gens, bound, config, cap=cap)
 
     def random_element(self, rng, max_arity: int = 3, max_exp: int = 1,
                        n_terms: int = 3, with_unit: bool = False) -> LinComb:

@@ -11,6 +11,8 @@ tensors.
 from __future__ import annotations
 
 import re
+from math import comb
+from typing import Iterator
 
 from .terms import Coeff, as_coeff
 
@@ -235,8 +237,48 @@ def random_poly(rng, names, degree: int = 2, terms: int = 3) -> Poly:
 # nesting cap on parentheses and unary minus signs: the parser recurses on both
 MAX_POLY_DEPTH = 100
 
+# cap on what one power or product may build: an exponent, a total degree, a
+# term count or a coefficient size in bits above it is refused before the
+# expansion starts, so a short line cannot ask for an enormous polynomial
+MAX_POLY_SIZE = 1000
+
 _POLY_TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*'*)|(?P<sym>[-+*^()]))")
+
+
+def _require_bounded(*factors: tuple[Poly, int]):
+    """Refuse the product of the powers ``p ** k`` if an upper estimate of
+    its degree, term count or coefficient bits passes MAX_POLY_SIZE."""
+    degree, names, terms, bits = 0, set(), 1, 0
+    for p, k in factors:
+        if k > MAX_POLY_SIZE:
+            raise ValueError(f"power {k} is above the bound {MAX_POLY_SIZE}")
+        degree += k * max(map(_mono_degree, p.coeffs), default=0)
+        names |= {v for m in p.coeffs for v, _ in m}
+        terms *= len(p.coeffs) ** k
+        bits += k * (max((max(abs(c.numerator), c.denominator).bit_length() - 1
+                          for c in p.coeffs.values()), default=0)
+                     + (len(p.coeffs) - 1).bit_length())
+    if max(degree, bits) > MAX_POLY_SIZE or min(
+            terms, comb(len(names) + degree, degree)) > MAX_POLY_SIZE:
+        raise ValueError(f"polynomial above the size bound {MAX_POLY_SIZE} "
+                         "(degree, terms or coefficient bits)")
+
+
+def read_directives(lines, known) -> Iterator[tuple[int, str, str]]:
+    """``(line number, head, rest)`` per directive line of a descriptor file.
+
+    ``#`` starts a comment, blank lines are skipped, the head is the first
+    word; a head outside ``known`` is an error naming its line.
+    """
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        head, _, rest = line.partition(" ")
+        if head not in known:
+            raise ValueError(f"line {lineno}: unknown directive {head!r}")
+        yield lineno, head, rest.strip()
 
 
 def parse_poly(text: str, allowed=None) -> Poly:
@@ -300,14 +342,18 @@ def parse_poly(text: str, allowed=None) -> Poly:
             kind, value = advance()
             if kind != "num" or "/" in value:
                 raise ValueError("power must be a nonnegative integer")
-            return base ** int(value)
+            k = int(value)
+            _require_bounded((base, k))
+            return base ** k
         return base
 
     def term() -> Poly:
         out = factor()
         while peek() == ("sym", "*"):
             advance()
-            out = out * factor()
+            nxt = factor()
+            _require_bounded((out, 1), (nxt, 1))
+            out = out * nxt
         return out
 
     def expr() -> Poly:

@@ -1,9 +1,12 @@
 """End-to-end command-line runs, exit codes, JSON schema conformance."""
 
+import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 try:
     import jsonschema
@@ -180,3 +183,79 @@ def test_deeply_nested_descriptor_polynomial_exits_2_without_traceback(tmp_path)
     assert out.returncode == 2
     assert "nested deeper than" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "twist", "--lambda", "1/0"),
+    ("verify", "m2-representability", "--carrier", "q-poly", "--q", "1/0"),
+    ("reduce", "1/0 * x"),
+])
+def test_zero_denominator_exits_2_without_traceback(argv):
+    out = run_cli(*argv)
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: ")
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("power", ["t^100000000", "((1+t)^50)^50"])
+def test_oversized_descriptor_power_exits_2_without_traceback(tmp_path, power):
+    f = tmp_path / "huge.alg"
+    f.write_text(f"kind poly\nvars t\ntwist t = {power}\n")
+    out = subprocess.run([sys.executable, "-m", "homalgebra.cli", "check", "algebra", str(f)],
+                         capture_output=True, text=True, cwd=ROOT, timeout=2)
+    assert out.returncode == 2
+    assert "size bound" in out.stderr or "above the bound" in out.stderr
+    assert "Traceback" not in out.stderr
+
+# ---------------------------------------------------------------------------
+# golden report bytes for paths that the benchmark reference does not pin
+# ---------------------------------------------------------------------------
+
+MATRIX_BIALGEBRA = (
+    "kind free-bialgebra\n"
+    "gens a b c d\n"
+    "delta a = (a' * a'') + (b' * c'')\n"
+    "delta b = (a' * b'') + (b' * d'')\n"
+    "delta c = (c' * a'') + (d' * c'')\n"
+    "delta d = (c' * b'') + (d' * d'')\n")
+
+GOLDEN_FILES = {
+    "matrix.bialg": MATRIX_BIALGEBRA,
+    "lambda.twist": "kind twist\nlambda 5/2  # scaling parameter\n",
+    "phi.twist": ("# scale b up and c, y down by 2\n"
+                  "kind twist\n"
+                  "phi_H a = a\nphi_H b = 2*b\nphi_H c = 1/2*c\nphi_H d = d\n"
+                  "\n"
+                  "phi_A x = x\nphi_A y = 1/2*y  # the plane follows c\n"),
+    "abelian.homlie": "names e1 e2\nalpha e1 = 2*e1\nalpha e2 = e2\n",
+}
+
+# sha256 of the ``--json`` stdout bytes, and the exit code
+GOLDEN = [
+    (("verify", "m-coassoc", "--max-arity", "2"), 1,
+     "8f940fa42aedf98a2d45a9b078f87867453b4681390e1ecb2a21c56fdb42935d"),
+    (("verify", "m-coassoc", "--max-arity", "2", "--non-unital"), 1,
+     "9d05f17603687793ec03f8ac71b0c1a433c904ca6b5b1454bbaef359810ec764"),
+    (("verify", "affine-comodule", "--max-arity", "2", "--non-unital"), 1,
+     "d92e877a0ec9ee673b094c7a423315622d3f094c3d869d4df6ff7db0752a0e89"),
+    (("verify", "m-coassoc", "--file", "matrix.bialg", "--non-unital"), 0,
+     "ac5e419ba27b82b30f144a342222e56daf3a8e4fb10888b37453914955afbed2"),
+    (("verify", "twist", "--file", "lambda.twist"), 0,
+     "e2a87e8561974fd33694a5cc89c904fe7e13504f6609bcd05eb181fc832d0222"),
+    (("verify", "twist", "--file", "phi.twist"), 0,
+     "dad975baaaee27a34f52fd4d063879a196b4f3c206c5cc504edc6087306e0cc7"),
+    (("verify", "envelope", "abelian.homlie"), 0,
+     "78b25eb731be6ca61fb18888fd5fcb70112bdd13c1f21bbfa07d703b789ffe35"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
+def test_golden_report_digest(tmp_path, argv, code, digest):
+    for name, text in GOLDEN_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in GOLDEN_FILES else a for a in argv]
+    out = subprocess.run([sys.executable, "-m", "homalgebra.cli", *argv, "--json"],
+                         capture_output=True, cwd=ROOT)
+    assert out.returncode == code, out.stderr
+    assert hashlib.sha256(out.stdout).hexdigest() == digest

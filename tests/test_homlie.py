@@ -8,8 +8,9 @@ import pytest
 from homalgebra.algebras import (matrix_algebra, q_poly_algebra,
                                  rational_algebra, PreconditionError)
 from homalgebra.congruence import Verdict
-from homalgebra.homlie import (HomLieAlgebra, abelian_hom_lie,
-                               affine_line_twisted, bracket_relations,
+from homalgebra.homlie import (EnvelopeBialgebra, HomLieAlgebra,
+                               abelian_hom_lie, affine_line_twisted,
+                               bracket_relations,
                                check_envelope_bialgebra, check_hom_lie,
                                commutator_checks, delta_env, direct_sum,
                                envelope, hom_lie_algebra, load_hom_lie,
@@ -269,3 +270,17 @@ def test_load_hom_lie_roundtrip_and_errors():
         load_hom_lie("dim 3\nnames e1 e2")
     with pytest.raises(ValueError):
         load_hom_lie("names e1\nalpha e1 = e1^2")
+
+
+def test_envelope_carrier_matches_the_doubled_model():
+    # the law engine's envelope carrier twists the doubled legs by composing
+    # the structure matrix leafwise; the doubled model twists its own leaves
+    L = affine_line_twisted()
+    E = EnvelopeBialgebra(L)
+    assert E.delta_at("'", "''") == delta_env(L)
+    doubled = envelope(direct_sum([L, L], ["'", "''"]), max_arity=2, unit_instances=False)
+    for _, e in E.generators():
+        d = E.delta(e)
+        assert E.tensor_alpha(d) == doubled.alpha_elem(d)
+        assert E.tensor_alpha(d * d) == doubled.alpha_elem(d * d)
+        assert E.delta(E.alpha(e)) == E.tensor_alpha(d)

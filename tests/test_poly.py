@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from homalgebra.algebras import q_poly_algebra
-from homalgebra.poly import (Poly, PolyEndo, monomials_up_to, parse_poly,
-                             random_poly)
+from homalgebra.poly import (MAX_POLY_SIZE, Poly, PolyEndo, monomials_up_to,
+                             parse_poly, random_poly, read_directives)
 
 t = Poly.var("t")
 x = Poly.var("x")
@@ -113,3 +113,30 @@ def test_parse_poly_nesting_guard():
         parse_poly("(" * (depth + 1) + "2*t" + ")" * (depth + 1))
     with pytest.raises(ValueError, match="nested deeper"):
         parse_poly("- " * 5000 + "t")
+
+
+@pytest.mark.parametrize("text", ["t^100000000", "((1+t)^50)^50", "t^600 * t^600",
+                                  f"2^{MAX_POLY_SIZE + 1}", "(x+y+z)^40"])
+def test_parse_poly_refuses_oversized_powers_and_products(text):
+    # refused before the expansion starts, so each case returns at once
+    with pytest.raises(ValueError, match="bound"):
+        parse_poly(text)
+
+
+def test_parse_poly_size_bound_admits_moderate_input():
+    assert parse_poly("(1+t)^50") == (Poly.one() + t) ** 50
+    assert len(parse_poly("(1+t)^50").coeffs) == 51
+    assert parse_poly(f"t^{MAX_POLY_SIZE}") == Poly.monomial((("t", MAX_POLY_SIZE),))
+    assert parse_poly("(x+y)^10 * (x-y)") == (x + y) ** 10 * (x - y)
+    # every descriptor polynomial of the fixtures and the docs still parses
+    for text in ("2*t", "1/2*c", "a*x + b*y", "1/3*c*x + 1/3*d*y", "3/2*x^2*y + t - 1",
+                 "a'*a'' + b'*c''", "e1 + e2"):
+        parse_poly(text)
+
+
+def test_read_directives_skips_comments_and_blank_lines():
+    lines = ["# header", "", "kind twist  # trailing", "   ", "lambda   3/2  "]
+    assert list(read_directives(lines, ("kind", "lambda"))) == [
+        (3, "kind", "twist"), (5, "lambda", "3/2")]
+    with pytest.raises(ValueError, match="line 2: unknown directive 'gens'"):
+        list(read_directives(["kind twist", "gens a b"], ("kind",)))
