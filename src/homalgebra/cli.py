@@ -40,7 +40,8 @@ from .homlie import (affine_line_twisted, bracket_sides,
                      check_envelope_bialgebra, check_hom_lie, envelope,
                      load_hom_lie)
 from .morphisms import FreeAlgebraHandle
-from .poly import Poly, PolyEndo, parse_poly, read_directives
+from .poly import (MAX_POLY_SIZE, Poly, PolyEndo, parse_poly, read_directives,
+                   require_bounded_twist)
 from .reports import dump_json, render_text, report_document
 import random
 
@@ -276,7 +277,11 @@ def _load_algebra_file(path: str):
         raise ValueError("descriptor needs a vars line")
     A = poly_algebra(names)
     if twist:
-        A = yau_twist_algebra(A, PolyEndo(twist))
+        phi = PolyEndo(twist)
+        # a 2x2 matrix product is eight entry products of entry sums, so the
+        # same twist costs the matrix checks many times the poly checks' work
+        require_bounded_twist(phi, MAX_POLY_SIZE if kind == "poly" else MAX_POLY_SIZE // 32)
+        A = yau_twist_algebra(A, phi)
     if kind == "matrix":
         A = matrix_algebra(A)
     return A

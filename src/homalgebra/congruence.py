@@ -24,13 +24,14 @@ ideal inside the window; completeness within the window is not claimed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import comb
 from typing import Callable, Iterable, Optional
 
-from .terms import (Coeff, Leaf, LinComb, Node, Term, arity, as_coeff,
-                    shift_term, sort_key)
+from .terms import Coeff, Leaf, LinComb, Node, Term, as_coeff
 
 DEFAULT_TERM_CAP = 200_000
 
@@ -99,29 +100,139 @@ def hom_associator(u: LinComb, v: LinComb, w: LinComb) -> LinComb:
     return (u * v) * w.alpha() - u.alpha() * (v * w)
 
 
-def enumerate_terms(gens: Iterable[str], bound: Bound, cap: int = DEFAULT_TERM_CAP) -> list[Term]:
-    """All windowed terms, ascending in the canonical term order."""
-    gens = sorted(set(gens))
-    if not gens:
-        raise ValueError("empty generator set")
-    leaf_pool = [Leaf(g, e) for g in gens for e in range(bound.max_exp + 1)]
-    by_arity: list[list[Term]] = [[], leaf_pool]
-    count = len(leaf_pool)
-    for n in range(2, bound.max_arity + 1):
-        level: list[Term] = []
-        for k in range(1, n):
-            for lt in by_arity[k]:
-                for rt in by_arity[n - k]:
-                    level.append(Node(lt, rt))
-                    count += 1
-                    if count > cap:
-                        raise ResourceCapError(
-                            f"windowed basis exceeds the term cap of {cap}"
-                            f" (bound {bound}, {len(gens)} generators)")
-        by_arity.append(level)
-    out = [t for lvl in by_arity for t in lvl]
-    out.sort(key=sort_key)
-    return out
+def _shapes(max_arity: int) -> list[list[tuple[int, int, int]]]:
+    """Planar binary tree shapes per arity, ascending by leaf-depth sequence.
+
+    ``shapes[n][s]`` is ``(k, sl, sr)``: the left subtree has arity ``k`` and
+    shape ``sl`` there, the right one arity ``n - k`` and shape ``sr``.  The
+    one leaf shape is ``shapes[1] == [(0, 0, 0)]``; ``shapes[0]`` is empty.
+    """
+    shapes: list[list[tuple[int, int, int]]] = [[], [(0, 0, 0)]]
+    depths = [[], [(0,)]]
+    for n in range(2, max_arity + 1):
+        level = sorted(
+            (tuple(d + 1 for d in depths[k][sl] + depths[n - k][sr]), (k, sl, sr))
+            for k in range(1, n)
+            for sl in range(len(shapes[k]))
+            for sr in range(len(shapes[n - k])))
+        depths.append([d for d, _ in level])
+        shapes.append([shape for _, shape in level])
+    return shapes
+
+
+def _arity_of(starts: list[int], col: int) -> int:
+    """Arity of column ``col``, given the first column of each arity."""
+    return bisect_right(starts, col) - 1
+
+
+class _Columns:
+    """How a window numbers its terms, and its products and default twist.
+
+    The canonical order is arity, then shape (``_shapes``), then the leaf
+    labels ``(name, exp)``.  A leaf label is the digit ``g * (max_exp + 1) +
+    exp`` of base ``width = |gens| * (max_exp + 1)``, with ``g`` the index of
+    ``name`` among the sorted generators; an arity-``n`` term's labelling is
+    its ``n`` digits read as one number.  So the term of arity ``n``, shape
+    ``s`` and labelling ``lab`` sits in column ``starts[n] + s * width**n +
+    lab``, and column 0 is the unit.
+
+    Every shape of every arity also gets one number, in column order, with
+    the unit's own shape of arity 0 numbered last; ``shape_of[i]`` is column
+    ``i``'s.  ``Node(t_i, t_j)`` has labelling ``lab_i * width**b + lab_j``,
+    ``b`` the arity of ``t_j``, and its shape is the join of the two shapes,
+    so its column is ``join[shape_of[i]][shape_of[j]] + i * scale[shape_of[j]]
+    + j``.  Only the pairs that fit the window have a join: one per shape of
+    arity >= 2, plus the unit's pairs.
+
+    The window's size is checked against ``cap`` before any shape is built.
+    """
+
+    def __init__(self, gens: Iterable[str], bound: Bound, cap: int):
+        self.gens = sorted(set(gens))
+        if not self.gens:
+            raise ValueError("empty generator set")
+        self.bound = bound
+        width = len(self.gens) * (bound.max_exp + 1)
+        n_max = bound.max_arity
+        size = 0
+        for n in range(1, n_max + 1):
+            # Catalan(n - 1) shapes of arity n, width**n labellings each
+            size += comb(2 * n - 2, n - 1) // n * width ** n
+            if size > cap:
+                raise ResourceCapError(f"windowed basis exceeds the term cap of {cap}"
+                                       f" (bound {bound}, {len(self.gens)} generators)")
+        self.shapes = _shapes(n_max)
+        self.starts = [0, 1]
+        first = [0, 0]
+        for n in range(1, n_max + 1):
+            self.starts.append(self.starts[-1] + len(self.shapes[n]) * width ** n)
+            first.append(first[-1] + len(self.shapes[n]))
+        unit = first[-1]
+        self.shape_arity = [n for n in range(1, n_max + 1) for _ in self.shapes[n]] + [0]
+        self.shape_start = [self.starts[n] + s * width ** n
+                            for n in range(1, n_max + 1) for s in range(len(self.shapes[n]))] + [0]
+        self.scale = [width ** n for n in self.shape_arity]
+        self.shape_of = [unit]
+        for g in range(unit):
+            self.shape_of.extend([g] * self.scale[g])
+        start, scale = self.shape_start, self.scale
+        self.join: list[dict[int, int]] = [{unit: 0} for _ in range(unit)]
+        self.join.append(dict.fromkeys(range(unit + 1), 0))
+        for n in range(2, n_max + 1):
+            for s, (k, sl, sr) in enumerate(self.shapes[n]):
+                gi, gj = first[k] + sl, first[n - k] + sr
+                self.join[gi][gj] = start[first[n] + s] - start[gi] * scale[gj] - start[gj]
+        # the default twist raises every leaf exponent: a labelling's digits
+        # each go up by one, unless one of its leaves is already at max_exp
+        top = bound.max_exp
+        leaf_escapes = [d % (top + 1) == top for d in range(width)]
+        self.escapes = [[False]]
+        for n in range(1, n_max + 1):
+            self.escapes.append([x or y for x in self.escapes[-1] for y in leaf_escapes])
+        self.twist_shift = [sum(width ** m for m in range(n)) for n in range(n_max + 1)]
+
+    def graft(self, i: int, j: int) -> Optional[int]:
+        """Column of the product of columns i, j (unit-aware), or None."""
+        gj = self.shape_of[j]
+        base = self.join[self.shape_of[i]].get(gj)
+        if base is None:
+            return None
+        return base + i * self.scale[gj] + j
+
+    def twist(self, i: int) -> Optional[int]:
+        """Column of the default twist of column i, or None if it escapes."""
+        g = self.shape_of[i]
+        n = self.shape_arity[g]
+        if self.escapes[n][i - self.shape_start[g]]:
+            return None
+        return i + self.twist_shift[n]
+
+    def terms(self) -> list[Term]:
+        """All windowed terms, in column order from column 1.
+
+        Each shape block is generated already in order: the products of its
+        left block with its right block, left factor outermost, are ascending
+        in the leaf labels.
+        """
+        top = self.bound.max_exp
+        # blocks[n][s]: the terms of arity n and shape s, in order
+        blocks: list[list[list[Term]]] = [
+            [], [[Leaf(g, e) for g in self.gens for e in range(top + 1)]]]
+        for n in range(2, self.bound.max_arity + 1):
+            blocks.append([[Node(lt, rt) for lt in blocks[k][sl] for rt in blocks[n - k][sr]]
+                           for k, sl, sr in self.shapes[n]])
+        return [t for level in blocks for block in level for t in block]
+
+
+def enumerate_terms(gens: Iterable[str], bound: Bound, cap: int = DEFAULT_TERM_CAP,
+                    columns: Optional[_Columns] = None) -> list[Term]:
+    """All windowed terms, ascending in the canonical term order.
+
+    The window's size is checked against ``cap`` before anything is built.
+    A caller that has built the window's ``columns`` passes them, so they
+    are not built twice.
+    """
+    return (columns or _Columns(gens, bound, cap)).terms()
 
 
 def _vectorize(index: dict[Term, int], v: LinComb) -> Optional[Vec]:
@@ -175,13 +286,16 @@ class RelationBasis:
     largest column, so residues concentrate on small terms.
     """
 
-    def __init__(self, gens, bound: Bound, config: SaturationConfig,
-                 terms: list[Term], rows: dict[int, Vec]):
-        self.gens = tuple(sorted(set(gens)))
-        self.bound = bound
+    def __init__(self, cols: _Columns, config: SaturationConfig,
+                 terms: list[Term], index: dict[Term, int], rows: dict[int, Vec]):
+        self.gens = tuple(cols.gens)
+        self.bound = cols.bound
         self.config = config
+        # the first column of each arity; the rest of the numbering serves
+        # only the saturation, so it is not kept
+        self._starts = cols.starts
         self._terms = terms
-        self._index = {t: i + 1 for i, t in enumerate(terms)}
+        self._index = index
         self._rows = rows
 
     def _devectorize(self, vec: Vec) -> LinComb:
@@ -200,13 +314,15 @@ class RelationBasis:
     def rows_as_lincombs(self) -> list[LinComb]:
         return [self._devectorize(self._rows[p]) for p in sorted(self._rows)]
 
-    def pivot_arities(self) -> dict[int, int]:
-        """Pivot count per arity; arity 0 is the unit column."""
-        out: dict[int, int] = {}
+    def arity_counts(self) -> dict[int, tuple[int, int]]:
+        """``(terms, pivots)`` per arity, ascending; arity 0 is the unit
+        column, listed only when it holds a pivot."""
+        starts = self._starts
+        counts = {a: [starts[a + 1] - starts[a], 0]
+                  for a in range(1, self.bound.max_arity + 1)}
         for p in self._rows:
-            a = 0 if p == 0 else arity(self._terms[p - 1])
-            out[a] = out.get(a, 0) + 1
-        return out
+            counts.setdefault(_arity_of(starts, p), [0, 0])[1] += 1
+        return {a: (t, p) for a, (t, p) in sorted(counts.items())}
 
     def reduce(self, v: LinComb) -> LinComb:
         """Canonical residue of ``v`` modulo the row space (linear, idempotent)."""
@@ -232,54 +348,34 @@ class RelationBasis:
 
 
 class _Saturator:
-    """Index-level worker: builds the echelon row space to a closure fixpoint."""
+    """Index-level worker: builds the echelon row space to a closure fixpoint.
 
-    def __init__(self, gens, bound, config, alpha_term, cap):
-        self.bound = bound
+    Products and the default twist are column arithmetic (see ``_Columns``).
+    """
+
+    def __init__(self, cols: _Columns, config, alpha_term):
+        self.bound = cols.bound
         self.config = config
-        self.terms = enumerate_terms(gens, bound, cap)
-        self.index = {t: i + 1 for i, t in enumerate(self.terms)}
+        self.cols = cols
+        self.terms = enumerate_terms(cols.gens, cols.bound, columns=cols)
+        self.index = {t: i for i, t in enumerate(self.terms, 1)}
         self.rows: dict[int, Vec] = {}
-        self.col_arity = [0] + [arity(t) for t in self.terms]
-        self.cols_by_arity: dict[int, list[int]] = {}
-        for i, t in enumerate(self.terms):
-            self.cols_by_arity.setdefault(self.col_arity[i + 1], []).append(i + 1)
+        self._graft = cols.graft
         self._alpha_term = alpha_term
         self._alpha_memo: dict[int, Optional[Vec]] = {}
-        self._graft_memo: dict[tuple[int, int], Optional[int]] = {}
 
     def _alpha_col(self, i: int) -> Optional[Vec]:
         """Image of basis column i under the twist, or None if it escapes."""
+        if self._alpha_term is None:
+            j = self.cols.twist(i)
+            return None if j is None else {j: 1}
         if i == 0:
             return {0: 1}
-        got = self._alpha_memo.get(i)
         if i in self._alpha_memo:
-            return got
-        t = self.terms[i - 1]
-        if self._alpha_term is None:
-            img_term = shift_term(t, 1)
-            j = self.index.get(img_term)
-            vec = None if j is None else {j: 1}
-        else:
-            vec = _vectorize(self.index, self._alpha_term(t))
+            return self._alpha_memo[i]
+        vec = _vectorize(self.index, self._alpha_term(self.terms[i - 1]))
         self._alpha_memo[i] = vec
         return vec
-
-    def _graft(self, i: int, j: int) -> Optional[int]:
-        """Column of the product of basis columns i, j (unit-aware), or None."""
-        if i == 0:
-            return j
-        if j == 0:
-            return i
-        key = (i, j)
-        if key in self._graft_memo:
-            return self._graft_memo[key]
-        if self.col_arity[i] + self.col_arity[j] > self.bound.max_arity:
-            col = None
-        else:
-            col = self.index.get(Node(self.terms[i - 1], self.terms[j - 1]))
-        self._graft_memo[key] = col
-        return col
 
     def _alpha_vec(self, vec: Vec) -> Optional[Vec]:
         out: Vec = {}
@@ -296,16 +392,13 @@ class _Saturator:
         return out
 
     def _mul_vec(self, i: int, vec: Vec, on_left: bool) -> Optional[Vec]:
+        # grafting onto a fixed column is injective, so no two terms collide
         out: Vec = {}
         for j, c in vec.items():
             col = self._graft(i, j) if on_left else self._graft(j, i)
             if col is None:
                 return None
-            s = out.get(col, 0) + c
-            if s:
-                out[col] = s
-            else:
-                out.pop(col, None)
+            out[col] = c
         return out
 
     def insert(self, vec: Vec) -> Optional[int]:
@@ -353,12 +446,10 @@ class _Saturator:
     def initial_instances(self):
         """Deterministically ordered associator instances that fit the window."""
         n_max = self.bound.max_arity
-        arg_arities = sorted(self.cols_by_arity)
-        if self.config.unit_instances:
-            pools = {0: [0], **self.cols_by_arity}
-            arg_arities = [0] + arg_arities
-        else:
-            pools = self.cols_by_arity
+        starts = self.cols.starts
+        # the columns of arity a, with the unit alone at arity 0
+        pools = [range(starts[a], starts[a + 1]) for a in range(n_max + 1)]
+        arg_arities = range(0 if self.config.unit_instances else 1, n_max + 1)
         for a1 in arg_arities:
             for a2 in arg_arities:
                 for a3 in arg_arities:
@@ -375,18 +466,15 @@ class _Saturator:
         av = self._alpha_vec(vec)
         if av:
             yield av
-        max_row_arity = max((self.col_arity[i] for i in vec), default=0)
-        room = self.bound.max_arity - max_row_arity
-        for a in sorted(self.cols_by_arity):
-            if a > room:
-                break
-            for i in self.cols_by_arity[a]:
-                left = self._mul_vec(i, vec, on_left=True)
-                if left:
-                    yield left
-                right = self._mul_vec(i, vec, on_left=False)
-                if right:
-                    yield right
+        # columns are ascending in arity: the row's widest term is its last
+        room = self.bound.max_arity - _arity_of(self.cols.starts, max(vec))
+        for i in range(1, self.cols.starts[max(room, 0) + 1]):
+            left = self._mul_vec(i, vec, on_left=True)
+            if left:
+                yield left
+            right = self._mul_vec(i, vec, on_left=False)
+            if right:
+                yield right
 
     def run(self, seed_vecs=()):
         pending = []
@@ -429,8 +517,7 @@ def saturate(gens: Iterable[str], bound: Bound,
     exponent-free leaves for enveloping algebras.  The output is a pure
     function of the inputs.
     """
-    gens = sorted(set(gens))
-    worker = _Saturator(gens, bound, config, alpha_term, cap)
+    worker = _Saturator(_Columns(gens, bound, cap), config, alpha_term)
     seeds = []
     for rel in config.extra_relations:
         vec = _vectorize(worker.index, rel)
@@ -438,4 +525,4 @@ def saturate(gens: Iterable[str], bound: Bound,
             raise _out_of_window(worker.index, rel, bound, "extra relation term")
         seeds.append(vec)
     worker.run(seeds)
-    return RelationBasis(gens, bound, config, worker.terms, worker.rows)
+    return RelationBasis(worker.cols, config, worker.terms, worker.index, worker.rows)

@@ -27,7 +27,7 @@ from .bialgebras import (_equal_mod_or_outside, _FreeCarrier,
 from .congruence import Bound, SaturationConfig, saturate
 from .poly import parse_poly, read_directives
 from .reports import LawReport
-from .terms import Coeff, Leaf, LinComb, Term, arity, as_coeff, make_leaf
+from .terms import Coeff, Leaf, LinComb, Term, as_coeff, make_leaf
 
 Vec = tuple[Coeff, ...]
 
@@ -250,15 +250,8 @@ class EnvelopeModel:
         return _equal_mod_or_outside(self.basis, u, v)
 
     def dimension_report(self) -> dict:
-        pivots = self.basis.pivot_arities()
-        totals: dict[int, int] = {}
-        for t in self.basis._terms:
-            totals[arity(t)] = totals.get(arity(t), 0) + 1
-        return {
-            a: {"terms": totals.get(a, 0), "pivots": pivots.get(a, 0),
-                "residual": totals.get(a, 0) - pivots.get(a, 0)}
-            for a in sorted(set(totals) | set(pivots))
-        }
+        return {a: {"terms": terms, "pivots": pivots, "residual": terms - pivots}
+                for a, (terms, pivots) in self.basis.arity_counts().items()}
 
 
 def _matrix_alpha_term(L: HomLieAlgebra, t: Term) -> LinComb:

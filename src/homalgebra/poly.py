@@ -146,10 +146,17 @@ class Poly:
         """Algebra-morphism extension of a variable assignment (missing
         variables map to themselves)."""
         out = Poly.zero()
+        # powers[v][e] is the image of v to the e, each built once
+        powers: dict[str, list[Poly]] = {}
         for m, c in self.coeffs.items():
             part = Poly.const(c)
             for v, e in m:
-                part = part * images.get(v, Poly.var(v)) ** e
+                pw = powers.get(v)
+                if pw is None:
+                    pw = powers[v] = [Poly.one(), images.get(v, Poly.var(v))]
+                while len(pw) <= e:
+                    pw.append(pw[-1] * pw[1])
+                part = part * pw[e]
             out = out + part
         return out
 
@@ -246,23 +253,40 @@ _POLY_TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*'*)|(?P<sym>[-+*^()]))")
 
 
-def _require_bounded(*factors: tuple[Poly, int]):
+def _require_bounded(*factors: tuple[Poly, int], size: int = MAX_POLY_SIZE):
     """Refuse the product of the powers ``p ** k`` if an upper estimate of
-    its degree, term count or coefficient bits passes MAX_POLY_SIZE."""
+    its degree, term count or coefficient bits passes ``size``."""
     degree, names, terms, bits = 0, set(), 1, 0
     for p, k in factors:
-        if k > MAX_POLY_SIZE:
-            raise ValueError(f"power {k} is above the bound {MAX_POLY_SIZE}")
+        if k > size:
+            raise ValueError(f"power {k} is above the bound {size}")
         degree += k * max(map(_mono_degree, p.coeffs), default=0)
         names |= {v for m in p.coeffs for v, _ in m}
         terms *= len(p.coeffs) ** k
         bits += k * (max((max(abs(c.numerator), c.denominator).bit_length() - 1
                           for c in p.coeffs.values()), default=0)
                      + (len(p.coeffs) - 1).bit_length())
-    if max(degree, bits) > MAX_POLY_SIZE or min(
-            terms, comb(len(names) + degree, degree)) > MAX_POLY_SIZE:
-        raise ValueError(f"polynomial above the size bound {MAX_POLY_SIZE} "
+    if max(degree, bits) > size or min(
+            terms, comb(len(names) + degree, degree)) > size:
+        raise ValueError(f"polynomial above the size bound {size} "
                          "(degree, terms or coefficient bits)")
+
+
+def require_bounded_twist(phi: PolyEndo, size: int):
+    """Refuse ``phi`` if a composite that the twisted carrier's checks build
+    may pass ``size``, before any check runs.
+
+    The checks apply phi twice over products of samples of degree <= 2, as in
+    ``phi(phi(x y) phi(z))``: phi of a polynomial of degree ``6 * deg(phi)``,
+    so each of its monomials becomes a product of that many images.
+    """
+    degree = max((_mono_degree(m) for p in phi.images.values() for m in p.coeffs), default=0)
+    for name, p in sorted(phi.images.items()):
+        try:
+            _require_bounded((p, 6 * degree), size=size)
+        except ValueError as exc:
+            raise ValueError(f"twist {name} = {p}: its composites in the checks"
+                             f" are out of bounds: {exc}") from None
 
 
 def read_directives(lines, known) -> Iterator[tuple[int, str, str]]:

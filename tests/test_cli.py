@@ -208,6 +208,61 @@ def test_oversized_descriptor_power_exits_2_without_traceback(tmp_path, power):
     assert "size bound" in out.stderr or "above the bound" in out.stderr
     assert "Traceback" not in out.stderr
 
+
+# the window's size is checked before its shapes (Catalan(n - 1) of arity n)
+# are built, so a large arity is refused at once
+@pytest.mark.parametrize("max_arity", ["25", "1000000"])
+def test_deep_window_exits_2_at_the_term_cap(max_arity):
+    out = subprocess.run([sys.executable, "-m", "homalgebra.cli", "reduce", "x",
+                          "--max-arity", max_arity],
+                         capture_output=True, text=True, cwd=ROOT, timeout=2)
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: windowed basis exceeds the term cap of 200000")
+    assert "Traceback" not in out.stderr
+
+
+def run_check_algebra_twist(tmp_path, twist, timeout, kind="poly"):
+    f = tmp_path / "twist.alg"
+    f.write_text(f"kind {kind}\nvars t\ntwist t = {twist}\n")
+    return subprocess.run([sys.executable, "-m", "homalgebra.cli", "check", "algebra", str(f)],
+                          capture_output=True, text=True, cwd=ROOT, timeout=timeout)
+
+
+# each is inside MAX_POLY_SIZE, but the checks compose it with itself over
+# products of samples: phi(phi(x y) phi(z)) has degree 6 * deg(phi)**2
+@pytest.mark.parametrize("twist", ["1 + t^20", "t^1000", "1 + t^40", "t^31 + t"])
+def test_twist_with_oversized_composites_exits_2_without_traceback(tmp_path, twist):
+    out = run_check_algebra_twist(tmp_path, twist, timeout=2)
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: twist t = ")
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("twist", ["2*t", "1 + t^10"])
+def test_twist_with_moderate_composites_is_checked(tmp_path, twist):
+    out = run_check_algebra_twist(tmp_path, twist, timeout=60)
+    # the twisted unit is only weak, so unitality fails and the exit code is 1
+    assert out.returncode == 1
+    assert out.stderr == "first failing law: unitality\n"
+
+
+# the matrix carrier's composites get a budget of MAX_POLY_SIZE // 32: every
+# twist of degree 3 or more is refused there, while degree 2 stays checkable
+@pytest.mark.parametrize("twist", ["1 + t^10", "1 + t^5", "t^3", "1/3 + 7/11*t + 13/17*t^2"])
+def test_matrix_twist_with_oversized_composites_exits_2(tmp_path, twist):
+    out = run_check_algebra_twist(tmp_path, twist, timeout=2, kind="matrix")
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: twist t = ")
+    assert "above the size bound 31" in out.stderr or "above the bound 31" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("twist", ["2*t", "1 + t + t^2"])
+def test_matrix_twist_with_moderate_composites_is_checked(tmp_path, twist):
+    out = run_check_algebra_twist(tmp_path, twist, timeout=60, kind="matrix")
+    assert out.returncode == 1
+    assert out.stderr == "first failing law: unitality\n"
+
 # ---------------------------------------------------------------------------
 # golden report bytes for paths that the benchmark reference does not pin
 # ---------------------------------------------------------------------------

@@ -2,17 +2,21 @@
 
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from homalgebra.congruence import (Bound, OutOfWindowError, ResourceCapError,
-                                   SaturationConfig, Verdict, enumerate_terms,
+from homalgebra.congruence import (DEFAULT_TERM_CAP, Bound, OutOfWindowError,
+                                   ResourceCapError, SaturationConfig, Verdict,
+                                   _Columns, _Saturator, enumerate_terms,
                                    hom_associator, saturate)
 from homalgebra.grammar import format_lincomb, parse_lincomb
 from homalgebra.homlie import (LEG_TAGS2, LEG_TAGS3, affine_line_twisted,
                                direct_sum, envelope)
-from homalgebra.terms import Leaf, LinComb, make_leaf, random_lincomb
+from homalgebra.terms import (Leaf, LinComb, Node, arity, make_leaf,
+                              random_lincomb, shift_term, sort_key)
 
 NON_UNITAL = SaturationConfig(unit_instances=False)
 UNITAL = SaturationConfig(unit_instances=True)
@@ -207,6 +211,94 @@ def test_enumerate_terms_counts():
     # leaves 6; arity 2: 36; arity 3: two shapes of 216
     terms = enumerate_terms(["x", "y", "z"], Bound(3, 1))
     assert len(terms) == 6 + 36 + 2 * 216
+
+
+# ---------------------------------------------------------------------------
+# column numbering: the saturator's index arithmetic against the trees
+# ---------------------------------------------------------------------------
+
+def window_size(n_gens, bound):
+    """Sum over arities n of Catalan(n - 1) * width**n, width the leaf labels."""
+    width = n_gens * (bound.max_exp + 1)
+    return sum(comb(2 * n - 2, n - 1) // n * width ** n
+               for n in range(1, bound.max_arity + 1))
+
+
+# the 1-generator deep window is where shapes of different arities share
+# their (left arity, left shape, right shape) numbers
+@pytest.mark.parametrize("gens,bound", [
+    (["x"], Bound(6, 0)), (["x", "y"], Bound(4, 1)), (["x", "y", "z"], Bound(3, 2))])
+def test_column_arithmetic_matches_the_trees(gens, bound):
+    worker = _Saturator(_Columns(gens, bound, DEFAULT_TERM_CAP), UNITAL, None)
+    terms, index = worker.terms, worker.index
+    cols = range(1, len(terms) + 1)
+    arities = [0] + [arity(t) for t in terms]
+    for i in cols:
+        t_i = terms[i - 1]
+        for j in cols:
+            # a product past the window has no column, so skip building it
+            fits = arities[i] + arities[j] <= bound.max_arity
+            want = index.get(Node(t_i, terms[j - 1])) if fits else None
+            assert worker._graft(i, j) == want, (i, j)
+        twisted = index.get(shift_term(t_i, 1))
+        assert worker._alpha_col(i) == (None if twisted is None else {twisted: 1}), i
+        assert worker._graft(0, i) == worker._graft(i, 0) == i
+    assert worker._graft(0, 0) == 0 and worker._alpha_col(0) == {0: 1}
+
+
+TAGS = ("'", "''", "'''")
+# every window the benchmark saturates: the verify and reduce suites
+# (envelopes, matrix bialgebra, plane), the oracle and the soundness windows
+BENCHMARK_WINDOWS = [
+    (["e1", "e2"], Bound(2, 0)),
+    ([e + t for e in ("e1", "e2") for t in TAGS[:2]], Bound(3, 0)),
+    ([e + t for e in ("e1", "e2") for t in TAGS], Bound(3, 0)),
+    (["x", "y", "z"], Bound(3, 1)),
+    (["x", "y"], Bound(4, 2)),
+    (["x", "y", "z"], Bound(4, 2)),
+    ([g + "'" for g in "abcd"] + ["x''", "y''"], Bound(3, 1)),
+    ([g + t for g in "abcd" for t in TAGS[:2]], Bound(3, 1)),
+    ([g + t for g in "abcd" for t in TAGS[:2]] + ["x", "y"], Bound(3, 1)),
+    ([g + t for g in "abcd" for t in TAGS], Bound(3, 1)),
+]
+
+
+@pytest.mark.parametrize("gens,bound", BENCHMARK_WINDOWS)
+def test_enumeration_is_generated_in_canonical_order(gens, bound):
+    terms = enumerate_terms(gens, bound)
+    assert len(terms) == window_size(len(gens), bound)
+    assert terms == sorted(terms, key=sort_key)
+
+
+@pytest.mark.parametrize("gens,bound", [(["x", "y"], Bound(4, 1)), (["x"], Bound(6, 0))])
+def test_term_cap_boundary(gens, bound):
+    count = window_size(len(gens), bound)
+    assert len(enumerate_terms(gens, bound)) == count
+    with pytest.raises(ResourceCapError) as err:
+        saturate(gens, bound, NON_UNITAL, cap=count - 1)
+    assert str(err.value) == (f"windowed basis exceeds the term cap of {count - 1}"
+                              f" (bound {bound}, {len(gens)} generators)")
+    assert saturate(gens, bound, NON_UNITAL, cap=count).basis_size == count
+
+
+def test_deep_one_generator_window_saturates_in_small_memory():
+    # every column of a 1-generator, exponent-free window is its own shape, so
+    # a table over all pairs of shapes would hold 6918**2 entries here
+    gens, bound = ["x"], Bound(10, 0)
+    cols = _Columns(gens, bound, DEFAULT_TERM_CAP)
+    shapes = len(cols.join)
+    assert shapes == window_size(1, bound) + 1
+    # one join per shape of arity >= 2, and the unit's pairs
+    assert sum(map(len, cols.join)) == (shapes - 2) + 2 * shapes - 1
+    tracemalloc.start()
+    try:
+        basis = saturate(gens, bound, UNITAL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis.basis_size == 6918
+    assert peak < 32 * 2 ** 20
+
 
 
 # ---------------------------------------------------------------------------
