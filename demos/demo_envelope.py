@@ -7,8 +7,8 @@ its twist in each leg, and both coassociativity composites agree on the nose
 before any quotient — the model verifies that and the quotient laws.
 """
 
-from homalgebra import (affine_line_twisted, check_envelope_bialgebra,
-                        check_hom_lie, delta_env, envelope, make_leaf)
+from homalgebra import (EnvelopeBialgebra, affine_line_twisted,
+                        check_envelope_bialgebra, check_hom_lie, envelope)
 
 L = affine_line_twisted(beta=1, gamma=2)
 print("the twisted 2-dimensional fixture:")
@@ -30,7 +30,7 @@ mu = envelope(L, max_arity=2, unit_instances=True)
 print("  residual dimensions:", mu.dimension_report())
 
 print("\nprimitive comultiplication on the leaves:")
-for name, img in delta_env(L).items():
+for name, img in EnvelopeBialgebra(L).delta_at("'", "''").items():
     print(f"  delta({name}) =", img)
 
 print("\nthe comultiplication laws at arity <= 3:")

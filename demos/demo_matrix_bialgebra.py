@@ -10,7 +10,7 @@ import random
 
 from homalgebra import (Bound, SaturationConfig, check_hom_coassoc,
                         m_bialgebra, matrix_algebra, q_poly_algebra,
-                        random_matrix, representability_check)
+                        representability_check)
 
 B = m_bialgebra()
 print("comultiplication on the generators:")
@@ -25,10 +25,11 @@ for item in rep.items:
 
 print("\nrepresentability over the doubling-twisted polynomial carrier:")
 A = q_poly_algebra(2)
+M = matrix_algebra(A)
 rng = random.Random(0)
-X, Y = random_matrix(A, rng), random_matrix(A, rng)
-print("  X =", matrix_algebra(A).fmt(X))
-print("  Y =", matrix_algebra(A).fmt(Y))
+X, Y = M.rand(rng), M.rand(rng)
+print("  X =", M.fmt(X))
+print("  Y =", M.fmt(Y))
 rep = representability_check(A, X, Y)
 for item in rep.items:
     print(f"  {item.label}: {item.verdict}  ({item.lhs})")

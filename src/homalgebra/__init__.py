@@ -2,7 +2,7 @@
 
 The package provides the free term algebra on twist-exponent leaves, a
 bounded congruence-saturation equality oracle, evaluation into concrete
-carriers (polynomial, twisted, matrix, tensor), the four-generator matrix
+carriers (polynomial, twisted, matrix), the four-generator matrix
 bialgebra with its comultiplication, the plane with its coaction, twists of
 the classical versions, and bounded enveloping models of Hom-Lie algebras.
 """
@@ -19,11 +19,9 @@ from .morphisms import (AssignmentError, FreeAlgebraHandle, MorphismAssignment,
                         matrix_of_morphism, morphism_from_matrix,
                         random_assignment, rename_embed, tensor_element)
 from .algebras import (CheckReport, HomAlgebraDescriptor, PreconditionError,
-                       Tensor2, UnitFlavor, check_hom_associative,
-                       check_multiplicative, check_unital, matrix_algebra,
-                       poly_algebra, q_poly_algebra, random_matrix,
-                       rational_algebra, tensor_algebra, tensor_pure,
-                       tensor_swap, yau_twist_algebra)
+                       UnitFlavor, check_hom_associative, check_multiplicative,
+                       check_unital, matrix_algebra, poly_algebra,
+                       q_poly_algebra, rational_algebra, yau_twist_algebra)
 from .poly import Poly, PolyEndo, monomials_up_to, parse_poly, random_poly
 from .bialgebras import (FreeComoduleAlgebra, FreeHomBialgebra,
                          PolyComoduleAlgebra, PolyHomBialgebra,
@@ -37,7 +35,7 @@ from .bialgebras import (FreeComoduleAlgebra, FreeHomBialgebra,
 from .homlie import (EnvelopeBialgebra, EnvelopeModel, HomLieAlgebra,
                      abelian_hom_lie, affine_line_twisted, bracket_relations,
                      bracket_sides, check_envelope_bialgebra, check_hom_lie,
-                     commutator_checks, delta_env, direct_sum, envelope,
+                     commutator_checks, direct_sum, envelope,
                      hom_lie_algebra, load_hom_lie, twist_hom_lie)
 from .reports import LawItem, LawReport, dump_json, render_text, report_document
 

@@ -1,11 +1,10 @@
 """Concrete Hom-associative carriers and executable axiom checks.
 
 A carrier is described by its exact element operations plus a sampler; the
-constructors here produce polynomial carriers, scaling twists of them, 2x2
-matrix carriers, and formal tensor products.  Twisting a strictly unital
-algebra along a non-identity endomorphism only leaves a weak unit (1 * x gives
-the twisted image of x), so descriptors record which unit law is actually
-asserted instead of pretending.
+constructors here produce polynomial carriers, scaling twists of them, and 2x2
+matrix carriers.  Twisting a strictly unital algebra along a non-identity
+endomorphism only leaves a weak unit (1 * x gives the twisted image of x), so
+descriptors record which unit law is actually asserted instead of pretending.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Optional
 
 from .poly import Poly, PolyEndo, monomials_up_to, random_poly
@@ -45,7 +43,6 @@ class HomAlgebraDescriptor:
     unit_flavor: UnitFlavor = UnitFlavor.NON_UNITAL
     sweep: tuple = ()
     rand: Optional[Callable] = None       # rng -> elem
-    decompose: Optional[Callable] = None  # elem -> [(coefficient, basis elem)]
     fmt: Callable = repr
 
     def sub(self, x, y):
@@ -173,13 +170,13 @@ def rational_algebra() -> HomAlgebraDescriptor:
         unit_flavor=UnitFlavor.STRICT_UNITAL,
         sweep=(Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)),
         rand=lambda rng: Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3])),
-        decompose=lambda x: [(x, Fraction(1))] if x else [],
         fmt=str,
     )
 
 
-def poly_algebra(names, sweep_degree: int = 2) -> HomAlgebraDescriptor:
-    """Classical commutative polynomial carrier on the given variables."""
+def poly_algebra(names) -> HomAlgebraDescriptor:
+    """Classical commutative polynomial carrier on the given variables; its
+    sweep is the monomials of degree at most 2."""
     names = tuple(sorted(names))
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate variable names: {names}")
@@ -193,9 +190,8 @@ def poly_algebra(names, sweep_degree: int = 2) -> HomAlgebraDescriptor:
         eq=lambda p, q: p == q,
         unit=Poly.one(),
         unit_flavor=UnitFlavor.STRICT_UNITAL,
-        sweep=tuple(monomials_up_to(names, sweep_degree)),
+        sweep=tuple(monomials_up_to(names, 2)),
         rand=lambda rng: random_poly(rng, names),
-        decompose=lambda p: [(c, Poly.monomial(m)) for m, c in p.sorted_items()],
         fmt=str,
     )
 
@@ -240,7 +236,6 @@ def yau_twist_algebra(A: HomAlgebraDescriptor, phi,
         unit_flavor=UnitFlavor.WEAK_UNITAL if A.unit is not None else UnitFlavor.NON_UNITAL,
         sweep=A.sweep,
         rand=A.rand,
-        decompose=A.decompose,
         fmt=A.fmt,
     )
 
@@ -295,123 +290,3 @@ def matrix_algebra(A: HomAlgebraDescriptor) -> HomAlgebraDescriptor:
         rand=(lambda rng: mat(lambda i, j: A.rand(rng))) if A.rand else None,
         fmt=fmt,
     )
-
-
-def random_matrix(A: HomAlgebraDescriptor, rng) -> tuple:
-    return ((A.rand(rng), A.rand(rng)), (A.rand(rng), A.rand(rng)))
-
-
-# ---------------------------------------------------------------------------
-# formal tensor product of carriers
-# ---------------------------------------------------------------------------
-
-class Tensor2:
-    """Formal rational combination of basis pure tensors (a (x) b).
-
-    Requires both carriers to decompose elements over a canonical hashable
-    basis; products and twists are computed legwise and re-decomposed, which
-    is what makes equality exact.
-    """
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs=None):
-        cleaned = {}
-        if pairs:
-            for k, c in pairs.items():
-                c = as_coeff(c)
-                if c:
-                    cleaned[k] = c
-        object.__setattr__(self, "pairs", cleaned)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Tensor2 is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, Tensor2):
-            return NotImplemented
-        return self.pairs == other.pairs
-
-    def __hash__(self):
-        return hash(frozenset(self.pairs.items()))
-
-    def __repr__(self):
-        if not self.pairs:
-            return "0"
-        bits = []
-        for (a, b), c in sorted(self.pairs.items(), key=lambda kv: repr(kv[0])):
-            lead = "" if c == 1 else f"{c}*"
-            bits.append(f"{lead}({a!r} (x) {b!r})")
-        return " + ".join(bits)
-
-
-def tensor_algebra(A: HomAlgebraDescriptor, B: HomAlgebraDescriptor) -> HomAlgebraDescriptor:
-    """Componentwise tensor product of two carriers on formal basis pairs."""
-    if A.decompose is None or B.decompose is None:
-        raise ValueError("tensor product needs carriers with basis decomposition")
-
-    pure = partial(tensor_pure, A, B)
-
-    def add(s, t):
-        out = dict(s.pairs)
-        for k, c in t.pairs.items():
-            out[k] = out.get(k, 0) + c
-        return Tensor2(out)  # drops the zero sums
-
-    def scale(c, s):
-        c = as_coeff(c)
-        return Tensor2({k: c * v for k, v in s.pairs.items()})
-
-    def mul(s, t):
-        out = Tensor2()
-        for (a1, b1), c1 in s.pairs.items():
-            for (a2, b2), c2 in t.pairs.items():
-                out = add(out, scale(c1 * c2, pure(A.mul(a1, a2), B.mul(b1, b2))))
-        return out
-
-    def alpha(s):
-        out = Tensor2()
-        for (a, b), c in s.pairs.items():
-            out = add(out, scale(c, pure(A.alpha(a), B.alpha(b))))
-        return out
-
-    unit = None
-    flavor = UnitFlavor.NON_UNITAL
-    if A.unit is not None and B.unit is not None:
-        unit = pure(A.unit, B.unit)
-        weak = UnitFlavor.WEAK_UNITAL in (A.unit_flavor, B.unit_flavor)
-        flavor = UnitFlavor.WEAK_UNITAL if weak else UnitFlavor.STRICT_UNITAL
-
-    sweep = tuple(pure(a, b) for a in A.sweep[:4] for b in B.sweep[:4])
-
-    def rand(rng):
-        return pure(A.rand(rng), B.rand(rng))
-
-    return HomAlgebraDescriptor(
-        name=f"{A.name} (x) {B.name}",
-        zero=Tensor2(),
-        add=add,
-        scale=scale,
-        mul=mul,
-        alpha=alpha,
-        eq=lambda s, t: s == t,
-        unit=unit,
-        unit_flavor=flavor,
-        sweep=sweep,
-        rand=rand if A.rand and B.rand else None,
-        fmt=repr,
-    )
-
-
-def tensor_pure(A: HomAlgebraDescriptor, B: HomAlgebraDescriptor, a, b) -> Tensor2:
-    """The pure tensor of two carrier elements inside ``tensor_algebra(A, B)``."""
-    out: dict = {}
-    for ca, ka in A.decompose(a):
-        for cb, kb in B.decompose(b):
-            out[ka, kb] = out.get((ka, kb), 0) + ca * cb
-    return Tensor2(out)  # drops the zero sums
-
-
-def tensor_swap(s: Tensor2) -> Tensor2:
-    """The twist isomorphism exchanging the two legs."""
-    return Tensor2({(b, a): c for (a, b), c in s.pairs.items()})

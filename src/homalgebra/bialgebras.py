@@ -201,9 +201,6 @@ class FreeHomBialgebra(_FreeCarrier):
     def gens(self) -> tuple:
         return self.handle.gens
 
-    def doubled_handle(self, t1: str = "'", t2: str = "''") -> FreeAlgebraHandle:
-        return FreeAlgebraHandle(tuple(_tagged(self.handle.gens, t1, t2)))
-
     def delta_at(self, t1: str, t2: str) -> dict:
         """The generator images with the two legs retagged."""
         if t1 == t2:
@@ -419,14 +416,11 @@ class PolyHomBialgebra(_PolyCarrier):
     def delta_at(self, t1: str, t2: str) -> dict:
         return {v: self.delta(Poly.var(v), t1, t2) for v in self.base_vars}
 
-    def leg_endo(self, t1: str = "'", t2: str = "''") -> PolyEndo:
-        """The twist acting on both legs of the doubled variables."""
-        return PolyEndo({v + t: self.twist_into(v, t)
-                         for t in (t1, t2) for v in self.base_vars})
-
     @cached_property
     def tensor_alpha(self) -> PolyEndo:
-        return self.leg_endo()
+        """The twist acting on both legs of the doubled variables."""
+        return PolyEndo({v + t: self.twist_into(v, t)
+                         for t in ("'", "''") for v in self.base_vars})
 
 
 def classical_m2_bialgebra() -> PolyHomBialgebra:

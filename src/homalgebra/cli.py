@@ -20,12 +20,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from fractions import Fraction
 
 from .algebras import (PreconditionError, check_hom_associative,
                        check_multiplicative, check_unital, matrix_algebra,
-                       poly_algebra, q_poly_algebra, random_matrix,
-                       yau_twist_algebra)
+                       poly_algebra, q_poly_algebra, yau_twist_algebra)
 from .bialgebras import (FreeHomBialgebra, check_comodule,
                          check_comodule_homalgebra, check_delta_is_morphism,
                          check_hom_coassoc, check_comultiplicative,
@@ -40,8 +38,8 @@ from .homlie import (affine_line_twisted, bracket_sides,
                      check_envelope_bialgebra, check_hom_lie, envelope,
                      load_hom_lie)
 from .morphisms import FreeAlgebraHandle
-from .poly import (MAX_POLY_SIZE, Poly, PolyEndo, parse_poly, read_directives,
-                   require_bounded_twist)
+from .poly import (MAX_POLY_SIZE, Poly, PolyEndo, parse_poly, parse_rational,
+                   read_directives, require_bounded_twist)
 from .reports import dump_json, render_text, report_document
 import random
 
@@ -195,9 +193,10 @@ def run_m2_representability(args):
         rep.law = "matrix_representability (generic symbols)"
         reports.append(rep)
     else:
-        A = q_poly_algebra(Fraction(args.q))
+        A = q_poly_algebra(parse_rational(args.q, "--q"))
+    M = matrix_algebra(A)
     for k in range(args.pairs):
-        X, Y = random_matrix(A, rng), random_matrix(A, rng)
+        X, Y = M.rand(rng), M.rand(rng)
         rep = representability_check(A, X, Y)
         rep.law = f"matrix_representability (random pair {k})"
         reports.append(rep)
@@ -213,7 +212,7 @@ def _load_twist_file(path: str):
                 if rest != "twist":
                     raise ValueError(f"line {lineno}: expected kind twist")
             elif head == "lambda":
-                lam = Fraction(rest)
+                lam = parse_rational(rest, f"line {lineno}: lambda")
             else:
                 name, _, expr = rest.partition("=")
                 phis[head][name.strip()] = parse_poly(expr.strip())
@@ -223,7 +222,7 @@ def _load_twist_file(path: str):
 
 
 def run_twist(args):
-    lam = None if args.file else Fraction(args.lam)
+    lam = None if args.file else parse_rational(args.lam, "--lambda")
     phi_H, phi_A = _load_twist_file(args.file) if args.file else lambda_scaling_pair(lam)
     H = classical_m2_bialgebra()
     C = classical_affine_comodule()

@@ -79,6 +79,8 @@ def hom_lie_algebra(names, brackets: dict, alpha: dict) -> HomLieAlgebra:
     """Build from named data: ``brackets[(ni, nj)]`` and ``alpha[n]`` are
     coordinate dicts keyed by basis names.  Skew fills the missing half."""
     names = tuple(names)
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate basis names: {names}")
     idx = {n: i for i, n in enumerate(names)}
     n = len(names)
     table = [[[0] * n for _ in range(n)] for _ in range(n)]
@@ -139,7 +141,7 @@ def affine_line_twisted(beta=1, gamma=2) -> HomLieAlgebra:
     return twist_hom_lie(classical)
 
 
-def check_hom_lie(L: HomLieAlgebra, include_multiplicativity: bool = True) -> CheckReport:
+def check_hom_lie(L: HomLieAlgebra) -> CheckReport:
     """Exhaustive axiom check over all basis tuples."""
     bad = []
     run = 0
@@ -165,9 +167,8 @@ def check_hom_lie(L: HomLieAlgebra, include_multiplicativity: bool = True) -> Ch
                     bad.append(
                         f"hom-Jacobi fails at ({L.names[i]}, {L.names[j]}, {L.names[k]}):"
                         f" {L.fmt(tuple(total))}")
-    if include_multiplicativity:
-        run += n * n
-        bad += [f"multiplicativity fails at {pair}" for pair in _non_multiplicative(L)]
+    run += n * n
+    bad += [f"multiplicativity fails at {pair}" for pair in _non_multiplicative(L)]
     return CheckReport("hom_lie_axioms", run, bad)
 
 
@@ -344,12 +345,6 @@ class EnvelopeBialgebra(_FreeCarrier):
         return {n: self.twist_into(n, t1) + self.twist_into(n, t2) for n in self.gens}
 
 
-def delta_env(L: HomLieAlgebra) -> dict:
-    """Comultiplication on basis leaves: twist in the left leg plus twist in
-    the right leg of the doubled model."""
-    return EnvelopeBialgebra(L).delta_at(*LEG_TAGS2)
-
-
 def check_envelope_bialgebra(L: HomLieAlgebra, max_arity: int = 3,
                              unit_instances: bool = True) -> list[LawReport]:
     """The comultiplication laws for the envelope.
@@ -423,9 +418,14 @@ def load_hom_lie(text: str) -> HomLieAlgebra:
             pair = lhs.split()
             if len(pair) != 2 or pair[0] not in names or pair[1] not in names:
                 raise ValueError(f"line {lineno}: bracket needs two basis names")
+            # skew symmetry fills in the reversed pair, so it is the same bracket
+            if (pair[0], pair[1]) in brackets or (pair[1], pair[0]) in brackets:
+                raise ValueError(f"line {lineno}: second bracket of {pair[0]} and {pair[1]}")
             brackets[(pair[0], pair[1])] = _linear_coords(rhs, names)
         elif lhs.strip() not in names:
             raise ValueError(f"line {lineno}: unknown basis name {lhs.strip()!r}")
+        elif lhs.strip() in alpha:
+            raise ValueError(f"line {lineno}: second alpha of {lhs.strip()}")
         else:
             alpha[lhs.strip()] = _linear_coords(rhs, names)
     if names is None:

@@ -64,8 +64,6 @@ class FreeAlgebraHandle:
             unit_flavor=UnitFlavor.STRICT_UNITAL,
             sweep=tuple(make_leaf(g) for g in gens),
             rand=lambda rng: random_lincomb(rng, gens),
-            decompose=lambda v: ([(v.unit, LinComb.one())] if v.unit else [])
-                                + [(c, LinComb.of_term(t)) for t, c in v.sorted_terms()],
             fmt=str,
         )
 
@@ -120,20 +118,14 @@ def evaluate(v: LinComb, m: MorphismAssignment, memo: dict | None = None):
 # the 2x2 matrix bijection on the four-generator free algebra
 # ---------------------------------------------------------------------------
 
-MATRIX_GENS = ("a", "b", "c", "d")
-
-
-def morphism_from_matrix(target: HomAlgebraDescriptor, M,
-                         gens=MATRIX_GENS) -> MorphismAssignment:
-    """Entries of a 2x2 carrier matrix as generator images, row-major."""
+def morphism_from_matrix(target: HomAlgebraDescriptor, M) -> MorphismAssignment:
+    """Entries of a 2x2 carrier matrix as the images of a, b, c, d, row-major."""
     (m11, m12), (m21, m22) = M
-    g1, g2, g3, g4 = gens
-    return MorphismAssignment(target, {g1: m11, g2: m12, g3: m21, g4: m22})
+    return MorphismAssignment(target, {"a": m11, "b": m12, "c": m21, "d": m22})
 
 
-def matrix_of_morphism(m: MorphismAssignment, gens=MATRIX_GENS):
-    g1, g2, g3, g4 = gens
-    return ((m.image(g1), m.image(g2)), (m.image(g3), m.image(g4)))
+def matrix_of_morphism(m: MorphismAssignment):
+    return ((m.image("a"), m.image("b")), (m.image("c"), m.image("d")))
 
 
 # ---------------------------------------------------------------------------

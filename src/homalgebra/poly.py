@@ -4,13 +4,13 @@ These are the concrete commutative carriers: the coordinate ring of 2x2
 matrices on four variables, the plane on two, a one-variable ring for scaling
 twists.  Monomials are sorted tuples of (variable, power); coefficients are
 exact, an ``int`` while integral and a ``Fraction`` otherwise.  Polynomials
-are immutable and hashable, so they can serve as basis keys in formal
-tensors.
+are immutable and hashable.
 """
 
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from math import comb
 from typing import Iterator
 
@@ -160,14 +160,11 @@ class Poly:
             out = out + part
         return out
 
-    def sorted_items(self) -> list[tuple[Mono, Coeff]]:
-        return sorted(self.coeffs.items(), key=lambda mc: (_mono_degree(mc[0]), mc[0]))
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return "0"
         parts = []
-        for m, c in self.sorted_items():
+        for m, c in sorted(self.coeffs.items(), key=lambda mc: (_mono_degree(mc[0]), mc[0])):
             if not m:
                 parts.append(str(c))
             elif c == 1:
@@ -251,6 +248,32 @@ MAX_POLY_SIZE = 1000
 
 _POLY_TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*'*)|(?P<sym>[-+*^()]))")
+
+
+def parse_rational(text: str, name: str) -> Fraction:
+    """The exact rational written ``text`` (``3``, ``5/2``, ``0.5``, ``1e-3``),
+    refused if its numerator or denominator passes ``MAX_POLY_SIZE`` bits.
+
+    ``Fraction`` builds ``10 ** exponent`` eagerly, so the exponent is checked
+    first: beside at most ``MAX_POLY_SIZE`` characters, one above twice that
+    leaves more than ``MAX_POLY_SIZE`` digits in the numerator or denominator.
+    """
+    refused = f"{name} {text[:20]}{'...' * (len(text) > 20)}: above the size bound"
+    _, e, exponent = text.lower().partition("e")
+    try:
+        shift = int(exponent) if e and len(text) <= MAX_POLY_SIZE else 0
+    except ValueError:
+        shift = 0  # not an exponent: Fraction reports the bad literal
+    if len(text) > MAX_POLY_SIZE or abs(shift) > 2 * MAX_POLY_SIZE:
+        raise ValueError(f"{refused} of {MAX_POLY_SIZE} characters and exponent"
+                         f" {2 * MAX_POLY_SIZE}")
+    try:
+        value = Fraction(text)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    if max(abs(value.numerator), value.denominator).bit_length() > MAX_POLY_SIZE:
+        raise ValueError(f"{refused} of {MAX_POLY_SIZE} bits")
+    return value
 
 
 def _require_bounded(*factors: tuple[Poly, int], size: int = MAX_POLY_SIZE):

@@ -295,9 +295,6 @@ class LinComb:
             out |= term_generators(t)
         return out
 
-    def max_arity(self) -> int:
-        return max((arity(t) for t in self.terms), default=0)
-
 
 def make_leaf(name: str, exp: int = 0) -> LinComb:
     """The coefficient-1 combination on the single leaf (name, exp)."""

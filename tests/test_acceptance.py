@@ -12,8 +12,7 @@ import time
 from fractions import Fraction
 
 from homalgebra.algebras import (check_hom_associative, check_multiplicative,
-                                 matrix_algebra, poly_algebra, q_poly_algebra,
-                                 random_matrix)
+                                 matrix_algebra, poly_algebra, q_poly_algebra)
 from homalgebra.bialgebras import (check_comodule, check_comodule_homalgebra,
                                    check_hom_coassoc, classical_affine_comodule,
                                    classical_m2_bialgebra, hom_affine_plane,
@@ -117,8 +116,9 @@ def _c4_reports(seed=404):
     classical = poly_algebra(["a", "b", "c", "d"])
     twisted = q_poly_algebra(2)
     for name, A in (("classical", classical), ("q-twisted", twisted)):
+        M = matrix_algebra(A)
         for k in range(50):
-            X, Y = random_matrix(A, rng), random_matrix(A, rng)
+            X, Y = M.rand(rng), M.rand(rng)
             rep = representability_check(A, X, Y)
             rep.law = f"representability[{name}][{k}]"
             reports.append(rep)
@@ -221,14 +221,14 @@ def test_criterion_08_uniqueness_and_roundtrip():
     A = q_poly_algebra(2)
     handle = FreeAlgebraHandle(("a", "b", "c", "d"))
     rng = random.Random(808)
-    M = random_matrix(A, rng)
+    M = matrix_algebra(A).rand(rng)
     m1 = morphism_from_matrix(A, M)
     m2 = MorphismAssignment(A, dict(m1.images))
     for _ in range(100):
         v = handle.random_element(rng, max_arity=3, max_exp=1)
         assert A.eq(evaluate(v, m1), evaluate(v, m2))
     for _ in range(50):
-        M = random_matrix(A, rng)
+        M = matrix_algebra(A).rand(rng)
         assert matrix_of_morphism(morphism_from_matrix(A, M)) == M
     _stamp(8, "extension uniqueness on 100 elements; matrix roundtrip on 50")
 

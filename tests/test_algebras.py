@@ -9,9 +9,7 @@ from homalgebra.algebras import (HomAlgebraDescriptor, PreconditionError,
                                  UnitFlavor, check_hom_associative,
                                  check_multiplicative, check_unital,
                                  matrix_algebra, poly_algebra, q_poly_algebra,
-                                 random_matrix, rational_algebra,
-                                 tensor_algebra, tensor_pure, tensor_swap,
-                                 yau_twist_algebra)
+                                 rational_algebra, yau_twist_algebra)
 from homalgebra.poly import Poly, PolyEndo
 
 t = Poly.var("t")
@@ -95,7 +93,7 @@ def test_matrix_entry_formula():
     M = matrix_algebra(A)
     rng = random.Random(6)
     for _ in range(10):
-        X, Y, Z = (random_matrix(A, rng) for _ in range(3))
+        X, Y, Z = (M.rand(rng) for _ in range(3))
         got = M.mul(M.mul(X, Y), M.alpha(Z))
         for i in range(2):
             for j in range(2):
@@ -114,38 +112,14 @@ def test_matrix_over_twisted_carrier_satisfies_laws():
     assert M.unit_flavor is UnitFlavor.WEAK_UNITAL
 
 
-def test_tensor_repairing_and_swap():
-    A = poly_algebra(["x"])
-    B = poly_algebra(["y"])
-    T = tensor_algebra(A, B)
-    x, y = Poly.var("x"), Poly.var("y")
-    one = Poly.one()
-    u = tensor_pure(A, B, one, y)      # 1 (x) y
-    v = tensor_pure(A, B, x, one)      # x (x) 1
-    # the product re-pairs legwise: (1 (x) y)(x (x) 1) = x (x) y
-    assert T.mul(u, v) == tensor_pure(A, B, x, y)
-    assert tensor_swap(tensor_pure(A, B, x, y)) == \
-        tensor_pure(B, A, y, x)
-
-
 def test_tensor_of_twisted_carriers_passes_checks():
-    A = q_poly_algebra(2)
-    B = q_poly_algebra(3, var="s")
-    T = tensor_algebra(A, B)
+    # Q[t]_phi (x) Q[s]_psi on tagged variables: Q[s, t] twisted by phi on
+    # the t leg and psi on the s leg
+    s = Poly.var("s")
+    T = yau_twist_algebra(poly_algebra(["s", "t"]), PolyEndo({"t": 2 * t, "s": 3 * s}))
     assert check_hom_associative(T, 60, seed=8).passed
     assert check_multiplicative(T, 60, seed=8).passed
     assert T.unit_flavor is UnitFlavor.WEAK_UNITAL
-
-
-def test_tensor_unit_and_bilinearity():
-    A = poly_algebra(["x"])
-    B = poly_algebra(["y"])
-    T = tensor_algebra(A, B)
-    x, y = Poly.var("x"), Poly.var("y")
-    # bilinearity through decomposition: (2x) (x) y = 2 (x (x) y)
-    assert tensor_pure(A, B, 2 * x, y) == T.scale(2, tensor_pure(A, B, x, y))
-    s = tensor_pure(A, B, x, y)
-    assert T.mul(T.unit, s) == s
 
 
 def test_strict_unital_collapse_consequence():

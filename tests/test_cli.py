@@ -6,12 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "schema" / "report.schema.json").read_text())
@@ -23,8 +19,7 @@ def run_cli(*args):
 
 
 def validate(doc):
-    if jsonschema is not None:
-        jsonschema.validate(doc, SCHEMA)
+    jsonschema.validate(doc, SCHEMA)
     assert doc["schema_version"] == "1"
 
 
@@ -196,6 +191,34 @@ def test_zero_denominator_exits_2_without_traceback(argv):
     assert out.returncode == 2
     assert out.stderr.startswith("error: ")
     assert "Traceback" not in out.stderr
+
+
+# a decimal exponent is checked before Fraction builds 10 ** exponent, and a
+# numerator or denominator above poly.MAX_POLY_SIZE bits is refused
+@pytest.mark.parametrize("argv,name", [
+    (("verify", "twist", "--lambda", "1e100000"), "--lambda"),
+    (("verify", "twist", "--lambda", "1e5000"), "--lambda"),
+    (("verify", "twist", "--lambda", "1/" + "7" * 400), "--lambda"),
+    (("verify", "m2-representability", "--carrier", "q-poly", "--q", "1e5000"), "--q"),
+    (("verify", "m2-representability", "--carrier", "q-poly", "--q", "1e100000"), "--q"),
+    (("verify", "twist", "--file", "huge.twist"), "line 2: lambda"),
+])
+def test_oversized_rational_parameter_exits_2_without_traceback(tmp_path, argv, name):
+    f = tmp_path / "huge.twist"
+    f.write_text("kind twist\nlambda 1e100000\n")
+    argv = [str(f) if a == f.name else a for a in argv]
+    out = subprocess.run([sys.executable, "-m", "homalgebra.cli", *argv],
+                         capture_output=True, text=True, cwd=ROOT, timeout=2)
+    assert out.returncode == 2
+    assert out.stderr.startswith(f"error: {name} ")
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("lam,shown", [("5/2", "5/2"), ("0.5", "1/2"), ("1/3", "1/3")])
+def test_rational_lambda_forms_are_accepted(lam, shown):
+    out = run_cli("verify", "twist", "--lambda", lam, "--json")
+    assert out.returncode == 0
+    assert json.loads(out.stdout)["parameters"]["lambda"] == shown
 
 
 @pytest.mark.parametrize("power", ["t^100000000", "((1+t)^50)^50"])

@@ -15,8 +15,8 @@ from homalgebra.congruence import (DEFAULT_TERM_CAP, Bound, OutOfWindowError,
 from homalgebra.grammar import format_lincomb, parse_lincomb
 from homalgebra.homlie import (LEG_TAGS2, LEG_TAGS3, affine_line_twisted,
                                direct_sum, envelope)
-from homalgebra.terms import (Leaf, LinComb, Node, arity, make_leaf,
-                              random_lincomb, shift_term, sort_key)
+from homalgebra.terms import (Leaf, LinComb, Node, arity, leaves, make_leaf,
+                              random_lincomb, rename, shift_term, sort_key)
 
 NON_UNITAL = SaturationConfig(unit_instances=False)
 UNITAL = SaturationConfig(unit_instances=True)
@@ -173,6 +173,36 @@ def test_determinism_of_saturation():
     two = saturate(["x", "y"], Bound(3, 1), UNITAL)
     assert one.rows_as_lincombs() == two.rows_as_lincombs()
     assert one.describe() == two.describe()
+
+
+# every relation preserves the multiset of generator names (the content) and
+# commutes with renaming generators, so the row space splits into content
+# blocks that are relabelings of each other
+
+def content(t) -> tuple:
+    return tuple(sorted(lf.name for lf in leaves(t)))
+
+
+@pytest.mark.parametrize("config,rows_count", [(NON_UNITAL, 54), (UNITAL, 435)],
+                         ids=["non-unital", "unital"])
+def test_rows_are_content_homogeneous(config, rows_count):
+    rows = saturate(["x", "y", "z"], Bound(3, 1), config).rows_as_lincombs()
+    assert len(rows) == rows_count
+    for row in rows:
+        contents = {content(t) for t in row.terms} | ({()} if row.unit else set())
+        assert len(contents) == 1, format_lincomb(row)
+
+
+@pytest.mark.parametrize("config", [NON_UNITAL, UNITAL], ids=["non-unital", "unital"])
+def test_saturation_is_equivariant_under_renaming(config):
+    basis = saturate(["x", "y", "z"], Bound(3, 1), config)
+    rows = basis.rows_as_lincombs()
+    # an order-preserving renaming gives the same rows in the same order
+    renamed = saturate(["p", "q", "r"], Bound(3, 1), config).rows_as_lincombs()
+    assert renamed == [rename(row, {"x": "p", "y": "q", "z": "r"}) for row in rows]
+    # a cyclic one maps the row space onto itself
+    for row in rows:
+        assert basis.reduce(rename(row, {"x": "y", "y": "z", "z": "x"})).is_zero()
 
 
 def test_extra_relations_are_used_and_windowed():

@@ -7,7 +7,7 @@ import pytest
 
 from homalgebra.grammar import (TermSyntaxError, format_lincomb, format_term,
                                 parse_lincomb, parse_raw_term)
-from homalgebra.terms import (AlphaNode, Leaf, LinComb, Node,
+from homalgebra.terms import (AlphaNode, Leaf, LinComb, Node, arity,
                               make_leaf, random_lincomb)
 
 
@@ -87,7 +87,8 @@ def test_nesting_depth_guard():
             text = f"(x * {text})"
         return text
 
-    assert parse_lincomb(comb(MAX_TERM_DEPTH)).max_arity() == MAX_TERM_DEPTH + 1
+    [term] = parse_lincomb(comb(MAX_TERM_DEPTH)).terms
+    assert arity(term) == MAX_TERM_DEPTH + 1
     with pytest.raises(TermSyntaxError) as err:
         parse_lincomb(comb(MAX_TERM_DEPTH + 1))
     assert (err.value.line, err.value.col) == (1, 1 + 5 * MAX_TERM_DEPTH)

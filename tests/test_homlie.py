@@ -12,7 +12,7 @@ from homalgebra.homlie import (EnvelopeBialgebra, HomLieAlgebra,
                                abelian_hom_lie, affine_line_twisted,
                                bracket_relations,
                                check_envelope_bialgebra, check_hom_lie,
-                               commutator_checks, delta_env, direct_sum,
+                               commutator_checks, direct_sum,
                                envelope, hom_lie_algebra, load_hom_lie,
                                twist_hom_lie)
 from homalgebra.morphisms import MorphismAssignment, evaluate
@@ -153,7 +153,7 @@ def test_cross_leg_commutation_in_doubled_envelope():
 
 def test_primitive_classical_one_dim():
     L = abelian_hom_lie(("e",), {"e": {"e": 1}})
-    images = delta_env(L)
+    images = EnvelopeBialgebra(L).delta_at("'", "''")
     assert images["e"] == make_leaf("e'") + make_leaf("e''")
 
 
@@ -270,6 +270,13 @@ def test_load_hom_lie_roundtrip_and_errors():
         load_hom_lie("dim 3\nnames e1 e2")
     with pytest.raises(ValueError):
         load_hom_lie("names e1\nalpha e1 = e1^2")
+    # each basis name, bracket pair (in either order) and twist is given once
+    with pytest.raises(ValueError, match="duplicate basis names"):
+        load_hom_lie("names e1 e1")
+    with pytest.raises(ValueError, match="line 3: second bracket of e2 and e1"):
+        load_hom_lie("names e1 e2\nbracket e1 e2 = e1\nbracket e2 e1 = e2")
+    with pytest.raises(ValueError, match="line 3: second alpha of e1"):
+        load_hom_lie("names e1 e2\nalpha e1 = e1\nalpha e1 = 2*e1")
 
 
 def test_envelope_carrier_matches_the_doubled_model():
@@ -277,7 +284,6 @@ def test_envelope_carrier_matches_the_doubled_model():
     # the structure matrix leafwise; the doubled model twists its own leaves
     L = affine_line_twisted()
     E = EnvelopeBialgebra(L)
-    assert E.delta_at("'", "''") == delta_env(L)
     doubled = envelope(direct_sum([L, L], ["'", "''"]), max_arity=2, unit_instances=False)
     for _, e in E.generators():
         d = E.delta(e)
