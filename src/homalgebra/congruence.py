@@ -28,6 +28,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 from typing import Callable, Iterable, Optional
 
@@ -278,16 +279,55 @@ def _reduce(rows: dict[int, Vec], vec: Vec) -> Vec:
     return out
 
 
+class _EchelonRows:
+    """Rows in reduced echelon form: pivot column -> row, with coefficient 1
+    at the pivot, the largest column of its row."""
+
+    def __init__(self, rows: dict[int, Vec]):
+        self.rows = rows
+        self.pivots = rows  # a dict iterates its keys, the pivot columns
+
+    def pivot_rows(self) -> Iterable[tuple[int, Vec]]:
+        return ((p, self.rows[p]) for p in sorted(self.rows))
+
+    def reduce(self, vec: Vec) -> Vec:
+        return _reduce(self.rows, vec)
+
+
+class _ColumnClasses:
+    """Binomial rows as a partition of the columns: ``root[p]`` is the
+    smallest column of ``p``'s class, and each other column ``p`` of a class
+    is the pivot of the row ``p - root[p]``."""
+
+    def __init__(self, root: list[int]):
+        self.root = root
+        self.pivots = [p for p, r in enumerate(root) if p != r]
+
+    def pivot_rows(self) -> Iterable[tuple[int, Vec]]:
+        root = self.root
+        return ((p, {root[p]: -1, p: 1}) for p in self.pivots)
+
+    def reduce(self, vec: Vec) -> Vec:
+        root = self.root
+        out: Vec = {}
+        for i, c in vec.items():
+            r = root[i]
+            out[r] = out.get(r, 0) + c
+        # the residue's LinComb drops the zero sums and keeps the rest exact
+        return out
+
+
 class RelationBasis:
     """Row-reduced span of windowed relation instances; the equality oracle.
 
     Column 0 is the unit; columns 1.. index the windowed terms in canonical
     order.  Rows are kept in reduced echelon form with the pivot on the
-    largest column, so residues concentrate on small terms.
+    largest column, so residues concentrate on small terms.  A window whose
+    relations are all binomials keeps its rows as column classes.
     """
 
-    def __init__(self, cols: _Columns, config: SaturationConfig,
-                 terms: list[Term], index: dict[Term, int], rows: dict[int, Vec]):
+    def __init__(self, cols: _Columns, config: SaturationConfig, terms: list[Term],
+                 index: dict[Term, int], store: _EchelonRows | _ColumnClasses):
         self.gens = tuple(cols.gens)
         self.bound = cols.bound
         self.config = config
@@ -296,7 +336,7 @@ class RelationBasis:
         self._starts = cols.starts
         self._terms = terms
         self._index = index
-        self._rows = rows
+        self._store = store
 
     def _devectorize(self, vec: Vec) -> LinComb:
         return LinComb(vec.get(0, 0), {self._terms[i - 1]: c for i, c in vec.items() if i})
@@ -305,14 +345,14 @@ class RelationBasis:
 
     @property
     def rows_count(self) -> int:
-        return len(self._rows)
+        return len(self._store.pivots)
 
     @property
     def basis_size(self) -> int:
         return len(self._terms)
 
     def rows_as_lincombs(self) -> list[LinComb]:
-        return [self._devectorize(self._rows[p]) for p in sorted(self._rows)]
+        return [self._devectorize(row) for _, row in self._store.pivot_rows()]
 
     def arity_counts(self) -> dict[int, tuple[int, int]]:
         """``(terms, pivots)`` per arity, ascending; arity 0 is the unit
@@ -320,7 +360,7 @@ class RelationBasis:
         starts = self._starts
         counts = {a: [starts[a + 1] - starts[a], 0]
                   for a in range(1, self.bound.max_arity + 1)}
-        for p in self._rows:
+        for p in self._store.pivots:
             counts.setdefault(_arity_of(starts, p), [0, 0])[1] += 1
         return {a: (t, p) for a, (t, p) in sorted(counts.items())}
 
@@ -329,7 +369,7 @@ class RelationBasis:
         vec = _vectorize(self._index, v)
         if vec is None:
             raise _out_of_window(self._index, v, self.bound)
-        return self._devectorize(_reduce(self._rows, vec))
+        return self._devectorize(self._store.reduce(vec))
 
     def equal_mod(self, u: LinComb, v: LinComb) -> EqualityResult:
         residue = self.reduce(u - v)
@@ -506,6 +546,92 @@ class _Saturator:
             self.rows[p] = tail
 
 
+def _close_classes(cols: _Columns, unit_instances: bool) -> list[int]:
+    """The column classes of the default-twist associator instances, closed
+    under the windowed twist and left and right products: each column's
+    smallest class member.
+
+    Every relation here is a binomial ``l - r``, so this is ``_Saturator`` on
+    column numbers: reducing a binomial against binomial echelon rows finds
+    the roots of its two columns, inserting it links the larger root under
+    the smaller, and a row's expansion is that of its merge ``(hi, lo)``.
+    The instances come in the same order, and the merges are expanded once
+    each, last in first out, so the classes give the same rows.
+    """
+    starts, n_max = cols.starts, cols.bound.max_arity
+    graft, twist, shift = cols.graft, cols.twist, cols.twist_shift
+    shape_of, shape_start, scale, join = cols.shape_of, cols.shape_start, cols.scale, cols.join
+    root = list(range(starts[-1]))
+    merges: list[tuple[int, int]] = []
+
+    def union(a: int, b: int):
+        ra, rb = root[a], root[b]
+        while ra != root[ra]:
+            ra = root[ra]
+        while rb != root[rb]:
+            rb = root[rb]
+        while root[a] != ra:
+            root[a], a = ra, root[a]
+        while root[b] != rb:
+            root[b], b = rb, root[b]
+        if ra != rb:
+            hi, lo = (ra, rb) if ra > rb else (rb, ra)
+            root[hi] = lo
+            merges.append((hi, lo))
+
+    # the shapes of each arity, the unit's last, and per shape the columns
+    # whose twist stays in the window
+    shapes = [[g for g, n in enumerate(cols.shape_arity) if n == a] for a in range(n_max + 1)]
+    untwisted = [[w for w in range(shape_start[g], shape_start[g] + scale[g])
+                  if twist(w) is not None] for g in range(len(scale))]
+    # assoc(u, v, w) = (u v) alpha(w) - alpha(u) (v w): within a shape block
+    # of w both sides are a constant plus w, since a twist adds a constant
+    arg_arities = range(0 if unit_instances else 1, n_max + 1)
+    for a1 in arg_arities:
+        for a2 in arg_arities:
+            for a3 in arg_arities:
+                if a1 + a2 + a3 > n_max or a1 + a2 + a3 == 0:
+                    continue
+                for u in range(starts[a1], starts[a1 + 1]):
+                    tu = twist(u)
+                    if tu is None:
+                        continue
+                    gu = shape_of[u]
+                    for v in range(starts[a2], starts[a2 + 1]):
+                        uv = graft(u, v)
+                        gv, guv = shape_of[v], shape_of[uv]
+                        for gw in shapes[a3]:
+                            kw = scale[gw]
+                            gvw = shape_of[graft(v, shape_start[gw])]
+                            left = join[guv][gw] + uv * kw + shift[a3]
+                            right = join[gu][gvw] + tu * scale[gvw] + join[gv][gw] + v * kw
+                            if left != right:
+                                for w in untwisted[gw]:
+                                    union(left + w, right + w)
+    # a merge's products by each column i of a shape block g are, like the
+    # twist, constants plus a multiple of i
+    shapes_upto = list(accumulate((len(shapes[a]) for a in range(1, n_max + 1)), initial=0))
+    while merges:
+        hi, lo = merges.pop()
+        th, tl = twist(hi), twist(lo)
+        if th is not None and tl is not None:
+            union(th, tl)
+        g_hi, g_lo = shape_of[hi], shape_of[lo]
+        k_hi, k_lo = scale[g_hi], scale[g_lo]
+        for g in range(shapes_upto[n_max - _arity_of(starts, hi)]):
+            k = scale[g]
+            a, b = join[g][g_hi] + hi, join[g][g_lo] + lo
+            c, d = join[g_hi][g] + hi * k, join[g_lo][g] + lo * k
+            for i in range(shape_start[g], shape_start[g] + k):
+                union(a + i * k_hi, b + i * k_lo)
+                union(c + i, d + i)
+    # a parent is a smaller column, so one ascending pass leaves every
+    # column pointing at its root
+    for p in range(len(root)):
+        root[p] = root[root[p]]
+    return root
+
+
 def saturate(gens: Iterable[str], bound: Bound,
              config: SaturationConfig = SaturationConfig(),
              alpha_term: Callable[[Term], LinComb] | None = None,
@@ -516,8 +642,17 @@ def saturate(gens: Iterable[str], bound: Bound,
     exponent shift) with a client action, e.g. a structure-constant matrix on
     exponent-free leaves for enveloping algebras.  The output is a pure
     function of the inputs.
+
+    Without a client twist or extra relations every relation is a binomial,
+    and the rows are kept as column classes; otherwise as echelon rows.
     """
-    worker = _Saturator(_Columns(gens, bound, cap), config, alpha_term)
+    cols = _Columns(gens, bound, cap)
+    if alpha_term is None and not config.extra_relations:
+        terms = enumerate_terms(cols.gens, bound, columns=cols)
+        index = {t: i for i, t in enumerate(terms, 1)}
+        store = _ColumnClasses(_close_classes(cols, config.unit_instances))
+        return RelationBasis(cols, config, terms, index, store)
+    worker = _Saturator(cols, config, alpha_term)
     seeds = []
     for rel in config.extra_relations:
         vec = _vectorize(worker.index, rel)
@@ -525,4 +660,4 @@ def saturate(gens: Iterable[str], bound: Bound,
             raise _out_of_window(worker.index, rel, bound, "extra relation term")
         seeds.append(vec)
     worker.run(seeds)
-    return RelationBasis(worker.cols, config, worker.terms, worker.index, worker.rows)
+    return RelationBasis(cols, config, worker.terms, worker.index, _EchelonRows(worker.rows))

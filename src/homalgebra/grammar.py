@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import re
 
-from .terms import (AlphaNode, Leaf, LinComb, Node, RawTerm, Term, as_coeff,
+from .poly import parse_rational
+from .terms import (AlphaNode, Leaf, LinComb, Node, RawTerm, Term,
                     normalize_term)
 
 
@@ -142,7 +143,7 @@ class _Parser:
         kind, value, _, _ = self.peek()
         if kind == "rat":
             self.next()
-            coeff = as_coeff(value)
+            coeff = parse_rational(value, "coefficient")
             k, v, _, _ = self.peek()
             if k == "sym" and v == "*":
                 self.next()

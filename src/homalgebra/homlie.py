@@ -407,6 +407,8 @@ def load_hom_lie(text: str) -> HomLieAlgebra:
     directives = ("dim", "names", "bracket", "alpha")
     for lineno, head, rest in read_directives(text.splitlines(), directives):
         lhs, _, rhs = rest.partition("=")
+        if (head == "dim" and dim is not None) or (head == "names" and names is not None):
+            raise ValueError(f"line {lineno}: second {head} line")
         if head == "dim":
             dim = int(rest)
         elif head == "names":

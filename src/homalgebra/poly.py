@@ -250,30 +250,43 @@ _POLY_TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*'*)|(?P<sym>[-+*^()]))")
 
 
-def parse_rational(text: str, name: str) -> Fraction:
-    """The exact rational written ``text`` (``3``, ``5/2``, ``0.5``, ``1e-3``),
-    refused if its numerator or denominator passes ``MAX_POLY_SIZE`` bits.
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def parse_rational(text: str, name: str) -> Coeff:
+    """The exact rational written ``text`` (``3``, ``5/2``, ``0.5``, ``1e-3``)
+    as a coefficient (see ``as_coeff``), refused if its numerator or
+    denominator passes ``MAX_POLY_SIZE`` bits.
 
     ``Fraction`` builds ``10 ** exponent`` eagerly, so the exponent is checked
     first: beside at most ``MAX_POLY_SIZE`` characters, one above twice that
     leaves more than ``MAX_POLY_SIZE`` digits in the numerator or denominator.
+    An integer is read by ``int``, which is several times faster than
+    ``Fraction``'s regular expression.
     """
-    refused = f"{name} {text[:20]}{'...' * (len(text) > 20)}: above the size bound"
-    _, e, exponent = text.lower().partition("e")
-    try:
-        shift = int(exponent) if e and len(text) <= MAX_POLY_SIZE else 0
-    except ValueError:
-        shift = 0  # not an exponent: Fraction reports the bad literal
-    if len(text) > MAX_POLY_SIZE or abs(shift) > 2 * MAX_POLY_SIZE:
-        raise ValueError(f"{refused} of {MAX_POLY_SIZE} characters and exponent"
-                         f" {2 * MAX_POLY_SIZE}")
-    try:
-        value = Fraction(text)
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from None
+    if len(text) <= MAX_POLY_SIZE and _INTEGER.fullmatch(text):
+        value = int(text)
+    else:
+        _, e, exponent = text.lower().partition("e")
+        try:
+            shift = int(exponent) if e and len(text) <= MAX_POLY_SIZE else 0
+        except ValueError:
+            shift = 0  # not an exponent: Fraction reports the bad literal
+        if len(text) > MAX_POLY_SIZE or abs(shift) > 2 * MAX_POLY_SIZE:
+            raise _oversized(text, name, f"{MAX_POLY_SIZE} characters and exponent"
+                                         f" {2 * MAX_POLY_SIZE}")
+        try:
+            value = Fraction(text)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
     if max(abs(value.numerator), value.denominator).bit_length() > MAX_POLY_SIZE:
-        raise ValueError(f"{refused} of {MAX_POLY_SIZE} bits")
-    return value
+        raise _oversized(text, name, f"{MAX_POLY_SIZE} bits")
+    return as_coeff(value)
+
+
+def _oversized(text: str, name: str, bound: str) -> ValueError:
+    shown = text[:20] + "..." * (len(text) > 20)
+    return ValueError(f"{name} {shown}: above the size bound of {bound}")
 
 
 def _require_bounded(*factors: tuple[Poly, int], size: int = MAX_POLY_SIZE):
@@ -367,7 +380,7 @@ def parse_poly(text: str, allowed=None) -> Poly:
             return -nested(atom)
         if kind == "num":
             advance()
-            return Poly.const(as_coeff(value))
+            return Poly.const(parse_rational(value, "number"))
         if kind == "name":
             advance()
             if allowed is not None and value not in allowed:

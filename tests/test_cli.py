@@ -232,6 +232,37 @@ def test_oversized_descriptor_power_exits_2_without_traceback(tmp_path, power):
     assert "Traceback" not in out.stderr
 
 
+HUGE = "9" * 5000  # above Python's 4,300-digit limit on int conversion
+
+
+# a number literal in a term or a descriptor polynomial is read by the bounded
+# poly.parse_rational, which refuses it before any int conversion
+@pytest.mark.parametrize("argv,name", [
+    (("reduce", f"{HUGE} * x"), "coefficient"),
+    (("check", "algebra", "huge.alg"), "number"),
+])
+def test_oversized_number_literal_exits_2_without_traceback(tmp_path, argv, name):
+    f = tmp_path / "huge.alg"
+    f.write_text(f"kind poly\nvars t\ntwist t = {HUGE}*t\n")
+    argv = [str(f) if a == f.name else a for a in argv]
+    out = subprocess.run([sys.executable, "-m", "homalgebra.cli", *argv],
+                         capture_output=True, text=True, cwd=ROOT, timeout=2)
+    assert out.returncode == 2
+    assert out.stderr.startswith(f"error: {name} 99999")
+    assert "above the size bound" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("term,code,shown", [
+    ("1/2 * x + -3 * (x * y)", 0, "residue: 1/2 * x + -3 * (x * y)"),
+    ("0.5 * x", 2, "unexpected character '.' (line 1, column 2)"),
+])
+def test_number_literal_forms_are_read_as_before(term, code, shown):
+    out = run_cli("reduce", term)
+    assert out.returncode == code
+    assert shown in out.stdout + out.stderr
+
+
 # the window's size is checked before its shapes (Catalan(n - 1) of arity n)
 # are built, so a large arity is refused at once
 @pytest.mark.parametrize("max_arity", ["25", "1000000"])

@@ -1,5 +1,6 @@
 """The bounded congruence oracle: associators, saturation, reduction."""
 
+import functools
 import hashlib
 import random
 import tracemalloc
@@ -7,10 +8,13 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homalgebra.congruence import (DEFAULT_TERM_CAP, Bound, OutOfWindowError,
-                                   ResourceCapError, SaturationConfig, Verdict,
-                                   _Columns, _Saturator, enumerate_terms,
+                                   RelationBasis, ResourceCapError,
+                                   SaturationConfig, Verdict, _Columns,
+                                   _EchelonRows, _Saturator, enumerate_terms,
                                    hom_associator, saturate)
 from homalgebra.grammar import format_lincomb, parse_lincomb
 from homalgebra.homlie import (LEG_TAGS2, LEG_TAGS3, affine_line_twisted,
@@ -360,7 +364,7 @@ def test_saturated_rows_and_residues_are_exact():
     for basis in (saturate(["x", "y", "z"], Bound(3, 1), NON_UNITAL),
                   saturate(["x", "y", "z"], Bound(3, 1), UNITAL),
                   fractional_basis()):
-        for row in basis._rows.values():
+        for _, row in basis._store.pivot_rows():
             assert_exact(row.values())
         for row in basis.rows_as_lincombs():
             assert_exact(lincomb_coeffs(row))
@@ -386,7 +390,7 @@ def test_lincomb_results_are_exact():
 def test_non_unit_pivots_stay_exact():
     basis = fractional_basis()
     assert basis.rows_count == 34
-    assert any(type(c) is Fraction for row in basis._rows.values() for c in row.values())
+    assert any(type(c) is Fraction for _, row in basis._store.pivot_rows() for c in row.values())
     residue = basis.reduce(parse_lincomb("(y * x)"))
     assert format_lincomb(residue) == "1/6 * (x * x) + 2/3 * (x * y)"
     assert_exact(lincomb_coeffs(residue))
@@ -401,8 +405,8 @@ def rows_digest(basis) -> str:
     """sha256 of the rows listed by pivot, each as its sorted
     (column, str(coefficient)) pairs."""
     h = hashlib.sha256()
-    for p in sorted(basis._rows):
-        pairs = sorted((i, str(c)) for i, c in basis._rows[p].items())
+    for p, row in basis._store.pivot_rows():
+        pairs = sorted((i, str(c)) for i, c in row.items())
         h.update((f"{p}:" + ",".join(f"{i}={c}" for i, c in pairs) + "\n").encode())
     return h.hexdigest()
 
@@ -444,3 +448,78 @@ def test_pinned_row_digests(window, unital, rows_count, digest):
     }[window]()
     assert basis.rows_count == rows_count
     assert rows_digest(basis) == digest
+
+
+# ---------------------------------------------------------------------------
+# two row stores: a binomial window's column classes against echelon rows
+# ---------------------------------------------------------------------------
+
+def echelon_basis(gens, bound, config) -> RelationBasis:
+    """The window saturated by the echelon store, the reference."""
+    cols = _Columns(gens, bound, DEFAULT_TERM_CAP)
+    worker = _Saturator(cols, config, None)
+    worker.run()
+    return RelationBasis(cols, config, worker.terms, worker.index, _EchelonRows(worker.rows))
+
+
+def exact_items(v: LinComb):
+    """``v`` with each coefficient's type, so that 1 and Fraction(1) differ."""
+    return (type(v.unit), v.unit), {t: (type(c), c) for t, c in v.terms.items()}
+
+
+def random_vectors(basis, rng, n=50):
+    """Random window vectors with unit and Fraction coefficients; each also
+    spans some classes (rows) with two halves, whose class sum is integral."""
+    terms, rows = basis._terms, basis.rows_as_lincombs()
+    for k in range(n):
+        def coeff():
+            c = rng.randint(-3, 3)
+            return c if k % 2 else Fraction(c, rng.randint(1, 4))
+        v = LinComb(coeff(), {rng.choice(terms): coeff() for _ in range(4)})
+        for row in rng.sample(rows, min(3, len(rows))):
+            half = Fraction(rng.choice([-3, -1, 1, 3]), 2)
+            v = v + LinComb(half * bool(row.unit), dict.fromkeys(row.terms, half))
+        yield v
+
+
+# the envelope windows (the first three) have a client twist and extra
+# relations, so they keep echelon rows
+CLASS_WINDOWS = BENCHMARK_WINDOWS[3:] + [(["x"], Bound(8, 1)), (["x", "y"], Bound(4, 1))]
+
+
+@pytest.mark.parametrize("config", [NON_UNITAL, UNITAL], ids=["non-unital", "unital"])
+@pytest.mark.parametrize("gens,bound", CLASS_WINDOWS)
+def test_column_classes_match_echelon_rows(gens, bound, config):
+    basis, reference = saturate(gens, bound, config), echelon_basis(gens, bound, config)
+    assert isinstance(reference._store, _EchelonRows)
+    assert not isinstance(basis._store, _EchelonRows)
+    assert dict(basis._store.pivot_rows()) == reference._store.rows
+    assert basis.rows_count == reference.rows_count
+    assert basis.arity_counts() == reference.arity_counts()
+    for v in random_vectors(basis, random.Random(len(gens) * 100 + bound.max_arity)):
+        assert exact_items(basis.reduce(v)) == exact_items(reference.reduce(v))
+
+
+@functools.cache
+def small_bases():
+    """Both stores on the 3-gen (3,1) window, in both configurations."""
+    window = (["x", "y", "z"], Bound(3, 1))
+    return [build(*window, config) for build in (saturate, echelon_basis)
+            for config in (NON_UNITAL, UNITAL)]
+
+
+WINDOW_TERMS = enumerate_terms(["x", "y", "z"], Bound(3, 1))
+exact_rationals = st.builds(Fraction, st.integers(-10, 10), st.integers(1, 6))
+window_vectors = st.builds(
+    LinComb, exact_rationals,
+    st.dictionaries(st.sampled_from(WINDOW_TERMS), exact_rationals, max_size=6))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(window_vectors, window_vectors, exact_rationals)
+def test_reduce_is_linear_and_idempotent_on_both_stores(u, v, a):
+    for basis in small_bases():
+        r = basis.reduce(u)
+        assert basis.reduce(r) == r
+        assert basis.reduce(a * u + v) == a * r + basis.reduce(v)
+        assert_exact(lincomb_coeffs(r))

@@ -277,6 +277,11 @@ def test_load_hom_lie_roundtrip_and_errors():
         load_hom_lie("names e1 e2\nbracket e1 e2 = e1\nbracket e2 e1 = e2")
     with pytest.raises(ValueError, match="line 3: second alpha of e1"):
         load_hom_lie("names e1 e2\nalpha e1 = e1\nalpha e1 = 2*e1")
+    # and so is each of the names and dim lines
+    with pytest.raises(ValueError, match="line 2: second names line"):
+        load_hom_lie("names e1 e2\nnames e3")
+    with pytest.raises(ValueError, match="line 2: second dim line"):
+        load_hom_lie("dim 5\ndim 2\nnames e1 e2")
 
 
 def test_envelope_carrier_matches_the_doubled_model():
