@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 
-from .poly import parse_rational
+from .poly import parse_natural, parse_rational
 from .terms import (AlphaNode, Leaf, LinComb, Node, RawTerm, Term,
                     normalize_term)
 
@@ -92,6 +92,14 @@ class _Parser:
             self.fail(f"expected {value or kind}")
         return self.next()
 
+    def natural(self, what: str) -> int:
+        """The next token, a string of digits, as a natural number."""
+        _, value, line, col = self.next()
+        try:
+            return parse_natural(value, what)
+        except ValueError as exc:
+            raise TermSyntaxError(str(exc), line, col) from None
+
     # term := leaf | "(" term "*" term ")" | "(" "A" NAT term ")"
     def term(self, depth: int = 0) -> RawTerm:
         kind, value, line, col = self.peek()
@@ -103,8 +111,7 @@ class _Parser:
                 k, v, l, c = self.peek()
                 if k != "rat" or not v.isdigit():
                     self.fail("expected a nonnegative exponent after '@'")
-                self.next()
-                exp = int(v)
+                exp = self.natural("exponent")
             return Leaf(value, exp)
         if kind == "sym" and value == "(":
             if depth == MAX_TERM_DEPTH:
@@ -114,12 +121,13 @@ class _Parser:
             k, v, _, _ = self.peek()
             if k == "name" and v == "A" and self.tokens[self.i + 1][0] == "rat":
                 self.next()
-                wtok = self.next()
-                if not wtok[1].isdigit() or int(wtok[1]) < 1:
-                    raise TermSyntaxError("twist weight must be a positive integer", wtok[2], wtok[3])
+                _, w, wline, wcol = self.peek()
+                weight = self.natural("twist weight") if w.isdigit() else 0
+                if weight < 1:
+                    raise TermSyntaxError("twist weight must be a positive integer", wline, wcol)
                 child = self.term(depth + 1)
                 self.expect("sym", ")")
-                return AlphaNode(int(wtok[1]), child)
+                return AlphaNode(weight, child)
             left = self.term(depth + 1)
             self.expect("sym", "*")
             right = self.term(depth + 1)

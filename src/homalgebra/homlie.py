@@ -271,7 +271,7 @@ def _matrix_alpha_term(L: HomLieAlgebra, t: Term) -> LinComb:
 
 def _matrix_alpha(L: HomLieAlgebra, v: LinComb) -> LinComb:
     out = LinComb.scalar(v.unit)
-    for t, c in v.sorted_terms():
+    for t, c in v.terms.items():
         out = out + c * _matrix_alpha_term(L, t)
     return out
 

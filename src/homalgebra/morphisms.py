@@ -106,10 +106,11 @@ def evaluate(v: LinComb, m: MorphismAssignment, memo: dict | None = None):
         memo[t] = out
         return out
 
+    # an exact sum does not depend on the order of its terms
     acc = target.zero
     if v.unit:
         acc = target.add(acc, target.scale(v.unit, target.unit))
-    for t, c in v.sorted_terms():
+    for t, c in v.terms.items():
         acc = target.add(acc, target.scale(c, of_term(t)))
     return acc
 

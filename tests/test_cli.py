@@ -253,6 +253,25 @@ def test_oversized_number_literal_exits_2_without_traceback(tmp_path, argv, name
     assert "Traceback" not in out.stderr
 
 
+# a leaf exponent, a twist weight and a power are read by poly.parse_natural,
+# which refuses a token by its length before any int conversion
+@pytest.mark.parametrize("argv,shown", [
+    (("reduce", f"x@{HUGE}"), "parse error: exponent 99999"),
+    (("reduce", f"(A {HUGE} x)"), "parse error: twist weight 99999"),
+    (("check", "algebra", "huge.alg"), "error: power 99999"),
+])
+def test_oversized_natural_number_exits_2_without_traceback(tmp_path, argv, shown):
+    f = tmp_path / "huge.alg"
+    f.write_text(f"kind poly\nvars t\ntwist t = t^{HUGE}\n")
+    argv = [str(f) if a == f.name else a for a in argv]
+    out = subprocess.run([sys.executable, "-m", "homalgebra.cli", *argv],
+                         capture_output=True, text=True, cwd=ROOT, timeout=2)
+    assert out.returncode == 2
+    assert out.stderr.startswith(shown)
+    assert "above the size bound of 1000 digits" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 @pytest.mark.parametrize("term,code,shown", [
     ("1/2 * x + -3 * (x * y)", 0, "residue: 1/2 * x + -3 * (x * y)"),
     ("0.5 * x", 2, "unexpected character '.' (line 1, column 2)"),

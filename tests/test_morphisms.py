@@ -4,10 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from homalgebra.algebras import (Poly, poly_algebra,
+from homalgebra.algebras import (Poly, UnitFlavor, matrix_algebra, poly_algebra,
                                  q_poly_algebra, rational_algebra)
-from homalgebra.congruence import Bound, SaturationConfig, hom_associator, saturate
+from homalgebra.congruence import (Bound, SaturationConfig, enumerate_terms,
+                                   hom_associator, saturate)
 from homalgebra.morphisms import (AssignmentError, FreeAlgebraHandle,
                                   MorphismAssignment, NamingError,
                                   UnitMismatchError, evaluate,
@@ -171,3 +174,56 @@ def test_matrix_bijection_naturality():
         # and the composite really is the composite on random elements
         v = handle.random_element(rng, max_arity=2, max_exp=1)
         assert evaluate(v, composed) == phi(evaluate(v, m))
+
+
+# -- evaluate's sum does not depend on the order of the terms -----------------
+
+def sorted_sum(v, m):
+    """The value of ``v`` summed in the term order."""
+    A = m.target
+    acc = A.zero
+    if v.unit:
+        acc = A.add(acc, A.scale(v.unit, A.unit))
+    for t, c in v.sorted_terms():
+        acc = A.add(acc, A.scale(c, evaluate(LinComb.of_term(t), m)))
+    return acc
+
+
+def coefficients(value):
+    """The coefficients of a carrier value: a polynomial's, a matrix's
+    entries', or a free element's terms'."""
+    if isinstance(value, Poly):
+        return list(value.coeffs.values())
+    if isinstance(value, LinComb):
+        return list(value.terms.values())
+    return [c for row in value for p in row for c in coefficients(p)]
+
+
+EVAL_GENS = ("x", "y", "z")
+EVAL_TERMS = enumerate_terms(EVAL_GENS, Bound(3, 1))
+EVAL_CARRIERS = {
+    "free": FreeAlgebraHandle(("a", "b")).descriptor(),
+    "Q[u,v]": poly_algebra(["u", "v"]),
+    "Q[t] twisted by 2": q_poly_algebra(2),
+    "Q[t] twisted by 1/2": q_poly_algebra(Fraction(1, 2)),
+    "M2(Q[t])": matrix_algebra(poly_algebra(["t"])),
+}
+eval_coeffs = st.one_of(st.integers(-4, 4),
+                        st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+
+
+@pytest.mark.parametrize("name", EVAL_CARRIERS)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(terms=st.dictionaries(st.sampled_from(EVAL_TERMS), eval_coeffs, max_size=8),
+       unit=eval_coeffs, seed=st.integers(0, 2 ** 32))
+def test_evaluate_equals_the_sum_in_term_order(name, terms, unit, seed):
+    A = EVAL_CARRIERS[name]
+    if A.unit_flavor is not UnitFlavor.STRICT_UNITAL:
+        unit = 0
+    v = LinComb(unit, terms)
+    m = random_assignment(FreeAlgebraHandle(EVAL_GENS), A, random.Random(seed))
+    got = evaluate(v, m)
+    assert A.eq(got, sorted_sum(v, m))
+    for c in coefficients(got):
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)

@@ -4,10 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homalgebra.algebras import q_poly_algebra
-from homalgebra.poly import (MAX_POLY_SIZE, Poly, PolyEndo, monomials_up_to,
-                             parse_poly, random_poly, read_directives)
+from homalgebra.poly import (MAX_POLY_SIZE, Poly, PolyEndo, _mono_mul, monomials_up_to,
+                             parse_natural, parse_poly, random_poly, read_directives)
 
 t = Poly.var("t")
 x = Poly.var("x")
@@ -140,3 +142,103 @@ def test_read_directives_skips_comments_and_blank_lines():
         (3, "kind", "twist"), (5, "lambda", "3/2")]
     with pytest.raises(ValueError, match="line 2: unknown directive 'gens'"):
         list(read_directives(["kind twist", "gens a b"], ("kind",)))
+
+
+def test_parse_natural_refuses_a_literal_by_its_length():
+    assert parse_natural("9" * MAX_POLY_SIZE, "power") == 10 ** MAX_POLY_SIZE - 1
+    with pytest.raises(ValueError, match="power 99999.*above the size bound of 1000 digits"):
+        parse_natural("9" * (MAX_POLY_SIZE + 1), "power")
+
+
+# -- arithmetic against a slow reference -------------------------------------
+#
+# The reference multiplies monomials by building a dict and sorting it, and
+# substitutes by building a polynomial per monomial and per factor; every
+# result goes through the cleaning constructor.
+
+def ref_mono_mul(m1, m2):
+    acc = dict(m1)
+    for v, e in m2:
+        acc[v] = acc.get(v, 0) + e
+    return tuple(sorted(acc.items()))
+
+
+def ref_add(p, q):
+    return Poly({m: p.coeffs.get(m, 0) + q.coeffs.get(m, 0)
+                 for m in set(p.coeffs) | set(q.coeffs)})
+
+
+def ref_scale(c, p):
+    return Poly({m: c * v for m, v in p.coeffs.items()})
+
+
+def ref_mul(p, q):
+    out = {}
+    for m1, c1 in p.coeffs.items():
+        for m2, c2 in q.coeffs.items():
+            m = ref_mono_mul(m1, m2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return Poly(out)
+
+
+def ref_substitute(p, images):
+    out = Poly.zero()
+    for m, c in p.coeffs.items():
+        part = Poly.const(c)
+        for v, e in m:
+            for _ in range(e):
+                part = ref_mul(part, images.get(v, Poly.var(v)))
+        out = ref_add(out, part)
+    return out
+
+
+def assert_clean(p: Poly):
+    """The exactness contract: no zero, no float, no denominator-1 Fraction,
+    and every monomial sorted by variable with positive exponents."""
+    assert_exact(p)
+    for m, c in p.coeffs.items():
+        assert c != 0
+        assert list(m) == sorted(m) and len({v for v, _ in m}) == len(m)
+        assert all(type(e) is int and e > 0 for _, e in m)
+
+
+# ints, and Fractions of small denominators, some of which cancel to integers
+coeffs = st.one_of(st.integers(-6, 6),
+                   st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+monos = st.lists(st.tuples(st.sampled_from("xyz"), st.integers(1, 3)), max_size=3).map(
+    lambda factors: tuple(sorted(dict(factors).items())))
+polys = st.dictionaries(monos, coeffs, max_size=5).map(Poly)
+small_polys = st.dictionaries(monos, coeffs, max_size=3).map(Poly)
+EXAMPLES = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@EXAMPLES
+@given(polys, polys, coeffs)
+def test_arithmetic_matches_the_reference(p, q, c):
+    for got, want in ((p + q, ref_add(p, q)),
+                      (p - q, ref_add(p, ref_scale(-1, q))),
+                      (p * q, ref_mul(p, q)),
+                      (c * p, ref_scale(c, p)),
+                      (-p, ref_scale(-1, p))):
+        assert got == want
+        assert_clean(got)
+
+
+@EXAMPLES
+@given(polys, st.dictionaries(st.sampled_from("xyz"), small_polys))
+def test_substitute_matches_the_reference(p, images):
+    got = p.substitute(images)
+    assert got == ref_substitute(p, images)
+    assert_clean(got)
+
+
+def test_monomial_product_cache_is_bounded_and_canonical():
+    assert _mono_mul.cache_info().maxsize is not None
+    ((x + 2 * y) ** 3 * (t - y) ** 2).substitute({"t": x * y})
+    for m1 in monomials_up_to(["t", "x", "y"], 3):
+        for m2 in monomials_up_to(["x", "y", "z"], 2):
+            (a,), (b,) = m1.coeffs, m2.coeffs
+            got = _mono_mul(a, b)
+            assert got == ref_mono_mul(a, b)
+            assert list(got) == sorted(got) and all(e > 0 for _, e in got)
+    assert 0 < _mono_mul.cache_info().currsize <= _mono_mul.cache_info().maxsize
