@@ -30,7 +30,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .terms import Coeff, Leaf, LinComb, Node, Term, as_coeff
 
@@ -143,7 +143,7 @@ class _Columns:
     ``b`` the arity of ``t_j``, and its shape is the join of the two shapes,
     so its column is ``join[shape_of[i]][shape_of[j]] + i * scale[shape_of[j]]
     + j``.  Only the pairs that fit the window have a join: one per shape of
-    arity >= 2, plus the unit's pairs.
+    arity >= 2, plus the unit's pairs.  ``factors`` inverts ``graft``.
 
     The window's size is checked against ``cap`` before any shape is built.
     """
@@ -179,10 +179,12 @@ class _Columns:
         start, scale = self.shape_start, self.scale
         self.join: list[dict[int, int]] = [{unit: 0} for _ in range(unit)]
         self.join.append(dict.fromkeys(range(unit + 1), 0))
+        self.split: dict[int, tuple[int, int]] = {}  # a shape's two factor shapes
         for n in range(2, n_max + 1):
             for s, (k, sl, sr) in enumerate(self.shapes[n]):
                 gi, gj = first[k] + sl, first[n - k] + sr
                 self.join[gi][gj] = start[first[n] + s] - start[gi] * scale[gj] - start[gj]
+                self.split[first[n] + s] = (gi, gj)
         # the default twist raises every leaf exponent: a labelling's digits
         # each go up by one, unless one of its leaves is already at max_exp
         top = bound.max_exp
@@ -199,6 +201,13 @@ class _Columns:
         if base is None:
             return None
         return base + i * self.scale[gj] + j
+
+    def factors(self, col: int) -> tuple[int, int]:
+        """The non-unit columns ``i, j`` with ``graft(i, j) == col``, arity >= 2."""
+        g = self.shape_of[col]
+        gi, gj = self.split[g]
+        i, j = divmod(col - self.shape_start[g], self.scale[gj])
+        return self.shape_start[gi] + i, self.shape_start[gj] + j
 
     def twist(self, i: int) -> Optional[int]:
         """Column of the default twist of column i, or None if it escapes."""
@@ -236,22 +245,16 @@ def enumerate_terms(gens: Iterable[str], bound: Bound, cap: int = DEFAULT_TERM_C
     return (columns or _Columns(gens, bound, cap)).terms()
 
 
-def _vectorize(index: dict[Term, int], v: LinComb) -> Optional[Vec]:
-    """The column vector of ``v``, or None if one of its terms has no column."""
+def _vectorize(index: dict[Term, int], v: LinComb, bound: Bound, what: str = "term") -> Vec:
+    """The column vector of ``v``; every term of ``v`` must have a column."""
     vec: Vec = {0: v.unit} if v.unit else {}
     for t, c in v.terms.items():
         i = index.get(t)
         if i is None:
-            return None
+            from .grammar import format_term
+            raise OutOfWindowError(f"{what} {format_term(t)} lies outside bound {bound}")
         vec[i] = c
     return vec
-
-
-def _out_of_window(index: dict[Term, int], v: LinComb, bound: Bound,
-                   what: str = "term") -> OutOfWindowError:
-    from .grammar import format_term
-    t = next(t for t in v.terms if t not in index)
-    return OutOfWindowError(f"{what} {format_term(t)} lies outside bound {bound}")
 
 
 def _reduce(rows: dict[int, Vec], vec: Vec) -> Vec:
@@ -366,9 +369,7 @@ class RelationBasis:
 
     def reduce(self, v: LinComb) -> LinComb:
         """Canonical residue of ``v`` modulo the row space (linear, idempotent)."""
-        vec = _vectorize(self._index, v)
-        if vec is None:
-            raise _out_of_window(self._index, v, self.bound)
+        vec = _vectorize(self._index, v, self.bound)
         return self._devectorize(self._store.reduce(vec))
 
     def equal_mod(self, u: LinComb, v: LinComb) -> EqualityResult:
@@ -390,32 +391,30 @@ class RelationBasis:
 class _Saturator:
     """Index-level worker: builds the echelon row space to a closure fixpoint.
 
-    Products and the default twist are column arithmetic (see ``_Columns``).
+    Products are column arithmetic (see ``_Columns``), and so is the twist:
+    ``leaf_twist[d]`` is the image of leaf column ``1 + d`` (None if it
+    escapes the window), and a product's image is the product of its two
+    factors' images.
     """
 
-    def __init__(self, cols: _Columns, config, alpha_term):
+    def __init__(self, cols: _Columns, config, leaf_twist: list[Optional[Vec]]):
         self.bound = cols.bound
         self.config = config
         self.cols = cols
-        self.terms = enumerate_terms(cols.gens, cols.bound, columns=cols)
-        self.index = {t: i for i, t in enumerate(self.terms, 1)}
         self.rows: dict[int, Vec] = {}
         self._graft = cols.graft
-        self._alpha_term = alpha_term
-        self._alpha_memo: dict[int, Optional[Vec]] = {}
+        self._twists: dict[int, Optional[Vec]] = {0: {0: 1}, **dict(enumerate(leaf_twist, 1))}
 
     def _alpha_col(self, i: int) -> Optional[Vec]:
         """Image of basis column i under the twist, or None if it escapes."""
-        if self._alpha_term is None:
-            j = self.cols.twist(i)
-            return None if j is None else {j: 1}
-        if i == 0:
-            return {0: 1}
-        if i in self._alpha_memo:
-            return self._alpha_memo[i]
-        vec = _vectorize(self.index, self._alpha_term(self.terms[i - 1]))
-        self._alpha_memo[i] = vec
-        return vec
+        memo = self._twists
+        if i not in memo:
+            a, b = map(self._alpha_col, self.cols.factors(i))
+            # images keep arities, so every product fits, and distinct
+            # pairs of columns graft to distinct columns
+            memo[i] = None if a is None or b is None else {
+                self._graft(p, q): as_coeff(c * d) for p, c in a.items() for q, d in b.items()}
+        return memo[i]
 
     def _alpha_vec(self, vec: Vec) -> Optional[Vec]:
         out: Vec = {}
@@ -536,6 +535,7 @@ class _Saturator:
                 if q is not None:
                     pending.append(q)
         self._interreduce()
+        return self.rows
 
     def _interreduce(self):
         for p in sorted(self.rows):
@@ -634,30 +634,34 @@ def _close_classes(cols: _Columns, unit_instances: bool) -> list[int]:
 
 def saturate(gens: Iterable[str], bound: Bound,
              config: SaturationConfig = SaturationConfig(),
-             alpha_term: Callable[[Term], LinComb] | None = None,
+             twist: dict[str, LinComb] | None = None,
              cap: int = DEFAULT_TERM_CAP) -> RelationBasis:
     """Build the windowed relation basis for the given generators and config.
 
-    ``alpha_term`` overrides the normal-form twist on basis terms (leaf
-    exponent shift) with a client action, e.g. a structure-constant matrix on
-    exponent-free leaves for enveloping algebras.  The output is a pure
-    function of the inputs.
+    ``twist`` overrides the normal-form twist (leaf exponent shift) with each
+    generator's image, a combination of generators, extended multiplicatively
+    (e.g. a structure-constant matrix for enveloping algebras); the window
+    must then carry no exponents.  The output is a pure function of the inputs.
 
     Without a client twist or extra relations every relation is a binomial,
     and the rows are kept as column classes; otherwise as echelon rows.
     """
     cols = _Columns(gens, bound, cap)
-    if alpha_term is None and not config.extra_relations:
-        terms = enumerate_terms(cols.gens, bound, columns=cols)
-        index = {t: i for i, t in enumerate(terms, 1)}
+    terms = enumerate_terms(cols.gens, bound, columns=cols)
+    index = {t: i for i, t in enumerate(terms, 1)}
+    if twist is None and not config.extra_relations:
         store = _ColumnClasses(_close_classes(cols, config.unit_instances))
         return RelationBasis(cols, config, terms, index, store)
-    worker = _Saturator(cols, config, alpha_term)
-    seeds = []
-    for rel in config.extra_relations:
-        vec = _vectorize(worker.index, rel)
-        if vec is None:
-            raise _out_of_window(worker.index, rel, bound, "extra relation term")
-        seeds.append(vec)
-    worker.run(seeds)
-    return RelationBasis(cols, config, worker.terms, worker.index, _EchelonRows(worker.rows))
+    if twist is None:
+        leaf_twist = [None if j is None else {j: 1}
+                      for j in map(cols.twist, range(1, cols.starts[2]))]
+    elif bound.max_exp:
+        raise ValueError(f"a client twist needs a window without exponents, got {bound}")
+    else:
+        leaf_twist = [_vectorize(index, twist[g], bound, "twist term") for g in cols.gens]
+        if any(not 0 < j < cols.starts[2] for vec in leaf_twist for j in vec):
+            raise ValueError("a client twist maps each generator to a combination of generators")
+    seeds = [_vectorize(index, rel, bound, "extra relation term")
+             for rel in config.extra_relations]
+    rows = _Saturator(cols, config, leaf_twist).run(seeds)
+    return RelationBasis(cols, config, terms, index, _EchelonRows(rows))

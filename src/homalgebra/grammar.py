@@ -45,31 +45,28 @@ _TOKEN_RE = re.compile(
 )
 
 
+def _line_col(text: str, pos: int) -> tuple[int, int]:
+    """The 1-based line and column of offset ``pos``."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
 def _tokenize(text: str):
     tokens = []
-    line, col = 1, 1
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if not m:
-            raise TermSyntaxError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        value = m.group()
-        if kind != "ws":
-            tokens.append((kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
+            raise TermSyntaxError(f"unexpected character {text[pos]!r}", *_line_col(text, pos))
+        if m.lastgroup != "ws":
+            tokens.append((m.lastgroup, m.group(), pos))
         pos = m.end()
-    tokens.append(("eof", "", line, col))
+    tokens.append(("eof", "", pos))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -82,49 +79,50 @@ class _Parser:
         return tok
 
     def fail(self, message):
-        _, value, line, col = self.peek()
+        _, value, pos = self.peek()
         shown = value or "end of input"
-        raise TermSyntaxError(f"{message}, got {shown!r}", line, col)
+        raise TermSyntaxError(f"{message}, got {shown!r}", *_line_col(self.text, pos))
 
     def expect(self, kind, value=None):
-        k, v, line, col = self.peek()
+        k, v, _ = self.peek()
         if k != kind or (value is not None and v != value):
             self.fail(f"expected {value or kind}")
         return self.next()
 
     def natural(self, what: str) -> int:
         """The next token, a string of digits, as a natural number."""
-        _, value, line, col = self.next()
+        _, value, pos = self.next()
         try:
             return parse_natural(value, what)
         except ValueError as exc:
-            raise TermSyntaxError(str(exc), line, col) from None
+            raise TermSyntaxError(str(exc), *_line_col(self.text, pos)) from None
 
     # term := leaf | "(" term "*" term ")" | "(" "A" NAT term ")"
     def term(self, depth: int = 0) -> RawTerm:
-        kind, value, line, col = self.peek()
+        kind, value, pos = self.peek()
         if kind == "name":
             self.next()
             exp = 0
             if self.peek()[0] == "sym" and self.peek()[1] == "@":
                 self.next()
-                k, v, l, c = self.peek()
+                k, v, _ = self.peek()
                 if k != "rat" or not v.isdigit():
                     self.fail("expected a nonnegative exponent after '@'")
                 exp = self.natural("exponent")
             return Leaf(value, exp)
         if kind == "sym" and value == "(":
             if depth == MAX_TERM_DEPTH:
-                raise TermSyntaxError(
-                    f"term nested deeper than {MAX_TERM_DEPTH} parentheses", line, col)
+                raise TermSyntaxError(f"term nested deeper than {MAX_TERM_DEPTH} parentheses",
+                                      *_line_col(self.text, pos))
             self.next()
-            k, v, _, _ = self.peek()
+            k, v, _ = self.peek()
             if k == "name" and v == "A" and self.tokens[self.i + 1][0] == "rat":
                 self.next()
-                _, w, wline, wcol = self.peek()
+                _, w, wpos = self.peek()
                 weight = self.natural("twist weight") if w.isdigit() else 0
                 if weight < 1:
-                    raise TermSyntaxError("twist weight must be a positive integer", wline, wcol)
+                    raise TermSyntaxError("twist weight must be a positive integer",
+                                          *_line_col(self.text, wpos))
                 child = self.term(depth + 1)
                 self.expect("sym", ")")
                 return AlphaNode(weight, child)
@@ -140,7 +138,7 @@ class _Parser:
         out = LinComb.zero()
         while True:
             out = out + self.part()
-            kind, value, _, _ = self.peek()
+            kind, value, _ = self.peek()
             if kind == "sym" and value == "+":
                 self.next()
                 continue
@@ -148,11 +146,11 @@ class _Parser:
         return out
 
     def part(self) -> LinComb:
-        kind, value, _, _ = self.peek()
+        kind, value, _ = self.peek()
         if kind == "rat":
             self.next()
             coeff = parse_rational(value, "coefficient")
-            k, v, _, _ = self.peek()
+            k, v, _ = self.peek()
             if k == "sym" and v == "*":
                 self.next()
                 return LinComb.of_term(normalize_term(self.term()), coeff)

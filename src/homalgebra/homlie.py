@@ -27,7 +27,7 @@ from .bialgebras import (_equal_mod_or_outside, _FreeCarrier,
 from .congruence import Bound, SaturationConfig, saturate
 from .poly import parse_poly, read_directives
 from .reports import LawReport
-from .terms import Coeff, Leaf, LinComb, Term, as_coeff, make_leaf
+from .terms import Coeff, Leaf, LinComb, as_coeff, make_leaf, weight
 
 Vec = tuple[Coeff, ...]
 
@@ -255,25 +255,16 @@ class EnvelopeModel:
                 for a, (terms, pivots) in self.basis.arity_counts().items()}
 
 
-def _matrix_alpha_term(L: HomLieAlgebra, t: Term) -> LinComb:
-    if isinstance(t, Leaf):
-        j = L.names.index(t.name)
-        if t.exp:
-            raise ValueError("envelope leaves carry no exponents")
-        out = LinComb.zero()
-        for i in range(L.dim):
-            c = L.alpha_matrix[i][j]
-            if c:
-                out = out + c * make_leaf(L.names[i], 0)
-        return out
-    return _matrix_alpha_term(L, t.left) * _matrix_alpha_term(L, t.right)
+def _twist_images(L: HomLieAlgebra) -> dict[str, LinComb]:
+    """Each basis element's twist, read off its column of the twist matrix."""
+    return {nj: LinComb(0, {Leaf(ni): row[j] for ni, row in zip(L.names, L.alpha_matrix)})
+            for j, nj in enumerate(L.names)}
 
 
 def _matrix_alpha(L: HomLieAlgebra, v: LinComb) -> LinComb:
-    out = LinComb.scalar(v.unit)
-    for t, c in v.terms.items():
-        out = out + c * _matrix_alpha_term(L, t)
-    return out
+    if any(map(weight, v.terms)):
+        raise ValueError("envelope leaves carry no exponents")
+    return _FreeCarrier.compose(v, _twist_images(L))
 
 
 def bracket_sides(L: HomLieAlgebra) -> list[tuple[str, LinComb, LinComb]]:
@@ -306,8 +297,7 @@ def envelope(L: HomLieAlgebra, max_arity: int = 3, unit_instances: bool = True,
                                 + "; ".join(report.counterexamples[:3]))
     config = SaturationConfig(unit_instances=unit_instances,
                               extra_relations=tuple(bracket_relations(L)))
-    basis = saturate(L.names, Bound(max_arity, 0), config,
-                     alpha_term=lambda t: _matrix_alpha_term(L, t), cap=cap)
+    basis = saturate(L.names, Bound(max_arity, 0), config, _twist_images(L), cap)
     return EnvelopeModel(L, basis, unit_instances)
 
 

@@ -332,10 +332,7 @@ def rename(v: LinComb, mapping) -> LinComb:
             return Leaf(images[t.name], t.exp)
         return Node(go(t.left), go(t.right))
 
-    out: dict[Term, Coeff] = {}
-    for t, c in v.terms.items():
-        out[go(t)] = out.get(go(t), 0) + c
-    return LinComb(v.unit, out)
+    return LinComb(v.unit, {go(t): c for t, c in v.terms.items()})
 
 
 def random_lincomb(rng, gens: Iterable[str], max_arity: int = 3, max_exp: int = 1,

@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 from homalgebra.congruence import (DEFAULT_TERM_CAP, Bound, OutOfWindowError,
                                    RelationBasis, ResourceCapError,
                                    SaturationConfig, Verdict, _Columns,
-                                   _EchelonRows, _Saturator, enumerate_terms,
-                                   hom_associator, saturate)
-from homalgebra.grammar import format_lincomb, parse_lincomb
-from homalgebra.homlie import (LEG_TAGS2, LEG_TAGS3, affine_line_twisted,
-                               direct_sum, envelope)
+                                   _EchelonRows, _Saturator, _vectorize,
+                                   enumerate_terms, hom_associator, saturate)
+from homalgebra.grammar import format_lincomb, format_term, parse_lincomb
+from homalgebra.homlie import (LEG_TAGS2, LEG_TAGS3, _matrix_alpha,
+                               _twist_images, abelian_hom_lie,
+                               affine_line_twisted, direct_sum, envelope)
 from homalgebra.terms import (Leaf, LinComb, Node, arity, leaves, make_leaf,
                               random_lincomb, rename, shift_term, sort_key)
 
@@ -258,22 +259,37 @@ def window_size(n_gens, bound):
                for n in range(1, bound.max_arity + 1))
 
 
+def window_index(cols):
+    """The window's terms in column order, and each term's column."""
+    terms = enumerate_terms(cols.gens, cols.bound, columns=cols)
+    return terms, {t: i for i, t in enumerate(terms, 1)}
+
+
+def default_saturator(cols, config):
+    """The echelon saturator with the default twist's leaf table, as
+    ``saturate`` builds it."""
+    leaf_twist = [None if j is None else {j: 1} for j in map(cols.twist, range(1, cols.starts[2]))]
+    return _Saturator(cols, config, leaf_twist)
+
+
 # the 1-generator deep window is where shapes of different arities share
 # their (left arity, left shape, right shape) numbers
 @pytest.mark.parametrize("gens,bound", [
     (["x"], Bound(6, 0)), (["x", "y"], Bound(4, 1)), (["x", "y", "z"], Bound(3, 2))])
 def test_column_arithmetic_matches_the_trees(gens, bound):
-    worker = _Saturator(_Columns(gens, bound, DEFAULT_TERM_CAP), UNITAL, None)
-    terms, index = worker.terms, worker.index
-    cols = range(1, len(terms) + 1)
+    cols = _Columns(gens, bound, DEFAULT_TERM_CAP)
+    worker = default_saturator(cols, UNITAL)
+    terms, index = window_index(cols)
     arities = [0] + [arity(t) for t in terms]
-    for i in cols:
+    for i in range(1, len(terms) + 1):
         t_i = terms[i - 1]
-        for j in cols:
+        for j in range(1, len(terms) + 1):
             # a product past the window has no column, so skip building it
             fits = arities[i] + arities[j] <= bound.max_arity
             want = index.get(Node(t_i, terms[j - 1])) if fits else None
             assert worker._graft(i, j) == want, (i, j)
+            if want is not None:
+                assert cols.factors(want) == (i, j)
         twisted = index.get(shift_term(t_i, 1))
         assert worker._alpha_col(i) == (None if twisted is None else {twisted: 1}), i
         assert worker._graft(0, i) == worker._graft(i, 0) == i
@@ -302,6 +318,55 @@ def test_enumeration_is_generated_in_canonical_order(gens, bound):
     terms = enumerate_terms(gens, bound)
     assert len(terms) == window_size(len(gens), bound)
     assert terms == sorted(terms, key=sort_key)
+
+
+def fixture_copies(copies):
+    """The affine-line fixture, or its direct sum with itself on tagged legs."""
+    L = affine_line_twisted()
+    if copies > 1:
+        L = direct_sum([L] * copies, list(LEG_TAGS2 if copies == 2 else LEG_TAGS3))
+    return L
+
+
+def dense_abelian():
+    """Three abelian basis elements under a dense seeded twist; its entries
+    have integral products, such as 2/3 * 3/2."""
+    rng = random.Random(11)
+    entries = [Fraction(2, 3), Fraction(3, 2), Fraction(-1, 2), 2, Fraction(5, 4), -3]
+    names = ("u", "v", "w")
+    return abelian_hom_lie(names, {n: {m: rng.choice(entries) for m in names} for n in names})
+
+
+# the envelope windows of the benchmark, and a dense rational twist
+@pytest.mark.parametrize("L,gens,bound", [
+    (fixture_copies(k), gens, bound) for k, (gens, bound) in enumerate(BENCHMARK_WINDOWS[:3], 1)
+] + [(dense_abelian(), ["u", "v", "w"], Bound(3, 0))], ids=["1", "2", "3", "dense"])
+def test_column_twist_matches_the_matrix_twist(L, gens, bound):
+    assert sorted(L.names) == sorted(gens)
+    cols = _Columns(gens, bound, DEFAULT_TERM_CAP)
+    terms, index = window_index(cols)
+    images = _twist_images(L)
+    worker = _Saturator(cols, UNITAL, [_vectorize(index, images[g], bound) for g in cols.gens])
+    # with each coefficient's type, so that 1 and Fraction(1) differ
+    exact = lambda vec: {j: (type(c), c) for j, c in vec.items()}
+    for i, t in enumerate(terms, 1):
+        want = _vectorize(index, _matrix_alpha(L, LinComb.of_term(t)), bound)
+        assert exact(worker._alpha_col(i)) == exact(want), format_term(t)
+    with pytest.raises(ValueError, match="envelope leaves carry no exponents"):
+        _matrix_alpha(L, make_leaf(gens[0], 1))
+
+
+def test_client_twist_needs_generator_images_and_an_exponent_free_window():
+    swap = {"x": y(), "y": x()}
+    assert saturate(["x", "y"], Bound(3, 0), NON_UNITAL, swap).rows_count > 0
+    with pytest.raises(ValueError, match="without exponents"):
+        saturate(["x", "y"], Bound(3, 1), NON_UNITAL, swap)
+    with pytest.raises(OutOfWindowError, match="twist term z lies outside bound"):
+        saturate(["x", "y"], Bound(3, 0), NON_UNITAL, {"x": z(), "y": x()})
+    with pytest.raises(ValueError, match="combination of generators"):
+        saturate(["x", "y"], Bound(3, 0), NON_UNITAL, {"x": x() * y(), "y": x()})
+    with pytest.raises(ValueError, match="combination of generators"):
+        saturate(["x", "y"], Bound(3, 0), NON_UNITAL, {"x": LinComb.one() + x(), "y": x()})
 
 
 @pytest.mark.parametrize("gens,bound", [(["x", "y"], Bound(4, 1)), (["x"], Bound(6, 0))])
@@ -412,10 +477,8 @@ def rows_digest(basis) -> str:
 
 
 def envelope_basis(copies, max_arity, unit_instances):
-    L = affine_line_twisted()
-    if copies > 1:
-        L = direct_sum([L] * copies, list(LEG_TAGS2 if copies == 2 else LEG_TAGS3))
-    return envelope(L, max_arity=max_arity, unit_instances=unit_instances).basis
+    return envelope(fixture_copies(copies), max_arity=max_arity,
+                    unit_instances=unit_instances).basis
 
 
 ROW_DIGESTS = [
@@ -457,9 +520,8 @@ def test_pinned_row_digests(window, unital, rows_count, digest):
 def echelon_basis(gens, bound, config) -> RelationBasis:
     """The window saturated by the echelon store, the reference."""
     cols = _Columns(gens, bound, DEFAULT_TERM_CAP)
-    worker = _Saturator(cols, config, None)
-    worker.run()
-    return RelationBasis(cols, config, worker.terms, worker.index, _EchelonRows(worker.rows))
+    rows = default_saturator(cols, config).run()
+    return RelationBasis(cols, config, *window_index(cols), _EchelonRows(rows))
 
 
 def exact_items(v: LinComb):
