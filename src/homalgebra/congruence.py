@@ -32,6 +32,7 @@ from itertools import accumulate
 from math import comb
 from typing import Iterable, Optional
 
+from .grammar import NAME, format_term
 from .terms import Coeff, Leaf, LinComb, Node, Term, as_coeff
 
 DEFAULT_TERM_CAP = 200_000
@@ -143,7 +144,8 @@ class _Columns:
     ``b`` the arity of ``t_j``, and its shape is the join of the two shapes,
     so its column is ``join[shape_of[i]][shape_of[j]] + i * scale[shape_of[j]]
     + j``.  Only the pairs that fit the window have a join: one per shape of
-    arity >= 2, plus the unit's pairs.  ``factors`` inverts ``graft``.
+    arity >= 2, plus the unit's pairs.  ``factors`` inverts ``graft``, and
+    ``term`` builds a column's term from it, once; ``column`` inverts ``term``.
 
     The window's size is checked against ``cap`` before any shape is built.
     """
@@ -152,6 +154,9 @@ class _Columns:
         self.gens = sorted(set(gens))
         if not self.gens:
             raise ValueError("empty generator set")
+        for g in self.gens:
+            if not NAME.fullmatch(g):
+                raise ValueError(f"generator name {g!r} must match {NAME.pattern}")
         self.bound = bound
         width = len(self.gens) * (bound.max_exp + 1)
         n_max = bound.max_arity
@@ -162,16 +167,16 @@ class _Columns:
             if size > cap:
                 raise ResourceCapError(f"windowed basis exceeds the term cap of {cap}"
                                        f" (bound {bound}, {len(self.gens)} generators)")
-        self.shapes = _shapes(n_max)
+        shapes = _shapes(n_max)
         self.starts = [0, 1]
         first = [0, 0]
         for n in range(1, n_max + 1):
-            self.starts.append(self.starts[-1] + len(self.shapes[n]) * width ** n)
-            first.append(first[-1] + len(self.shapes[n]))
+            self.starts.append(self.starts[-1] + len(shapes[n]) * width ** n)
+            first.append(first[-1] + len(shapes[n]))
         unit = first[-1]
-        self.shape_arity = [n for n in range(1, n_max + 1) for _ in self.shapes[n]] + [0]
+        self.shape_arity = [n for n in range(1, n_max + 1) for _ in shapes[n]] + [0]
         self.shape_start = [self.starts[n] + s * width ** n
-                            for n in range(1, n_max + 1) for s in range(len(self.shapes[n]))] + [0]
+                            for n in range(1, n_max + 1) for s in range(len(shapes[n]))] + [0]
         self.scale = [width ** n for n in self.shape_arity]
         self.shape_of = [unit]
         for g in range(unit):
@@ -181,7 +186,7 @@ class _Columns:
         self.join.append(dict.fromkeys(range(unit + 1), 0))
         self.split: dict[int, tuple[int, int]] = {}  # a shape's two factor shapes
         for n in range(2, n_max + 1):
-            for s, (k, sl, sr) in enumerate(self.shapes[n]):
+            for s, (k, sl, sr) in enumerate(shapes[n]):
                 gi, gj = first[k] + sl, first[n - k] + sr
                 self.join[gi][gj] = start[first[n] + s] - start[gi] * scale[gj] - start[gj]
                 self.split[first[n] + s] = (gi, gj)
@@ -193,6 +198,9 @@ class _Columns:
         for n in range(1, n_max + 1):
             self.escapes.append([x or y for x in self.escapes[-1] for y in leaf_escapes])
         self.twist_shift = [sum(width ** m for m in range(n)) for n in range(n_max + 1)]
+        leaves = [Leaf(g, e) for g in self.gens for e in range(top + 1)]
+        self._leaf_col = {(lf.name, lf.exp): col for col, lf in enumerate(leaves, 1)}
+        self._built: dict[int, Term] = dict(enumerate(leaves, 1))
 
     def graft(self, i: int, j: int) -> Optional[int]:
         """Column of the product of columns i, j (unit-aware), or None."""
@@ -217,42 +225,38 @@ class _Columns:
             return None
         return i + self.twist_shift[n]
 
-    def terms(self) -> list[Term]:
-        """All windowed terms, in column order from column 1.
+    def column(self, t: Term) -> Optional[int]:
+        """Column of term ``t``, or None if it lies outside the window."""
+        if isinstance(t, Leaf):
+            return self._leaf_col.get((t.name, t.exp))
+        i, j = self.column(t.left), self.column(t.right)
+        return None if i is None or j is None else self.graft(i, j)
 
-        Each shape block is generated already in order: the products of its
-        left block with its right block, left factor outermost, are ascending
-        in the leaf labels.
-        """
-        top = self.bound.max_exp
-        # blocks[n][s]: the terms of arity n and shape s, in order
-        blocks: list[list[list[Term]]] = [
-            [], [[Leaf(g, e) for g in self.gens for e in range(top + 1)]]]
-        for n in range(2, self.bound.max_arity + 1):
-            blocks.append([[Node(lt, rt) for lt in blocks[k][sl] for rt in blocks[n - k][sr]]
-                           for k, sl, sr in self.shapes[n]])
-        return [t for level in blocks for block in level for t in block]
+    def term(self, col: int) -> Term:
+        """The term of non-unit column ``col``, the same object on every call."""
+        t = self._built.get(col)
+        if t is None:
+            i, j = self.factors(col)
+            t = self._built[col] = Node(self.term(i), self.term(j))
+        return t
 
 
-def enumerate_terms(gens: Iterable[str], bound: Bound, cap: int = DEFAULT_TERM_CAP,
-                    columns: Optional[_Columns] = None) -> list[Term]:
-    """All windowed terms, ascending in the canonical term order.
+def enumerate_terms(gens: Iterable[str], bound: Bound, cap: int = DEFAULT_TERM_CAP) -> list[Term]:
+    """The terms of columns 1.., ascending in the canonical term order.
 
     The window's size is checked against ``cap`` before anything is built.
-    A caller that has built the window's ``columns`` passes them, so they
-    are not built twice.
     """
-    return (columns or _Columns(gens, bound, cap)).terms()
+    cols = _Columns(gens, bound, cap)
+    return list(map(cols.term, range(1, cols.starts[-1])))
 
 
-def _vectorize(index: dict[Term, int], v: LinComb, bound: Bound, what: str = "term") -> Vec:
+def _vectorize(cols: _Columns, v: LinComb, what: str = "term") -> Vec:
     """The column vector of ``v``; every term of ``v`` must have a column."""
     vec: Vec = {0: v.unit} if v.unit else {}
     for t, c in v.terms.items():
-        i = index.get(t)
+        i = cols.column(t)
         if i is None:
-            from .grammar import format_term
-            raise OutOfWindowError(f"{what} {format_term(t)} lies outside bound {bound}")
+            raise OutOfWindowError(f"{what} {format_term(t)} lies outside bound {cols.bound}")
         vec[i] = c
     return vec
 
@@ -323,26 +327,22 @@ class _ColumnClasses:
 class RelationBasis:
     """Row-reduced span of windowed relation instances; the equality oracle.
 
-    Column 0 is the unit; columns 1.. index the windowed terms in canonical
-    order.  Rows are kept in reduced echelon form with the pivot on the
-    largest column, so residues concentrate on small terms.  A window whose
-    relations are all binomials keeps its rows as column classes.
+    Column 0 is the unit; columns 1.. number the windowed terms (``_cols``),
+    and only a result's columns are built into terms.  Rows are kept in
+    reduced echelon form with the pivot on the largest column, so residues
+    concentrate on small terms; a binomial window keeps them as column classes.
     """
 
-    def __init__(self, cols: _Columns, config: SaturationConfig, terms: list[Term],
-                 index: dict[Term, int], store: _EchelonRows | _ColumnClasses):
+    def __init__(self, cols: _Columns, config: SaturationConfig,
+                 store: _EchelonRows | _ColumnClasses):
         self.gens = tuple(cols.gens)
         self.bound = cols.bound
         self.config = config
-        # the first column of each arity; the rest of the numbering serves
-        # only the saturation, so it is not kept
-        self._starts = cols.starts
-        self._terms = terms
-        self._index = index
+        self._cols = cols
         self._store = store
 
     def _devectorize(self, vec: Vec) -> LinComb:
-        return LinComb(vec.get(0, 0), {self._terms[i - 1]: c for i, c in vec.items() if i})
+        return LinComb(vec.get(0, 0), {self._cols.term(i): c for i, c in vec.items() if i})
 
     # -- public oracle --------------------------------------------------------
 
@@ -352,7 +352,7 @@ class RelationBasis:
 
     @property
     def basis_size(self) -> int:
-        return len(self._terms)
+        return self._cols.starts[-1] - 1
 
     def rows_as_lincombs(self) -> list[LinComb]:
         return [self._devectorize(row) for _, row in self._store.pivot_rows()]
@@ -360,7 +360,7 @@ class RelationBasis:
     def arity_counts(self) -> dict[int, tuple[int, int]]:
         """``(terms, pivots)`` per arity, ascending; arity 0 is the unit
         column, listed only when it holds a pivot."""
-        starts = self._starts
+        starts = self._cols.starts
         counts = {a: [starts[a + 1] - starts[a], 0]
                   for a in range(1, self.bound.max_arity + 1)}
         for p in self._store.pivots:
@@ -369,7 +369,7 @@ class RelationBasis:
 
     def reduce(self, v: LinComb) -> LinComb:
         """Canonical residue of ``v`` modulo the row space (linear, idempotent)."""
-        vec = _vectorize(self._index, v, self.bound)
+        vec = _vectorize(self._cols, v)
         return self._devectorize(self._store.reduce(vec))
 
     def equal_mod(self, u: LinComb, v: LinComb) -> EqualityResult:
@@ -647,21 +647,18 @@ def saturate(gens: Iterable[str], bound: Bound,
     and the rows are kept as column classes; otherwise as echelon rows.
     """
     cols = _Columns(gens, bound, cap)
-    terms = enumerate_terms(cols.gens, bound, columns=cols)
-    index = {t: i for i, t in enumerate(terms, 1)}
     if twist is None and not config.extra_relations:
         store = _ColumnClasses(_close_classes(cols, config.unit_instances))
-        return RelationBasis(cols, config, terms, index, store)
+        return RelationBasis(cols, config, store)
     if twist is None:
         leaf_twist = [None if j is None else {j: 1}
                       for j in map(cols.twist, range(1, cols.starts[2]))]
     elif bound.max_exp:
         raise ValueError(f"a client twist needs a window without exponents, got {bound}")
     else:
-        leaf_twist = [_vectorize(index, twist[g], bound, "twist term") for g in cols.gens]
+        leaf_twist = [_vectorize(cols, twist[g], "twist term") for g in cols.gens]
         if any(not 0 < j < cols.starts[2] for vec in leaf_twist for j in vec):
             raise ValueError("a client twist maps each generator to a combination of generators")
-    seeds = [_vectorize(index, rel, bound, "extra relation term")
-             for rel in config.extra_relations]
+    seeds = [_vectorize(cols, rel, "extra relation term") for rel in config.extra_relations]
     rows = _Saturator(cols, config, leaf_twist).run(seeds)
-    return RelationBasis(cols, config, terms, index, _EchelonRows(rows))
+    return RelationBasis(cols, config, _EchelonRows(rows))

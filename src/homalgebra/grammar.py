@@ -34,11 +34,12 @@ class TermSyntaxError(ValueError):
         self.col = col
 
 
+NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*'*")
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<ws>\s+)
   | (?P<rat>-?\d+(?:/\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*'*)
+  | (?P<name>{NAME.pattern})
   | (?P<sym>[()*+@])
     """,
     re.VERBOSE,

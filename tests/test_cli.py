@@ -142,6 +142,15 @@ def test_resource_cap_error_is_clean():
     assert "cap" in out.stderr
 
 
+# each would be read back by the term grammar as another name, or none
+@pytest.mark.parametrize("gens,shown", [
+    ("x,y@1", "'y@1'"), ("x, y", "' y'"), ("x,(y", "'(y'"), ("x,", "''")])
+def test_bad_generator_name_exits_2_without_traceback(gens, shown):
+    out = run_cli("reduce", "(x * x)", "--gens", gens)
+    assert out.returncode == 2
+    assert out.stderr == f"error: generator name {shown} must match [A-Za-z_][A-Za-z0-9_]*'*\n"
+
+
 def test_byte_identical_reports_across_runs():
     args = ("verify", "envelope", "--json", "--seed", "7")
     one = run_cli(*args)

@@ -226,6 +226,13 @@ def test_out_of_window_error_on_queries():
         basis.reduce((x() * x()) * x())
     with pytest.raises(OutOfWindowError):
         basis.reduce(x(2))
+    # an unknown generator, an exponent past max_exp inside a product, and a
+    # product past max_arity whose factors both fit
+    for v, shown in [(y(), "y"), (x() * x(2), "(x * x@2)"),
+                     (x(1) * (x() * x()), "(x@1 * (x * x))")]:
+        with pytest.raises(OutOfWindowError) as err:
+            basis.reduce(x() + v)
+        assert str(err.value) == f"term {shown} lies outside bound Bound(max_arity=2, max_exp=1)"
 
 
 def test_resource_cap():
@@ -259,12 +266,6 @@ def window_size(n_gens, bound):
                for n in range(1, bound.max_arity + 1))
 
 
-def window_index(cols):
-    """The window's terms in column order, and each term's column."""
-    terms = enumerate_terms(cols.gens, cols.bound, columns=cols)
-    return terms, {t: i for i, t in enumerate(terms, 1)}
-
-
 def default_saturator(cols, config):
     """The echelon saturator with the default twist's leaf table, as
     ``saturate`` builds it."""
@@ -279,7 +280,8 @@ def default_saturator(cols, config):
 def test_column_arithmetic_matches_the_trees(gens, bound):
     cols = _Columns(gens, bound, DEFAULT_TERM_CAP)
     worker = default_saturator(cols, UNITAL)
-    terms, index = window_index(cols)
+    terms = enumerate_terms(gens, bound)
+    index = {t: i for i, t in enumerate(terms, 1)}
     arities = [0] + [arity(t) for t in terms]
     for i in range(1, len(terms) + 1):
         t_i = terms[i - 1]
@@ -318,6 +320,47 @@ def test_enumeration_is_generated_in_canonical_order(gens, bound):
     terms = enumerate_terms(gens, bound)
     assert len(terms) == window_size(len(gens), bound)
     assert terms == sorted(terms, key=sort_key)
+    # a column's term round-trips, and is built once: a product's factors
+    # are the very terms of its factor columns
+    cols = _Columns(gens, bound, DEFAULT_TERM_CAP)
+    for i in reversed(range(1, len(terms) + 1)):
+        t = cols.term(i)
+        assert t == terms[i - 1] and cols.column(t) == i
+        if arity(t) > 1:
+            j, k = cols.factors(i)
+            assert t.left is cols.term(j) and t.right is cols.term(k)
+
+
+def built_products(basis):
+    """The product columns whose terms the basis's numbering has built."""
+    cols = basis._cols
+    return {i for i in cols._built if i >= cols.starts[2]}
+
+
+def factor_closure(cols, columns):
+    """``columns`` and, recursively, the factors of their products."""
+    seen, stack = set(), list(columns)
+    while stack:
+        i = stack.pop()
+        if i >= cols.starts[2] and i not in seen:
+            seen.add(i)
+            stack.extend(cols.factors(i))
+    return seen
+
+
+@pytest.mark.parametrize("make", [
+    lambda: saturate(["x", "y", "z"], Bound(3, 1), NON_UNITAL),
+    lambda: saturate(["x", "y", "z"], Bound(4, 2), UNITAL),
+    lambda: fractional_basis(),
+], ids=["classes-3-1", "classes-4-2", "echelon"])
+def test_terms_are_built_only_for_results(make):
+    basis = make()
+    assert built_products(basis) == set()
+    # the query's own term is not built, only the residue's
+    residue = basis.reduce(parse_lincomb("((x * y) * y@1) + 2 * (y * (x * x))"))
+    assert not residue.is_zero()
+    cols = basis._cols
+    assert built_products(basis) == factor_closure(cols, map(cols.column, residue.terms))
 
 
 def fixture_copies(copies):
@@ -344,13 +387,12 @@ def dense_abelian():
 def test_column_twist_matches_the_matrix_twist(L, gens, bound):
     assert sorted(L.names) == sorted(gens)
     cols = _Columns(gens, bound, DEFAULT_TERM_CAP)
-    terms, index = window_index(cols)
     images = _twist_images(L)
-    worker = _Saturator(cols, UNITAL, [_vectorize(index, images[g], bound) for g in cols.gens])
+    worker = _Saturator(cols, UNITAL, [_vectorize(cols, images[g]) for g in cols.gens])
     # with each coefficient's type, so that 1 and Fraction(1) differ
     exact = lambda vec: {j: (type(c), c) for j, c in vec.items()}
-    for i, t in enumerate(terms, 1):
-        want = _vectorize(index, _matrix_alpha(L, LinComb.of_term(t)), bound)
+    for i, t in enumerate(enumerate_terms(gens, bound), 1):
+        want = _vectorize(cols, _matrix_alpha(L, LinComb.of_term(t)))
         assert exact(worker._alpha_col(i)) == exact(want), format_term(t)
     with pytest.raises(ValueError, match="envelope leaves carry no exponents"):
         _matrix_alpha(L, make_leaf(gens[0], 1))
@@ -521,7 +563,7 @@ def echelon_basis(gens, bound, config) -> RelationBasis:
     """The window saturated by the echelon store, the reference."""
     cols = _Columns(gens, bound, DEFAULT_TERM_CAP)
     rows = default_saturator(cols, config).run()
-    return RelationBasis(cols, config, *window_index(cols), _EchelonRows(rows))
+    return RelationBasis(cols, config, _EchelonRows(rows))
 
 
 def exact_items(v: LinComb):
@@ -532,7 +574,7 @@ def exact_items(v: LinComb):
 def random_vectors(basis, rng, n=50):
     """Random window vectors with unit and Fraction coefficients; each also
     spans some classes (rows) with two halves, whose class sum is integral."""
-    terms, rows = basis._terms, basis.rows_as_lincombs()
+    terms, rows = enumerate_terms(basis.gens, basis.bound), basis.rows_as_lincombs()
     for k in range(n):
         def coeff():
             c = rng.randint(-3, 3)
