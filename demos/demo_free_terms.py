@@ -5,8 +5,7 @@ carry a twist exponent; the twist map never appears as a node because
 multiplicativity is baked into the normal form.
 """
 
-from homalgebra import (grading, make_leaf, normalize, parse_lincomb,
-                        parse_raw_term, format_lincomb, LinComb)
+from homalgebra import grading, make_leaf, parse_lincomb, format_lincomb, LinComb
 
 x, y, z = make_leaf("x"), make_leaf("y"), make_leaf("z")
 
@@ -20,10 +19,9 @@ v = (x * y) * z
 print("  alpha(", v, ") =", v.alpha())
 print("  twist of the unit is the unit:", LinComb.one().alpha())
 
-print("\nexplicit twist nodes normalize away:")
-raw = parse_raw_term("(A 2 ((x * y) * z@1))")
-print("  raw:   (A 2 ((x * y) * z@1))")
-print("  normal:", normalize(raw))
+print("\nan explicit twist (A k t) is read straight into the leaf exponents:")
+print("  text:  (A 2 ((x * y) * z@1))")
+print("  normal:", parse_lincomb("(A 2 ((x * y) * z@1))"))
 
 print("\nlinear combinations with exact rational coefficients:")
 w = parse_lincomb("3/2 * (x * y@1) + -1 * x + 2")

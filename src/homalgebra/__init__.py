@@ -10,10 +10,8 @@ the classical versions, and bounded enveloping models of Hom-Lie algebras.
 from .congruence import (Bound, EqualityResult, OutOfWindowError, RelationBasis,
                          ResourceCapError, SaturationConfig, Verdict,
                          enumerate_terms, hom_associator, saturate)
-from .grammar import (TermSyntaxError, format_lincomb, format_term,
-                      parse_lincomb, parse_raw_term)
-from .terms import (AlphaNode, Leaf, LinComb, Node, arity, grading,
-                    make_leaf, normalize, rename, weight)
+from .grammar import TermSyntaxError, format_lincomb, format_term, parse_lincomb
+from .terms import Leaf, LinComb, Node, arity, grading, make_leaf, rename, weight
 from .morphisms import (AssignmentError, FreeAlgebraHandle, MorphismAssignment,
                         NamingError, UnitMismatchError, evaluate,
                         matrix_of_morphism, morphism_from_matrix,

@@ -24,8 +24,9 @@ import time
 from .algebras import (PreconditionError, check_hom_associative,
                        check_multiplicative, check_unital, matrix_algebra,
                        poly_algebra, q_poly_algebra, yau_twist_algebra)
-from .bialgebras import (FreeHomBialgebra, check_comodule,
-                         check_comodule_homalgebra, check_delta_is_morphism,
+from .bialgebras import (MATRIX_LAYOUT, PLANE_GENS, FreeHomBialgebra,
+                         check_comodule, check_comodule_homalgebra,
+                         check_delta_is_morphism,
                          check_hom_coassoc, check_comultiplicative,
                          classical_affine_comodule, classical_m2_bialgebra,
                          hom_affine_plane, lambda_scaling_pair, law_report,
@@ -38,8 +39,9 @@ from .homlie import (affine_line_twisted, bracket_sides,
                      check_envelope_bialgebra, check_hom_lie, envelope,
                      load_hom_lie)
 from .morphisms import FreeAlgebraHandle
-from .poly import (MAX_POLY_SIZE, Poly, PolyEndo, parse_poly, parse_rational,
-                   read_directives, require_bounded_twist)
+from .poly import (MAX_POLY_SIZE, Poly, PolyEndo, on_line, parse_poly,
+                   parse_rational, read_directives, read_keyed, read_names,
+                   require_bounded_twist)
 from .reports import dump_json, render_text, report_document
 import random
 
@@ -142,19 +144,28 @@ def run_reduce(args):
 
 
 def _load_free_bialgebra(path: str) -> FreeHomBialgebra:
-    gens = None
-    images = {}
     with open(path) as fh:
-        for lineno, head, rest in read_directives(fh, ("kind", "gens", "delta")):
-            if head == "kind":
-                if rest != "free-bialgebra":
-                    raise ValueError(f"line {lineno}: expected kind free-bialgebra")
-            elif head == "gens":
-                gens = tuple(rest.split())
-            else:
-                name, _, expr = rest.partition("=")
-                images[name.strip()] = parse_lincomb(expr.strip())
-    if gens is None or set(images) != set(gens):
+        lines = fh.read().splitlines()
+    gens, images = (), {}
+    for lineno, head, rest in read_directives(lines, ("kind", "gens", "delta"),
+                                              once=("kind", "gens")):
+        if head == "kind":
+            if rest != "free-bialgebra":
+                raise ValueError(f"line {lineno}: expected kind free-bialgebra")
+        elif head == "gens":
+            gens = read_names(rest, lineno)
+        else:
+            name, _ = read_keyed(rest, lineno, "delta", gens, images)
+            # the image is parsed in its place in the file, so a syntax error
+            # names the file's line and column
+            line = lines[lineno - 1].split("#", 1)[0]
+            eq = line.index("=") + 1
+            images[name] = parse_lincomb("\n" * (lineno - 1) + " " * eq + line[eq:])
+            outside = images[name].generators() - {g + t for g in gens for t in ("'", "''")}
+            if outside:
+                raise ValueError(f"line {lineno}: delta {name} names {min(outside)!r},"
+                                 " not a leg g' or g'' of a generator g")
+    if not gens or set(images) != set(gens):
         raise ValueError("descriptor needs gens and a delta image per generator")
     return FreeHomBialgebra(FreeAlgebraHandle(gens), images)
 
@@ -206,16 +217,21 @@ def run_m2_representability(args):
 def _load_twist_file(path: str):
     lam = None
     phis = {"phi_H": {}, "phi_A": {}}
+    # the variables of the classical bialgebra and of the plane it coacts on
+    keys = {"phi_H": tuple(g for row in MATRIX_LAYOUT for g in row), "phi_A": PLANE_GENS}
     with open(path) as fh:
-        for lineno, head, rest in read_directives(fh, ("kind", "lambda", "phi_H", "phi_A")):
+        for lineno, head, rest in read_directives(fh, ("kind", "lambda", "phi_H", "phi_A"),
+                                                  once=("kind", "lambda")):
             if head == "kind":
                 if rest != "twist":
                     raise ValueError(f"line {lineno}: expected kind twist")
             elif head == "lambda":
                 lam = parse_rational(rest, f"line {lineno}: lambda")
             else:
-                name, _, expr = rest.partition("=")
-                phis[head][name.strip()] = parse_poly(expr.strip())
+                name, image = read_keyed(rest, lineno, head, keys[head], phis[head])
+                phis[head][name] = on_line(lineno, parse_poly, image, keys[head])
+            if lam is not None and (phis["phi_H"] or phis["phi_A"]):
+                raise ValueError(f"line {lineno}: lambda and phi lines exclude each other")
     if lam is not None:
         return lambda_scaling_pair(lam)
     return PolyEndo(phis["phi_H"]), PolyEndo(phis["phi_A"])
@@ -258,18 +274,17 @@ def run_envelope(args):
 
 
 def _load_algebra_file(path: str):
-    kind = None
-    names = []
-    twist = {}
+    kind, names, twist = None, (), {}
     with open(path) as fh:
-        for _, head, rest in read_directives(fh, ("kind", "vars", "twist")):
+        for lineno, head, rest in read_directives(fh, ("kind", "vars", "twist"),
+                                                  once=("kind", "vars")):
             if head == "kind":
                 kind = rest
             elif head == "vars":
-                names = rest.split()
+                names = read_names(rest, lineno)
             else:
-                name, _, expr = rest.partition("=")
-                twist[name.strip()] = parse_poly(expr.strip())
+                name, image = read_keyed(rest, lineno, "twist", names, twist)
+                twist[name] = on_line(lineno, parse_poly, image, names)
     if kind not in ("poly", "matrix"):
         raise ValueError("descriptor kind must be poly or matrix")
     if not names:

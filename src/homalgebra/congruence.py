@@ -32,8 +32,8 @@ from itertools import accumulate
 from math import comb
 from typing import Iterable, Optional
 
-from .grammar import NAME, format_term
-from .terms import Coeff, Leaf, LinComb, Node, Term, as_coeff
+from .grammar import format_term
+from .terms import NAME, Coeff, Leaf, LinComb, Node, Term, as_coeff
 
 DEFAULT_TERM_CAP = 200_000
 
@@ -241,12 +241,13 @@ class _Columns:
         return t
 
 
-def enumerate_terms(gens: Iterable[str], bound: Bound, cap: int = DEFAULT_TERM_CAP) -> list[Term]:
+def enumerate_terms(gens: Iterable[str], bound: Bound) -> list[Term]:
     """The terms of columns 1.., ascending in the canonical term order.
 
-    The window's size is checked against ``cap`` before anything is built.
+    The window's size is checked against ``DEFAULT_TERM_CAP`` before anything
+    is built.
     """
-    cols = _Columns(gens, bound, cap)
+    cols = _Columns(gens, bound, DEFAULT_TERM_CAP)
     return list(map(cols.term, range(1, cols.starts[-1])))
 
 

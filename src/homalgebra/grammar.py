@@ -5,8 +5,9 @@
     lincomb := "0" | RATIONAL | part {"+" part}
     part    := [RATIONAL "*"] term             (bare RATIONAL = unit component)
 
-``(A k t)`` is an explicit twist node of weight k and only occurs on input;
-parsing normalizes it away.  Names are letters/digits/underscores with any
+``(A k t)`` is the twist applied k times to t.  The twist is multiplicative,
+so the parser reads it straight into the leaf exponents: every leaf of t gets
+k more.  Names match ``terms.NAME``: letters/digits/underscores with any
 number of trailing apostrophes (the tensor-leg tags).  Formatting is canonical:
 unit component first, then terms ascending in the term order, ``@0`` omitted.
 """
@@ -16,8 +17,7 @@ from __future__ import annotations
 import re
 
 from .poly import parse_natural, parse_rational
-from .terms import (AlphaNode, Leaf, LinComb, Node, RawTerm, Term,
-                    normalize_term)
+from .terms import NAME, Leaf, LinComb, Node, Term
 
 
 # Terms are parsed and traversed recursively; refusing deeper input keeps every
@@ -34,7 +34,6 @@ class TermSyntaxError(ValueError):
         self.col = col
 
 
-NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*'*")
 _TOKEN_RE = re.compile(
     rf"""
     (?P<ws>\s+)
@@ -99,7 +98,9 @@ class _Parser:
             raise TermSyntaxError(str(exc), *_line_col(self.text, pos)) from None
 
     # term := leaf | "(" term "*" term ")" | "(" "A" NAT term ")"
-    def term(self, depth: int = 0) -> RawTerm:
+    # ``shift`` is the twist weight of the enclosing ``(A k ...)`` nodes, which
+    # every leaf below them carries in its exponent
+    def term(self, depth: int = 0, shift: int = 0) -> Term:
         kind, value, pos = self.peek()
         if kind == "name":
             self.next()
@@ -110,7 +111,7 @@ class _Parser:
                 if k != "rat" or not v.isdigit():
                     self.fail("expected a nonnegative exponent after '@'")
                 exp = self.natural("exponent")
-            return Leaf(value, exp)
+            return Leaf(value, exp + shift)
         if kind == "sym" and value == "(":
             if depth == MAX_TERM_DEPTH:
                 raise TermSyntaxError(f"term nested deeper than {MAX_TERM_DEPTH} parentheses",
@@ -124,12 +125,12 @@ class _Parser:
                 if weight < 1:
                     raise TermSyntaxError("twist weight must be a positive integer",
                                           *_line_col(self.text, wpos))
-                child = self.term(depth + 1)
+                child = self.term(depth + 1, shift + weight)
                 self.expect("sym", ")")
-                return AlphaNode(weight, child)
-            left = self.term(depth + 1)
+                return child
+            left = self.term(depth + 1, shift)
             self.expect("sym", "*")
-            right = self.term(depth + 1)
+            right = self.term(depth + 1, shift)
             self.expect("sym", ")")
             return Node(left, right)
         self.fail("expected a term")
@@ -154,20 +155,13 @@ class _Parser:
             k, v, _ = self.peek()
             if k == "sym" and v == "*":
                 self.next()
-                return LinComb.of_term(normalize_term(self.term()), coeff)
+                return LinComb.of_term(self.term(), coeff)
             return LinComb.scalar(coeff)
-        return LinComb.of_term(normalize_term(self.term()))
+        return LinComb.of_term(self.term())
 
     def done(self):
         if self.peek()[0] != "eof":
             self.fail("trailing input")
-
-
-def parse_raw_term(text: str) -> RawTerm:
-    p = _Parser(text)
-    t = p.term()
-    p.done()
-    return t
 
 
 def parse_lincomb(text: str) -> LinComb:

@@ -25,7 +25,7 @@ from .bialgebras import (_equal_mod_or_outside, _FreeCarrier,
                          check_hom_coassoc, coassoc_composites, exact,
                          law_report)
 from .congruence import Bound, SaturationConfig, saturate
-from .poly import parse_poly, read_directives
+from .poly import on_line, parse_poly, read_directives, read_keyed, read_names
 from .reports import LawReport
 from .terms import Coeff, Leaf, LinComb, as_coeff, make_leaf, weight
 
@@ -289,15 +289,14 @@ def bracket_relations(L: HomLieAlgebra) -> list[LinComb]:
     return [u - rhs for _, u, rhs in bracket_sides(L)]
 
 
-def envelope(L: HomLieAlgebra, max_arity: int = 3, unit_instances: bool = True,
-             cap: int = 200_000) -> EnvelopeModel:
+def envelope(L: HomLieAlgebra, max_arity: int = 3, unit_instances: bool = True) -> EnvelopeModel:
     report = check_hom_lie(L)
     if not report.passed:
         raise PreconditionError("not a multiplicative Hom-Lie algebra: "
                                 + "; ".join(report.counterexamples[:3]))
     config = SaturationConfig(unit_instances=unit_instances,
                               extra_relations=tuple(bracket_relations(L)))
-    basis = saturate(L.names, Bound(max_arity, 0), config, _twist_images(L), cap)
+    basis = saturate(L.names, Bound(max_arity, 0), config, _twist_images(L))
     return EnvelopeModel(L, basis, unit_instances)
 
 
@@ -395,14 +394,13 @@ def load_hom_lie(text: str) -> HomLieAlgebra:
     brackets = {}
     alpha = {}
     directives = ("dim", "names", "bracket", "alpha")
-    for lineno, head, rest in read_directives(text.splitlines(), directives):
+    for lineno, head, rest in read_directives(text.splitlines(), directives,
+                                              once=("dim", "names")):
         lhs, _, rhs = rest.partition("=")
-        if (head == "dim" and dim is not None) or (head == "names" and names is not None):
-            raise ValueError(f"line {lineno}: second {head} line")
         if head == "dim":
-            dim = int(rest)
+            dim = on_line(lineno, int, rest)
         elif head == "names":
-            names = tuple(rest.split())
+            names = read_names(rest, lineno)
         elif names is None:
             raise ValueError(f"line {lineno}: names must come before "
                              + ("brackets" if head == "bracket" else "alpha"))
@@ -413,13 +411,10 @@ def load_hom_lie(text: str) -> HomLieAlgebra:
             # skew symmetry fills in the reversed pair, so it is the same bracket
             if (pair[0], pair[1]) in brackets or (pair[1], pair[0]) in brackets:
                 raise ValueError(f"line {lineno}: second bracket of {pair[0]} and {pair[1]}")
-            brackets[(pair[0], pair[1])] = _linear_coords(rhs, names)
-        elif lhs.strip() not in names:
-            raise ValueError(f"line {lineno}: unknown basis name {lhs.strip()!r}")
-        elif lhs.strip() in alpha:
-            raise ValueError(f"line {lineno}: second alpha of {lhs.strip()}")
+            brackets[(pair[0], pair[1])] = on_line(lineno, _linear_coords, rhs, names)
         else:
-            alpha[lhs.strip()] = _linear_coords(rhs, names)
+            name, image = read_keyed(rest, lineno, "alpha", names, alpha)
+            alpha[name] = on_line(lineno, _linear_coords, image, names)
     if names is None:
         raise ValueError("missing 'names' line")
     if dim is not None and dim != len(names):

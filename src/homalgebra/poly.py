@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterator
 
-from .terms import Coeff, as_coeff
+from .terms import NAME, Coeff, as_coeff
 
 Mono = tuple[tuple[str, int], ...]
 
@@ -292,7 +292,7 @@ MAX_POLY_DEPTH = 100
 MAX_POLY_SIZE = 1000
 
 _POLY_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*'*)|(?P<sym>[-+*^()]))")
+    rf"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>{NAME.pattern})|(?P<sym>[-+*^()]))")
 
 
 _INTEGER = re.compile(r"-?[0-9]+")
@@ -382,12 +382,14 @@ def require_bounded_twist(phi: PolyEndo, size: int):
                              f" are out of bounds: {exc}") from None
 
 
-def read_directives(lines, known) -> Iterator[tuple[int, str, str]]:
+def read_directives(lines, known, once=()) -> Iterator[tuple[int, str, str]]:
     """``(line number, head, rest)`` per directive line of a descriptor file.
 
     ``#`` starts a comment, blank lines are skipped, the head is the first
-    word; a head outside ``known`` is an error naming its line.
+    word; a head outside ``known``, or a second line of a head in ``once``,
+    is an error naming its line.
     """
+    seen = set()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -395,7 +397,42 @@ def read_directives(lines, known) -> Iterator[tuple[int, str, str]]:
         head, _, rest = line.partition(" ")
         if head not in known:
             raise ValueError(f"line {lineno}: unknown directive {head!r}")
+        if head in seen:
+            raise ValueError(f"line {lineno}: second {head} line")
+        if head in once:
+            seen.add(head)
         yield lineno, head, rest.strip()
+
+
+def read_names(rest: str, lineno: int) -> tuple[str, ...]:
+    """The words of a ``gens``, ``vars`` or ``names`` line, each a ``NAME``."""
+    names = tuple(rest.split())
+    for n in names:
+        if not NAME.fullmatch(n):
+            raise ValueError(f"line {lineno}: name {n!r} must match {NAME.pattern}")
+    return names
+
+
+def read_keyed(rest: str, lineno: int, head: str, keys, done) -> tuple[str, str]:
+    """``(key, image)`` of a ``head KEY = IMAGE`` line: the key is one of
+    ``keys`` and not yet in ``done``."""
+    key, eq, image = rest.partition("=")
+    key = key.strip()
+    if not eq:
+        raise ValueError(f"line {lineno}: expected {head} NAME = IMAGE")
+    if key not in keys:
+        raise ValueError(f"line {lineno}: {head} of unknown name {key!r}")
+    if key in done:
+        raise ValueError(f"line {lineno}: second {head} of {key}")
+    return key, image.strip()
+
+
+def on_line(lineno: int, parse, *args):
+    """``parse(*args)``, with the line appended to a ``ValueError`` it raises."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        raise ValueError(f"{exc} (line {lineno})") from None
 
 
 def parse_poly(text: str, allowed=None) -> Poly:

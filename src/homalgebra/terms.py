@@ -3,8 +3,7 @@
 Elements are rational linear combinations of planar binary product trees whose
 leaves carry a generator name and a nonnegative twist exponent.  The twist map
 is kept in multiplicativity normal form: it never appears as an explicit node,
-it only increments leaf exponents.  A raw tree form with explicit weighted
-twist nodes exists for input; ``normalize`` pushes the weights to the leaves.
+it only increments leaf exponents.
 
 Everything is immutable and exact: a coefficient is an ``int`` while it is
 integral and a ``fractions.Fraction`` otherwise, never a float (``as_coeff``).
@@ -13,11 +12,17 @@ All operations are pure functions.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
 Coeff = Union[int, Fraction]
+
+# A generator name: letters, digits and underscores, then any number of
+# apostrophes (the tensor-leg tags).  The term and polynomial grammars read
+# names with this pattern, and descriptor files and windows check them with it.
+NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*'*")
 
 
 def as_coeff(c) -> Coeff:
@@ -118,43 +123,6 @@ def shift_term(t: Term, k: int) -> Term:
     if isinstance(t, Leaf):
         return Leaf(t.name, t.exp + k)
     return Node(shift_term(t.left, k), shift_term(t.right, k))
-
-
-def term_generators(t: Term) -> set[str]:
-    return {lf.name for lf in leaves(t)}
-
-
-# ---------------------------------------------------------------------------
-# raw terms (explicit weighted twist nodes, pre-normalization)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AlphaNode:
-    """An explicit twist node of weight >= 1 over a subtree."""
-    weight: int
-    child: "RawTerm"
-
-    def __post_init__(self):
-        if self.weight < 1:
-            raise ValueError(f"twist node weight must be >= 1, got {self.weight}")
-
-
-# a normalized term is the twist-node-free special case of a raw term, so
-# normalize really is idempotent through this shared representation
-RawTerm = Union[Leaf, Node, AlphaNode]
-
-
-def normalize_term(t: RawTerm) -> Term:
-    """Push all explicit twist weights down to the leaf exponents."""
-    def push(u: RawTerm, w: int) -> Term:
-        if isinstance(u, Leaf):
-            return Leaf(u.name, u.exp + w)
-        if isinstance(u, Node):
-            return Node(push(u.left, w), push(u.right, w))
-        if isinstance(u, AlphaNode):
-            return push(u.child, w + u.weight)
-        raise TypeError(f"malformed raw term node: {u!r}")
-    return push(t, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -290,20 +258,12 @@ class LinComb:
         return sorted(self.terms.items(), key=lambda tc: sort_key(tc[0]))
 
     def generators(self) -> set[str]:
-        out: set[str] = set()
-        for t in self.terms:
-            out |= term_generators(t)
-        return out
+        return {lf.name for t in self.terms for lf in leaves(t)}
 
 
 def make_leaf(name: str, exp: int = 0) -> LinComb:
     """The coefficient-1 combination on the single leaf (name, exp)."""
     return LinComb.of_term(Leaf(name, exp))
-
-
-def normalize(t: RawTerm) -> LinComb:
-    """Normal form of a raw tree as a coefficient-1 combination."""
-    return LinComb.of_term(normalize_term(t))
 
 
 def grading(v: LinComb) -> set[tuple[int, int]]:
@@ -320,10 +280,7 @@ def rename(v: LinComb, mapping) -> LinComb:
         fn = mapping
     else:
         fn = lambda n: mapping.get(n, n)
-    occurring = set()
-    for t in v.terms:
-        occurring |= term_generators(t)
-    images = {n: fn(n) for n in occurring}
+    images = {n: fn(n) for n in v.generators()}
     if len(set(images.values())) != len(images):
         raise ValueError(f"generator relabeling is not injective: {images}")
 

@@ -151,6 +151,39 @@ def test_bad_generator_name_exits_2_without_traceback(gens, shown):
     assert out.stderr == f"error: generator name {shown} must match [A-Za-z_][A-Za-z0-9_]*'*\n"
 
 
+BIALG = "kind free-bialgebra\ngens a b\n"
+ALG = "kind poly\nvars t\n"
+
+
+# every refusal of a descriptor file names the line it refuses
+@pytest.mark.parametrize("command,text,line", [
+    (("verify", "m-coassoc", "--file"),
+     BIALG + "delta a = (a' * zz'')\ndelta b = (b' * b'')\n", 3),
+    (("verify", "m-coassoc", "--file"), BIALG + "delta a = (a' * a'')\ndelta b = b\n", 4),
+    (("verify", "m-coassoc", "--file"), BIALG + "gens a\ndelta a = (a' * a'')\n", 3),
+    (("verify", "m-coassoc", "--file"),
+     BIALG + "delta a = (a' * a'')\ndelta b = b'\ndelta a = a'\n", 5),
+    (("verify", "m-coassoc", "--file"), BIALG + "delta a = (a' * a''\n", 3),
+    (("verify", "m-coassoc", "--file"), "kind free-bialgebra\ngens a b@1\n", 2),
+    (("check", "algebra"), ALG + "vars s\n", 3),
+    (("check", "algebra"), ALG + "twist t = 2*t\ntwist t = t\n", 4),
+    (("check", "algebra"), ALG + "twist s = 2*s\n", 3),
+    (("check", "algebra"), ALG + "twist t = u\n", 3),
+    (("check", "algebra"), "kind poly\nvars t@1 s\n", 2),
+    (("verify", "twist", "--file"), "kind twist\nlambda 3\nphi_H b = 3*b\n", 3),
+    (("verify", "twist", "--file"), "kind twist\nphi_H q = 2*q\n", 2),
+    (("verify", "twist", "--file"), "kind twist\nphi_H a = a\nphi_H a = 2*a\n", 3),
+    (("verify", "envelope"), "names e1 e2@1\n", 1),
+])
+def test_malformed_descriptor_exits_2_naming_its_line(tmp_path, command, text, line):
+    f = tmp_path / "descriptor"
+    f.write_text(text)
+    out = run_cli(*command, str(f))
+    assert out.returncode == 2
+    assert f"line {line}" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_byte_identical_reports_across_runs():
     args = ("verify", "envelope", "--json", "--seed", "7")
     one = run_cli(*args)

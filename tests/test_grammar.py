@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from homalgebra.grammar import (TermSyntaxError, format_lincomb, format_term,
-                                parse_lincomb, parse_raw_term)
-from homalgebra.terms import (AlphaNode, Leaf, LinComb, Node, arity,
-                              make_leaf, random_lincomb)
+                                parse_lincomb)
+from homalgebra.terms import (Leaf, LinComb, Node, arity, make_leaf,
+                              random_lincomb)
 
 
 def test_parse_leaf_forms():
@@ -23,8 +23,9 @@ def test_parse_products_and_twist_nodes():
         LinComb.of_term(Node(Node(Leaf("x"), Leaf("y", 1)), Leaf("z")))
     # explicit twist node normalizes away
     assert parse_lincomb("(A 1 (x * y))") == make_leaf("x", 1) * make_leaf("y", 1)
-    raw = parse_raw_term("(A 2 (x * y))")
-    assert raw == AlphaNode(2, Node(Leaf("x"), Leaf("y")))
+    # nested twist nodes add their weights, and a product passes them to both factors
+    assert parse_lincomb("(A 2 (x * (A 1 y@3)))") == \
+        LinComb.of_term(Node(Leaf("x", 2), Leaf("y", 6)))
 
 
 def test_parse_leaf_named_A():

@@ -1,12 +1,13 @@
 """Term algebra: leaves, grafting, twist action, normalization, grading."""
 
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
 
-from homalgebra.terms import (AlphaNode, Leaf, LinComb, Node,
-                              grading, make_leaf, normalize, normalize_term,
+from homalgebra.grammar import format_term, parse_lincomb
+from homalgebra.terms import (Leaf, LinComb, Node, grading, make_leaf,
                               random_lincomb, rename, weight)
 
 
@@ -80,8 +81,29 @@ def test_arity_and_weight_grading_of_products():
 
 
 # ---------------------------------------------------------------------------
-# normalization: independent rewriting oracle
+# normalization: the parser against an independent rewriting oracle
 # ---------------------------------------------------------------------------
+
+# a raw tree: explicit twist nodes of weight >= 1 over leaves and products,
+# written in the grammar as (A k t)
+AlphaNode = namedtuple("AlphaNode", "weight child")
+
+
+def _render(t):
+    if isinstance(t, AlphaNode):
+        return f"(A {t.weight} {_render(t.child)})"
+    if isinstance(t, Node):
+        return f"({_render(t.left)} * {_render(t.right)})"
+    return format_term(t)
+
+
+def _parsed(t):
+    """The one term that the parser reads from the text of the raw tree ``t``."""
+    v = parse_lincomb(_render(t))
+    assert v.unit == 0 and list(v.terms.values()) == [1]
+    (term,) = v.terms
+    return term
+
 
 def _rewrite_once(t, choice):
     """Apply the single rewrite step at redex index ``choice`` (preorder);
@@ -154,18 +176,26 @@ def _random_raw(rng, depth):
     return Node(_random_raw(rng, depth - 1), _random_raw(rng, depth - 1))
 
 
+def _leftmost_normal_form(t):
+    while _count_redexes(t):
+        t = _rewrite_once(t, 0)
+    return t
+
+
 def test_normalize_single_step():
     raw = AlphaNode(1, Node(Leaf("x"), Leaf("y")))
-    assert normalize(raw) == make_leaf("x", 1) * make_leaf("y", 1)
+    assert _all_normal_forms(raw) == {_parsed(raw)}
+    assert parse_lincomb(_render(raw)) == make_leaf("x", 1) * make_leaf("y", 1)
 
 
 def test_normalize_idempotent_on_normal_forms():
     rng = random.Random(5)
     for _ in range(30):
         t = _random_raw(rng, 3)
-        n = normalize_term(t)
-        # a normalized term is a raw term with no twist nodes; renormalizing fixes it
-        assert normalize_term(n) == n
+        n = _parsed(t)
+        assert n == _leftmost_normal_form(t)
+        # a normal form is a raw tree with no twist nodes; parsing its text fixes it
+        assert _parsed(n) == n
 
 
 def test_normalize_weight_two_all_rule_orders():
@@ -175,14 +205,14 @@ def test_normalize_weight_two_all_rule_orders():
     assert len(forms) == 1
     expected = Node(Node(Leaf("x", 2), Leaf("y", 2)), Leaf("z", 3))
     assert forms == {expected}
-    assert normalize_term(raw) == expected
+    assert _parsed(raw) == expected
 
 
 def test_normalize_confluent_on_random_raw_terms():
     rng = random.Random(6)
     for _ in range(40):
         t = _random_raw(rng, 3)
-        reference = normalize_term(t)
+        reference = _parsed(t)
         # random rewrite order reaches the same normal form
         u = t
         while True:
@@ -194,10 +224,8 @@ def test_normalize_confluent_on_random_raw_terms():
 
 
 def test_malformed_raw_term_rejected():
-    with pytest.raises(ValueError):
-        AlphaNode(0, Leaf("x"))
-    with pytest.raises(TypeError):
-        normalize_term(("not", "a", "tree"))
+    with pytest.raises(ValueError, match="twist weight must be a positive integer"):
+        _parsed(AlphaNode(0, Leaf("x")))
 
 
 def test_grading_examples():
