@@ -154,6 +154,15 @@ def _load_free_bialgebra(path: str) -> FreeHomBialgebra:
                 raise ValueError(f"line {lineno}: expected kind free-bialgebra")
         elif head == "gens":
             gens = read_names(rest, lineno)
+            # the laws put a generator g in the legs g', g'' and g'''; a name
+            # that is also another generator's leg would merge two legs
+            legs = {}
+            for g in gens:
+                for leg in (g + "'", g + "''", g + "'''"):
+                    other = legs.setdefault(leg, g)
+                    if other != g:
+                        raise ValueError(f"line {lineno}: leg {leg!r} of {g!r} is"
+                                         f" also a leg of {other!r}")
         else:
             name, _ = read_keyed(rest, lineno, "delta", gens, images)
             # the image is parsed in its place in the file, so a syntax error

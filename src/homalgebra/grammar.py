@@ -15,6 +15,7 @@ unit component first, then terms ascending in the term order, ``@0`` omitted.
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 from .poly import parse_natural, parse_rational
 from .terms import NAME, Leaf, LinComb, Node, Term
@@ -34,15 +35,11 @@ class TermSyntaxError(ValueError):
         self.col = col
 
 
-_TOKEN_RE = re.compile(
-    rf"""
-    (?P<ws>\s+)
-  | (?P<rat>-?\d+(?:/\d+)?)
-  | (?P<name>{NAME.pattern})
-  | (?P<sym>[()*+@])
-    """,
-    re.VERBOSE,
-)
+# A token is a rational, a name or a symbol.  Their first characters differ,
+# so the first alternative that matches is the token.
+_TOKEN = re.compile(rf"-?\d+(?:/\d+)?|{NAME.pattern}|[()*+@]")
+_TOKENIZABLE = re.compile(rf"(?:\s|{_TOKEN.pattern})*")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz")  # of a NAME
 
 
 def _line_col(text: str, pos: int) -> tuple[int, int]:
@@ -50,125 +47,119 @@ def _line_col(text: str, pos: int) -> tuple[int, int]:
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise TermSyntaxError(f"unexpected character {text[pos]!r}", *_line_col(text, pos))
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
-    tokens.append(("eof", "", pos))
-    return tokens
+def _is_rational(token: str) -> bool:
+    return token[:1] == "-" or token[:1].isdecimal()
 
 
 class _Parser:
+    """Recursive descent over the token strings, ``""`` at the end of input;
+    ``i`` indexes the next token."""
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = _TOKEN.findall(text)
+        # findall skips what starts no token, so the tokens cover every
+        # non-space character unless one is unexpected, which wins over any
+        # grammar error
+        if len("".join(self.tokens)) != len("".join(text.split())):
+            pos = _TOKENIZABLE.match(text).end()
+            raise TermSyntaxError(f"unexpected character {text[pos]!r}",
+                                  *_line_col(text, pos))
+        self.tokens.append("")
         self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def error(self, message: str, index: int) -> TermSyntaxError:
+        """The error at token ``index``: only errors need token offsets."""
+        match = next(islice(_TOKEN.finditer(self.text), index, None), None)
+        pos = match.start() if match else len(self.text)
+        return TermSyntaxError(message, *_line_col(self.text, pos))
 
     def fail(self, message):
-        _, value, pos = self.peek()
-        shown = value or "end of input"
-        raise TermSyntaxError(f"{message}, got {shown!r}", *_line_col(self.text, pos))
+        shown = self.tokens[self.i] or "end of input"
+        raise self.error(f"{message}, got {shown!r}", self.i)
 
-    def expect(self, kind, value=None):
-        k, v, _ = self.peek()
-        if k != kind or (value is not None and v != value):
-            self.fail(f"expected {value or kind}")
-        return self.next()
+    def expect(self, token: str):
+        if self.tokens[self.i] != token:
+            self.fail(f"expected {token}")
+        self.i += 1
 
     def natural(self, what: str) -> int:
         """The next token, a string of digits, as a natural number."""
-        _, value, pos = self.next()
+        i = self.i
+        self.i = i + 1
         try:
-            return parse_natural(value, what)
+            return parse_natural(self.tokens[i], what)
         except ValueError as exc:
-            raise TermSyntaxError(str(exc), *_line_col(self.text, pos)) from None
+            raise self.error(str(exc), i) from None
 
     # term := leaf | "(" term "*" term ")" | "(" "A" NAT term ")"
     # ``shift`` is the twist weight of the enclosing ``(A k ...)`` nodes, which
     # every leaf below them carries in its exponent
     def term(self, depth: int = 0, shift: int = 0) -> Term:
-        kind, value, pos = self.peek()
-        if kind == "name":
-            self.next()
+        tokens, i = self.tokens, self.i
+        token = tokens[i]
+        if token[:1] in _NAME_START:
+            self.i = i + 1
             exp = 0
-            if self.peek()[0] == "sym" and self.peek()[1] == "@":
-                self.next()
-                k, v, _ = self.peek()
-                if k != "rat" or not v.isdigit():
+            if tokens[i + 1] == "@":
+                self.i = i + 2
+                if not tokens[i + 2].isdigit():
                     self.fail("expected a nonnegative exponent after '@'")
                 exp = self.natural("exponent")
-            return Leaf(value, exp + shift)
-        if kind == "sym" and value == "(":
-            if depth == MAX_TERM_DEPTH:
-                raise TermSyntaxError(f"term nested deeper than {MAX_TERM_DEPTH} parentheses",
-                                      *_line_col(self.text, pos))
-            self.next()
-            k, v, _ = self.peek()
-            if k == "name" and v == "A" and self.tokens[self.i + 1][0] == "rat":
-                self.next()
-                _, w, wpos = self.peek()
-                weight = self.natural("twist weight") if w.isdigit() else 0
-                if weight < 1:
-                    raise TermSyntaxError("twist weight must be a positive integer",
-                                          *_line_col(self.text, wpos))
-                child = self.term(depth + 1, shift + weight)
-                self.expect("sym", ")")
-                return child
-            left = self.term(depth + 1, shift)
-            self.expect("sym", "*")
-            right = self.term(depth + 1, shift)
-            self.expect("sym", ")")
-            return Node(left, right)
-        self.fail("expected a term")
+            return Leaf(token, exp + shift)
+        if token != "(":
+            self.fail("expected a term")
+        if depth == MAX_TERM_DEPTH:
+            raise self.error(f"term nested deeper than {MAX_TERM_DEPTH} parentheses", i)
+        self.i = i + 1
+        if tokens[i + 1] == "A" and _is_rational(tokens[i + 2]):
+            self.i = i + 2
+            weight = self.natural("twist weight") if tokens[i + 2].isdigit() else 0
+            if weight < 1:
+                raise self.error("twist weight must be a positive integer", i + 2)
+            child = self.term(depth + 1, shift + weight)
+            self.expect(")")
+            return child
+        left = self.term(depth + 1, shift)
+        self.expect("*")
+        right = self.term(depth + 1, shift)
+        self.expect(")")
+        return Node(left, right)
 
-    # lincomb := "0" | RATIONAL | part {"+" part}
+    # lincomb := "0" | RATIONAL | part {"+" part}, summed in one dict: a term
+    # whose coefficients cancel leaves it, as in a sum of LinCombs
     def lincomb(self) -> LinComb:
-        out = LinComb.zero()
+        tokens = self.tokens
+        unit, terms = 0, {}
         while True:
-            out = out + self.part()
-            kind, value, _ = self.peek()
-            if kind == "sym" and value == "+":
-                self.next()
-                continue
-            break
-        return out
-
-    def part(self) -> LinComb:
-        kind, value, _ = self.peek()
-        if kind == "rat":
-            self.next()
-            coeff = parse_rational(value, "coefficient")
-            k, v, _ = self.peek()
-            if k == "sym" and v == "*":
-                self.next()
-                return LinComb.of_term(self.term(), coeff)
-            return LinComb.scalar(coeff)
-        return LinComb.of_term(self.term())
-
-    def done(self):
-        if self.peek()[0] != "eof":
+            token = tokens[self.i]
+            coeff, term = 1, None
+            if _is_rational(token):
+                self.i += 1
+                coeff = parse_rational(token, "coefficient")
+                if tokens[self.i] == "*":
+                    self.i += 1
+                    term = self.term()
+                else:
+                    unit += coeff
+            else:
+                term = self.term()
+            if term is not None and coeff:
+                total = terms.get(term, 0) + coeff
+                if total:
+                    terms[term] = total
+                else:
+                    del terms[term]
+            if tokens[self.i] != "+":
+                break
+            self.i += 1
+        if tokens[self.i]:
             self.fail("trailing input")
+        return LinComb(unit, terms)
 
 
 def parse_lincomb(text: str) -> LinComb:
-    p = _Parser(text)
-    v = p.lincomb()
-    p.done()
-    return v
+    return _Parser(text).lincomb()
 
 
 def format_term(t: Term) -> str:

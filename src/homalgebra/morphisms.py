@@ -111,7 +111,8 @@ def evaluate(v: LinComb, m: MorphismAssignment, memo: dict | None = None):
     if v.unit:
         acc = target.add(acc, target.scale(v.unit, target.unit))
     for t, c in v.terms.items():
-        acc = target.add(acc, target.scale(c, of_term(t)))
+        value = of_term(t)
+        acc = target.add(acc, value if c == 1 else target.scale(c, value))
     return acc
 
 

@@ -13,7 +13,6 @@ All operations are pure functions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -49,24 +48,85 @@ def as_coeff(c) -> Coeff:
 # normalized terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Leaf:
+# A term computes its hash once, when it is built: the hash of its fields'
+# tuple, so a node reads its children's stored hashes and no dict lookup walks
+# a subtree.  Equality checks identity, then the stored hashes, then the fields.
+
+class _Frozen:
+    """Slotted and immutable: ``__init__`` sets the fields, nothing else can."""
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: terms are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: terms are immutable")
+
+
+class Leaf(_Frozen):
     """A generator occurrence ``name`` with twist exponent ``exp``."""
-    name: str
-    exp: int = 0
+    __slots__ = ("name", "exp", "_hash")
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name: str, exp: int = 0):
+        if not name:
             raise ValueError("leaf needs a generator name")
-        if self.exp < 0:
-            raise ValueError(f"leaf exponent must be >= 0, got {self.exp}")
+        if exp < 0:
+            raise ValueError(f"leaf exponent must be >= 0, got {exp}")
+        _set_name(self, name)
+        _set_exp(self, exp)
+        _set_leaf_hash(self, hash((name, exp)))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Leaf:
+            return NotImplemented
+        return (self._hash == other._hash and self.name == other.name
+                and self.exp == other.exp)
+
+    def __repr__(self):
+        return f"Leaf(name={self.name!r}, exp={self.exp!r})"
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Leaf, (self.name, self.exp)
 
 
-@dataclass(frozen=True)
-class Node:
-    """A planar product node: left subtree times right subtree."""
-    left: "Term"
-    right: "Term"
+class Node(_Frozen):
+    """A planar product node: left subtree times right subtree.
+
+    The children may be any hashable values (a test nests its own tree type).
+    """
+    __slots__ = ("left", "right", "_hash")
+
+    def __init__(self, left: "Term", right: "Term"):
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_node_hash(self, hash((left, right)))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Node:
+            return NotImplemented
+        return (self._hash == other._hash and self.left == other.left
+                and self.right == other.right)
+
+    def __repr__(self):
+        return f"Node(left={self.left!r}, right={self.right!r})"
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Node, (self.left, self.right)
+
+
+# the slot setters, which bypass the immutability guard while a term is built
+_set_name, _set_exp, _set_leaf_hash = (Leaf.__dict__[f].__set__ for f in Leaf.__slots__)
+_set_left, _set_right, _set_node_hash = (Node.__dict__[f].__set__ for f in Node.__slots__)
 
 
 Term = Union[Leaf, Node]

@@ -184,6 +184,21 @@ def test_malformed_descriptor_exits_2_naming_its_line(tmp_path, command, text, l
     assert "Traceback" not in out.stderr
 
 
+# the laws put each generator g in the legs g', g'' and g''': a generator
+# that is another's leg would merge two legs, so its gens line is refused
+@pytest.mark.parametrize("gens,delta,message", [
+    ("a a'", "delta a = (a' * a'')\ndelta a' = (a'' * a''')\n",
+     "leg \"a''\" of \"a'\" is also a leg of 'a'"),
+    ("b a a''", "", "leg \"a'''\" of \"a''\" is also a leg of 'a'"),
+])
+def test_colliding_legs_refused_at_gens_line(tmp_path, gens, delta, message):
+    f = tmp_path / "legs.bialg"
+    f.write_text(f"kind free-bialgebra\ngens {gens}\n{delta}")
+    out = run_cli("verify", "m-coassoc", "--file", str(f), "--max-arity", "2")
+    assert out.returncode == 2
+    assert out.stderr == f"error: line 2: {message}\n"
+
+
 def test_byte_identical_reports_across_runs():
     args = ("verify", "envelope", "--json", "--seed", "7")
     one = run_cli(*args)

@@ -1,14 +1,19 @@
-"""Grammar golden tests and print/parse roundtrips."""
+"""Grammar golden tests, print/parse roundtrips, and a differential test
+of the parser against a token-by-token reference."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from homalgebra.grammar import (TermSyntaxError, format_lincomb, format_term,
-                                parse_lincomb)
-from homalgebra.terms import (Leaf, LinComb, Node, arity, make_leaf,
-                              random_lincomb)
+from homalgebra.grammar import (MAX_TERM_DEPTH, TermSyntaxError,
+                                format_lincomb, format_term, parse_lincomb)
+from homalgebra.poly import parse_natural, parse_rational
+from homalgebra.terms import (NAME, Leaf, LinComb, Node, Term, arity,
+                              make_leaf, random_lincomb)
 
 
 def test_parse_leaf_forms():
@@ -95,3 +100,215 @@ def test_nesting_depth_guard():
     assert (err.value.line, err.value.col) == (1, 1 + 5 * MAX_TERM_DEPTH)
     with pytest.raises(TermSyntaxError):
         parse_lincomb("(A 1 " * (MAX_TERM_DEPTH + 1) + "x" + ")" * (MAX_TERM_DEPTH + 1))
+
+
+# ---------------------------------------------------------------------------
+# differential test: the parser against a reference that tokenizes one match
+# at a time, keeps every token's offset and sums a LinComb per part
+# ---------------------------------------------------------------------------
+
+
+_TOKEN_RE = re.compile(
+    rf"""
+    (?P<ws>\s+)
+  | (?P<rat>-?\d+(?:/\d+)?)
+  | (?P<name>{NAME.pattern})
+  | (?P<sym>[()*+@])
+    """,
+    re.VERBOSE,
+)
+
+
+def _line_col(text: str, pos: int) -> tuple[int, int]:
+    """The 1-based line and column of offset ``pos``."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
+def _tokenize(text: str):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m:
+            raise TermSyntaxError(f"unexpected character {text[pos]!r}", *_line_col(text, pos))
+        if m.lastgroup != "ws":
+            tokens.append((m.lastgroup, m.group(), pos))
+        pos = m.end()
+    tokens.append(("eof", "", pos))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def next(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def fail(self, message):
+        _, value, pos = self.peek()
+        shown = value or "end of input"
+        raise TermSyntaxError(f"{message}, got {shown!r}", *_line_col(self.text, pos))
+
+    def expect(self, kind, value=None):
+        k, v, _ = self.peek()
+        if k != kind or (value is not None and v != value):
+            self.fail(f"expected {value or kind}")
+        return self.next()
+
+    def natural(self, what: str) -> int:
+        """The next token, a string of digits, as a natural number."""
+        _, value, pos = self.next()
+        try:
+            return parse_natural(value, what)
+        except ValueError as exc:
+            raise TermSyntaxError(str(exc), *_line_col(self.text, pos)) from None
+
+    # term := leaf | "(" term "*" term ")" | "(" "A" NAT term ")"
+    # ``shift`` is the twist weight of the enclosing ``(A k ...)`` nodes, which
+    # every leaf below them carries in its exponent
+    def term(self, depth: int = 0, shift: int = 0) -> Term:
+        kind, value, pos = self.peek()
+        if kind == "name":
+            self.next()
+            exp = 0
+            if self.peek()[0] == "sym" and self.peek()[1] == "@":
+                self.next()
+                k, v, _ = self.peek()
+                if k != "rat" or not v.isdigit():
+                    self.fail("expected a nonnegative exponent after '@'")
+                exp = self.natural("exponent")
+            return Leaf(value, exp + shift)
+        if kind == "sym" and value == "(":
+            if depth == MAX_TERM_DEPTH:
+                raise TermSyntaxError(f"term nested deeper than {MAX_TERM_DEPTH} parentheses",
+                                      *_line_col(self.text, pos))
+            self.next()
+            k, v, _ = self.peek()
+            if k == "name" and v == "A" and self.tokens[self.i + 1][0] == "rat":
+                self.next()
+                _, w, wpos = self.peek()
+                weight = self.natural("twist weight") if w.isdigit() else 0
+                if weight < 1:
+                    raise TermSyntaxError("twist weight must be a positive integer",
+                                          *_line_col(self.text, wpos))
+                child = self.term(depth + 1, shift + weight)
+                self.expect("sym", ")")
+                return child
+            left = self.term(depth + 1, shift)
+            self.expect("sym", "*")
+            right = self.term(depth + 1, shift)
+            self.expect("sym", ")")
+            return Node(left, right)
+        self.fail("expected a term")
+
+    # lincomb := "0" | RATIONAL | part {"+" part}
+    def lincomb(self) -> LinComb:
+        out = LinComb.zero()
+        while True:
+            out = out + self.part()
+            kind, value, _ = self.peek()
+            if kind == "sym" and value == "+":
+                self.next()
+                continue
+            break
+        return out
+
+    def part(self) -> LinComb:
+        kind, value, _ = self.peek()
+        if kind == "rat":
+            self.next()
+            coeff = parse_rational(value, "coefficient")
+            k, v, _ = self.peek()
+            if k == "sym" and v == "*":
+                self.next()
+                return LinComb.of_term(self.term(), coeff)
+            return LinComb.scalar(coeff)
+        return LinComb.of_term(self.term())
+
+    def done(self):
+        if self.peek()[0] != "eof":
+            self.fail("trailing input")
+
+
+def reference_parse_lincomb(text: str) -> LinComb:
+    p = _Parser(text)
+    v = p.lincomb()
+    p.done()
+    return v
+
+
+def _outcome(parse, text):
+    """What ``parse`` makes of ``text``: the combination with its terms in
+    order, or the error with its message, line and column."""
+    try:
+        v = parse(text)
+    except TermSyntaxError as exc:
+        return "syntax error", str(exc), exc.line, exc.col
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+    return "value", v.unit, list(v.terms.items())
+
+
+BIG = "9" * 1001   # one digit above the size bounds of naturals and coefficients
+
+
+def _mostly(good, bad):
+    """Mostly one of ``good``, sometimes one of ``bad``."""
+    return st.sampled_from(good * 3 + bad)
+
+
+NATURALS = _mostly(["0", "1", "2", "12", "007", "1" * 1000], [BIG, "-1", "3/2", "y", ""])
+WEIGHTS = _mostly(["1", "2", "12", "1" * 1000], ["0", BIG, "-1", "3/2", "x", "A", ""])
+COEFFS = _mostly(["2", "-1", "3/2", "-4/6", "0", "12/4"], ["1/0", BIG, "-" + BIG, "1" * 400])
+NAMES = st.sampled_from(["x", "y1", "A", "a'", "b''", "_z", "A'"])
+LEAVES = st.one_of(NAMES, NAMES, st.builds("{}@{}".format, NAMES, NATURALS))
+TERMS = st.recursive(LEAVES, lambda kids: st.one_of(
+    st.builds("({} * {})".format, kids, kids),
+    st.builds("(A {} {})".format, WEIGHTS, kids)), max_leaves=8)
+PARTS = st.one_of(TERMS, COEFFS, st.builds("{} * {}".format, COEFFS, TERMS))
+SPACES = st.sampled_from([" ", " ", "", "\n", "\t", " \n\t "])
+STRAY = st.sampled_from(list("#-/'.,;*()+@ \n\t") + ["\u00e9", "\u0663", "\u00b2", "\x0b"])
+
+
+@st.composite
+def texts(draw):
+    """A combination, respaced and maybe mutated, placed on a later line and
+    column as a descriptor file's delta image is."""
+    # a few terms, each maybe repeated with another coefficient: a term whose
+    # coefficients cancel and which comes back must keep the reference's place
+    terms = st.sampled_from(draw(st.lists(TERMS, min_size=1, max_size=3)))
+    parts = st.one_of(terms, st.builds("{} * {}".format, COEFFS, terms), PARTS)
+    text = " + ".join(draw(st.lists(parts, min_size=1, max_size=6)))
+    text = "".join(piece + draw(SPACES) for piece in text.split(" "))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        pos = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 1))
+        text = text[:pos] + draw(st.one_of(st.just(""), STRAY)) + text[pos + cut:]
+    lineno, indent = draw(st.integers(1, 4)), draw(st.integers(0, 9))
+    return "\n" * (lineno - 1) + " " * indent + text
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(texts())
+@example("x + -1 * x + y + 2 * x")        # a cancelled term comes back last
+@example("(x * ) + \n\t(y # z)")           # an unexpected character wins
+@example("\n\n   2 * (x * y) + 1/0")
+def test_parser_matches_reference(text):
+    assert _outcome(parse_lincomb, text) == _outcome(reference_parse_lincomb, text)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(["(x * ", "(A 1 ", "(A 2 "]),
+                min_size=MAX_TERM_DEPTH - 2, max_size=MAX_TERM_DEPTH + 2),
+       st.sampled_from(["", "#", " + x", ")"]))
+def test_deep_nesting_matches_reference(openers, tail):
+    text = "".join(openers) + "y@1" + ")" * len(openers) + tail
+    assert _outcome(parse_lincomb, text) == _outcome(reference_parse_lincomb, text)

@@ -249,3 +249,55 @@ def test_term_order_is_total_on_window():
     keys = [sort_key(t) for t in terms]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
+
+
+# ---------------------------------------------------------------------------
+# the term contract: hashes of the fields' tuples, computed once
+# ---------------------------------------------------------------------------
+
+def test_term_hashes_are_the_fields_tuples():
+    x1, y = Leaf("x", 1), Leaf("y")
+    assert hash(x1) == hash(("x", 1)) and hash(y) == hash(("y", 0))
+    t = Node(x1, Node(y, x1))
+    assert hash(t) == hash((x1, Node(y, x1)))
+    # a child of another hashable type is hashed as it is
+    raw = Node(AlphaNode(2, x1), y)
+    assert hash(raw) == hash((AlphaNode(2, x1), y))
+
+
+def test_independently_built_terms_are_equal():
+    def build():
+        return Node(Node(Leaf("x"), Leaf("y", 2)), Leaf("x", 1))
+    one, two = build(), build()
+    assert one is not two and one == two and hash(one) == hash(two)
+    assert {one: 1}[two] == 1
+    assert one != Node(Node(Leaf("x"), Leaf("y", 1)), Leaf("x", 1))
+    assert Leaf("x") != Node(Leaf("x"), Leaf("x"))
+    assert Node(Leaf("x"), Leaf("x")) != Leaf("x")
+    assert Leaf("x") != ("x", 0)
+
+
+def test_terms_are_immutable():
+    t = Node(Leaf("x"), Leaf("y"))
+    for obj, field in ((t, "left"), (t.left, "name"), (t.left, "exp"), (t, "other")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, Leaf("z"))
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+    assert t == Node(Leaf("x"), Leaf("y"))
+    assert repr(t) == "Node(left=Leaf(name='x', exp=0), right=Leaf(name='y', exp=0))"
+
+
+def test_leaf_validation_messages():
+    with pytest.raises(ValueError, match="^leaf needs a generator name$"):
+        Leaf("")
+    with pytest.raises(ValueError, match="^leaf exponent must be >= 0, got -1$"):
+        Leaf("x", -1)
+
+
+def test_deep_term_hashes_without_recursion():
+    t = Leaf("x")
+    for k in range(10_000):
+        t = Node(Leaf("y", k % 3), t)
+    assert hash(t) == hash((t.left, t.right))
+    assert t in {t}
