@@ -97,7 +97,7 @@ class _Carrier:
         return [(g, self.element(g)) for g in self.gens]
 
     def twist_samples(self) -> list:
-        """Default elements of the comultiplicativity law."""
+        """The elements of the comultiplicativity law."""
         return self.generators()
 
     def twist_into(self, g: str, tag: str):
@@ -309,34 +309,32 @@ def check_hom_coassoc(B, elements=None, bound: Bound = Bound(3, 1),
         B, B.delta, left, right, elements or B.generators(), decide))
 
 
-def check_comultiplicative(B, elements=None) -> LawReport:
+def check_comultiplicative(B) -> LawReport:
     """Compatibility of the twist with the comultiplication (exact)."""
     return law_report("comultiplicativity", B.context, B.fmt, (
         (label, B.delta(B.alpha(e)), B.tensor_alpha(B.delta(e)), exact)
-        for label, e in elements or B.twist_samples()))
+        for label, e in B.twist_samples()))
 
 
-def check_delta_is_morphism(B, pairs=None, bound: Bound = Bound(3, 1),
+def check_delta_is_morphism(B, bound: Bound = Bound(3, 1),
                             config: SaturationConfig = SaturationConfig(unit_instances=False),
                             basis=None, seed: int = 9) -> LawReport:
     """The comultiplication respects products (free: modulo the congruence)."""
     decide, context = B.oracle(_tagged(B.gens, "'", "''"), bound, config, basis)
     return law_report("comultiplication_is_algebra_morphism", context, B.fmt, (
         (label, B.delta(B.mul(u, v)), B.tensor_mul(B.delta(u), B.delta(v)), decide)
-        for label, u, v in pairs or B.pairs(seed)))
+        for label, u, v in B.pairs(seed)))
 
 
-def check_comodule(C, elements=None, bound: Bound = Bound(3, 1),
-                   config: SaturationConfig = SaturationConfig(),
-                   basis: Optional[RelationBasis] = None) -> LawReport:
+def check_comodule(C, bound: Bound = Bound(3, 1),
+                   config: SaturationConfig = SaturationConfig()) -> LawReport:
     """The twisted comodule law (Delta (x) alpha) rho = (alpha (x) rho) rho.
 
     Both composites land in the bialgebra legs ' and '' next to the bare
     carrier generators.
     """
     H = C.H
-    decide, context = C.oracle(_tagged(H.gens, "'", "''") + list(C.gens),
-                               bound, config, basis)
+    decide, context = C.oracle(_tagged(H.gens, "'", "''") + list(C.gens), bound, config)
     delta_alpha = {**_keyed(H.delta_at("'", "''"), "'"),
                    **{x: C.twist_into(x, "") for x in C.gens}}
     alpha_rho = {**{h + "'": H.twist_into(h, "'") for h in H.gens},
@@ -345,10 +343,10 @@ def check_comodule(C, elements=None, bound: Bound = Bound(3, 1),
                    else (delta_alpha, alpha_rho))
     return law_report("comodule_law", context, C.fmt, _composite_cases(
         C, partial(C.coaction, h_tag="'", a_tag=""), left, right,
-        elements or C.generators(), decide))
+        C.generators(), decide))
 
 
-def check_comodule_homalgebra(C, pairs=None, bound: Bound = Bound(3, 1),
+def check_comodule_homalgebra(C, bound: Bound = Bound(3, 1),
                               config: SaturationConfig = SaturationConfig(unit_instances=False),
                               seed: int = 13) -> LawReport:
     """The coaction respects products and the twist."""
@@ -356,7 +354,7 @@ def check_comodule_homalgebra(C, pairs=None, bound: Bound = Bound(3, 1),
                                bound, config)
 
     def cases():
-        for label, u, v in pairs or C.pairs(seed):
+        for label, u, v in C.pairs(seed):
             yield (f"product {label}", C.coaction(C.mul(u, v)),
                    C.tensor_mul(C.coaction(u), C.coaction(v)), decide)
             yield (f"twist {label}", C.coaction(C.alpha(u)),

@@ -40,8 +40,8 @@ from .homlie import (affine_line_twisted, bracket_sides,
                      load_hom_lie)
 from .morphisms import FreeAlgebraHandle
 from .poly import (MAX_POLY_SIZE, Poly, PolyEndo, on_line, parse_poly,
-                   parse_rational, read_directives, read_keyed, read_names,
-                   require_bounded_twist)
+                   parse_rational, read_directives, read_keyed, read_leg_names,
+                   read_names, require_bounded_twist)
 from .reports import dump_json, render_text, report_document
 import random
 
@@ -153,16 +153,7 @@ def _load_free_bialgebra(path: str) -> FreeHomBialgebra:
             if rest != "free-bialgebra":
                 raise ValueError(f"line {lineno}: expected kind free-bialgebra")
         elif head == "gens":
-            gens = read_names(rest, lineno)
-            # the laws put a generator g in the legs g', g'' and g'''; a name
-            # that is also another generator's leg would merge two legs
-            legs = {}
-            for g in gens:
-                for leg in (g + "'", g + "''", g + "'''"):
-                    other = legs.setdefault(leg, g)
-                    if other != g:
-                        raise ValueError(f"line {lineno}: leg {leg!r} of {g!r} is"
-                                         f" also a leg of {other!r}")
+            gens = read_leg_names(rest, lineno)
         else:
             name, _ = read_keyed(rest, lineno, "delta", gens, images)
             # the image is parsed in its place in the file, so a syntax error

@@ -25,7 +25,7 @@ from .bialgebras import (_equal_mod_or_outside, _FreeCarrier,
                          check_hom_coassoc, coassoc_composites, exact,
                          law_report)
 from .congruence import Bound, SaturationConfig, saturate
-from .poly import on_line, parse_poly, read_directives, read_keyed, read_names
+from .poly import on_line, parse_poly, read_directives, read_keyed, read_leg_names
 from .reports import LawReport
 from .terms import Coeff, Leaf, LinComb, as_coeff, make_leaf, weight
 
@@ -200,6 +200,8 @@ def direct_sum(parts, tags) -> HomLieAlgebra:
     names = []
     for L, tag in zip(parts, tags):
         names.extend(n + tag for n in L.names)
+    if len(set(names)) != len(names):
+        raise ValueError(f"tagged basis names collide: {names}")
     total = len(names)
     table = [[(0,) * total for _ in range(total)] for _ in range(total)]
     mat = [[0] * total for _ in range(total)]
@@ -227,10 +229,9 @@ class EnvelopeModel:
     """Window model of the unital envelope: index-leaf trees modulo the
     saturated relation rows (associators, bracket relations, twist closure)."""
 
-    def __init__(self, L: HomLieAlgebra, basis, unit_instances: bool):
+    def __init__(self, L: HomLieAlgebra, basis):
         self.L = L
         self.basis = basis
-        self.unit_instances = unit_instances
 
     def gen(self, name: str) -> LinComb:
         if name not in self.L.names:
@@ -297,7 +298,7 @@ def envelope(L: HomLieAlgebra, max_arity: int = 3, unit_instances: bool = True) 
     config = SaturationConfig(unit_instances=unit_instances,
                               extra_relations=tuple(bracket_relations(L)))
     basis = saturate(L.names, Bound(max_arity, 0), config, _twist_images(L))
-    return EnvelopeModel(L, basis, unit_instances)
+    return EnvelopeModel(L, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +401,7 @@ def load_hom_lie(text: str) -> HomLieAlgebra:
         if head == "dim":
             dim = on_line(lineno, int, rest)
         elif head == "names":
-            names = read_names(rest, lineno)
+            names = read_leg_names(rest, lineno)
         elif names is None:
             raise ValueError(f"line {lineno}: names must come before "
                              + ("brackets" if head == "bracket" else "alpha"))

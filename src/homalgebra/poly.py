@@ -413,6 +413,19 @@ def read_names(rest: str, lineno: int) -> tuple[str, ...]:
     return names
 
 
+def read_leg_names(rest: str, lineno: int) -> tuple[str, ...]:
+    """``read_names``, refusing a name that is also another name's tensor
+    leg: the laws tag each generator g into the legs g', g'' and g'''."""
+    names = read_names(rest, lineno)
+    legs = {}
+    for g in names:
+        for leg in (g + "'", g + "''", g + "'''"):
+            if legs.setdefault(leg, g) != g:
+                raise ValueError(f"line {lineno}: leg {leg!r} of {g!r} is"
+                                 f" also a leg of {legs[leg]!r}")
+    return names
+
+
 def read_keyed(rest: str, lineno: int, head: str, keys, done) -> tuple[str, str]:
     """``(key, image)`` of a ``head KEY = IMAGE`` line: the key is one of
     ``keys`` and not yet in ``done``."""

@@ -199,6 +199,15 @@ def test_colliding_legs_refused_at_gens_line(tmp_path, gens, delta, message):
     assert out.stderr == f"error: line 2: {message}\n"
 
 
+def test_colliding_legs_refused_at_names_line(tmp_path):
+    # the envelope laws tag e into e'' and e' into e'' too
+    f = tmp_path / "legs.homlie"
+    f.write_text("dim 2\nnames e e'\nalpha e = e\n")
+    out = run_cli("verify", "envelope", str(f))
+    assert out.returncode == 2
+    assert out.stderr == "error: line 2: leg \"e''\" of \"e'\" is also a leg of 'e'\n"
+
+
 def test_byte_identical_reports_across_runs():
     args = ("verify", "envelope", "--json", "--seed", "7")
     one = run_cli(*args)
@@ -444,3 +453,16 @@ def test_golden_report_digest(tmp_path, argv, code, digest):
                          capture_output=True, cwd=ROOT)
     assert out.returncode == code, out.stderr
     assert hashlib.sha256(out.stdout).hexdigest() == digest
+
+
+# the benchmark's reference invocations, at the default windows the golden
+# cases leave out: exit code and JSON bytes, read from the file only
+REFERENCE = json.loads((ROOT / "perfbench" / "reference.json").read_text())["suites"]
+
+
+@pytest.mark.parametrize("inv", REFERENCE, ids=[inv["kind"] for inv in REFERENCE])
+def test_benchmark_reference_invocation(inv):
+    out = subprocess.run([sys.executable, "-m", "homalgebra.cli", *inv["argv"], "--json"],
+                         capture_output=True, cwd=ROOT)
+    assert out.returncode == inv["exit_code"], out.stderr
+    assert hashlib.sha256(out.stdout).hexdigest() == inv["sha256"]

@@ -588,7 +588,10 @@ def random_vectors(basis, rng, n=50):
 
 # the envelope windows (the first three) have a client twist and extra
 # relations, so they keep echelon rows
-CLASS_WINDOWS = BENCHMARK_WINDOWS[3:] + [(["x"], Bound(8, 1)), (["x", "y"], Bound(4, 1))]
+CLASS_WINDOWS = BENCHMARK_WINDOWS[3:] + [(["x"], Bound(8, 1)), (["x", "y"], Bound(4, 1))] + [
+    # windows where a twist step makes links before any product does,
+    # non-unital: the echelon reference keeps that step
+    (["x"], Bound(5, 3)), (["x", "y"], Bound(4, 3))]
 
 
 @pytest.mark.parametrize("config", [NON_UNITAL, UNITAL], ids=["non-unital", "unital"])
@@ -602,6 +605,28 @@ def test_column_classes_match_echelon_rows(gens, bound, config):
     assert basis.arity_counts() == reference.arity_counts()
     for v in random_vectors(basis, random.Random(len(gens) * 100 + bound.max_arity)):
         assert exact_items(basis.reduce(v)) == exact_items(reference.reduce(v))
+
+
+# ---------------------------------------------------------------------------
+# the unit collapse, without the echelon reference
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("gens,bound", [
+    (["x"], Bound(6, 1)), (["x", "y"], Bound(4, 2)), (["x", "y", "z"], Bound(3, 1))])
+def test_unital_classes_are_words(gens, bound):
+    # u ~ alpha(u) and the associators leave a term its word (its leaf names
+    # in order): with room for one twist, each column's root is the first
+    # column with its word
+    root, first = saturate(gens, bound, UNITAL)._store.root, {}
+    for col, t in enumerate(enumerate_terms(gens, bound), 1):
+        assert root[col] == first.setdefault(tuple(lf.name for lf in leaves(t)), col)
+
+
+@pytest.mark.parametrize("gens,bound", [(["x", "y"], Bound(4, 0)), (["x", "y", "z"], Bound(3, 0))])
+def test_unital_classes_need_exponents(gens, bound):
+    # without exponents every twist escapes, and no unit instance fits
+    unital, non_unital = saturate(gens, bound, UNITAL), saturate(gens, bound, NON_UNITAL)
+    assert unital._store.root == non_unital._store.root
 
 
 @functools.cache

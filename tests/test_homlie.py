@@ -138,6 +138,13 @@ def test_direct_sum_blocks():
     assert check_hom_lie(D).passed
 
 
+def test_direct_sum_refuses_colliding_tagged_names():
+    # e in the second leg and e' in the first are both e''
+    L = abelian_hom_lie(("e", "e'"))
+    with pytest.raises(ValueError, match="collide"):
+        direct_sum([L, L], ["'", "''"])
+
+
 def test_cross_leg_commutation_in_doubled_envelope():
     L = affine_line_twisted()
     D = direct_sum([L, L], ["'", "''"])
