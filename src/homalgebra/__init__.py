@@ -30,11 +30,11 @@ from .bialgebras import (FreeComoduleAlgebra, FreeHomBialgebra,
                          lambda_scaling_pair, m_bialgebra,
                          representability_check, twist_comodule,
                          yau_twist_bialgebra)
-from .homlie import (EnvelopeBialgebra, EnvelopeModel, HomLieAlgebra,
-                     abelian_hom_lie, affine_line_twisted, bracket_relations,
-                     bracket_sides, check_envelope_bialgebra, check_hom_lie,
-                     commutator_checks, direct_sum, envelope,
-                     hom_lie_algebra, load_hom_lie, twist_hom_lie)
+from .homlie import (EnvelopeBialgebra, HomLieAlgebra, abelian_hom_lie,
+                     affine_line_twisted, bracket_relations, bracket_sides,
+                     check_envelope_bialgebra, check_hom_lie, commutator_checks,
+                     dimension_report, direct_sum, envelope, hom_lie_algebra,
+                     load_hom_lie, twist_hom_lie)
 from .reports import LawItem, LawReport, dump_json, render_text, report_document
 
 __version__ = "0.1.0"

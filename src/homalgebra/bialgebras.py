@@ -89,8 +89,9 @@ class _Carrier:
     ``tensor_alpha`` those of the doubled carrier the comultiplication or
     coaction lands in; ``retag`` moves an element into a tensor leg and
     ``compose`` extends a generator assignment to an element;
-    ``oracle(gens, bound, config, basis)`` returns ``decide(lhs, rhs)`` for
-    the window on ``gens`` with the report context, and ``fmt`` prints.
+    ``oracle(gens, bound, config)`` saturates the window on ``gens`` and
+    returns its ``decide(lhs, rhs)`` with the report context, and ``fmt``
+    prints.
     """
 
     def generators(self) -> list:
@@ -129,10 +130,8 @@ class _FreeCarrier(_Carrier):
         return evaluate(v, MorphismAssignment(_FREE_TARGET, images))
 
     @staticmethod
-    def oracle(gens, bound: Bound, config: SaturationConfig,
-               basis: Optional[RelationBasis] = None):
-        if basis is None:
-            basis = saturate(gens, bound, config)
+    def oracle(gens, bound: Bound, config: SaturationConfig):
+        basis = saturate(gens, bound, config)
         return partial(_equal_mod_or_outside, basis), basis.describe()
 
     def delta(self, v: LinComb, t1: str = "'", t2: str = "''") -> LinComb:
@@ -173,7 +172,7 @@ class _PolyCarrier(_Carrier):
     def compose(p: Poly, images: dict) -> Poly:
         return p.substitute(images)
 
-    def oracle(self, gens, bound, config, basis=None):
+    def oracle(self, gens, bound, config):
         return exact, self.context
 
     def pairs(self, seed: int) -> list:
@@ -296,14 +295,13 @@ def _composite_cases(C, first, left: dict, right: dict, elements, decide):
 
 
 def check_hom_coassoc(B, elements=None, bound: Bound = Bound(3, 1),
-                      config: SaturationConfig = SaturationConfig(),
-                      basis: Optional[RelationBasis] = None) -> LawReport:
+                      config: SaturationConfig = SaturationConfig()) -> LawReport:
     """Twisted coassociativity (Delta (x) alpha) Delta = (alpha (x) Delta) Delta.
 
     Both composites land in the triple-tagged legs; a free carrier compares
     them by the oracle on that window, a concrete one exactly.
     """
-    decide, context = B.oracle(_tagged(B.gens, "'", "''", "'''"), bound, config, basis)
+    decide, context = B.oracle(_tagged(B.gens, "'", "''", "'''"), bound, config)
     left, right = coassoc_composites(B)
     return law_report("hom_coassociativity", context, B.fmt, _composite_cases(
         B, B.delta, left, right, elements or B.generators(), decide))
@@ -318,9 +316,9 @@ def check_comultiplicative(B) -> LawReport:
 
 def check_delta_is_morphism(B, bound: Bound = Bound(3, 1),
                             config: SaturationConfig = SaturationConfig(unit_instances=False),
-                            basis=None, seed: int = 9) -> LawReport:
+                            seed: int = 9) -> LawReport:
     """The comultiplication respects products (free: modulo the congruence)."""
-    decide, context = B.oracle(_tagged(B.gens, "'", "''"), bound, config, basis)
+    decide, context = B.oracle(_tagged(B.gens, "'", "''"), bound, config)
     return law_report("comultiplication_is_algebra_morphism", context, B.fmt, (
         (label, B.delta(B.mul(u, v)), B.tensor_mul(B.delta(u), B.delta(v)), decide)
         for label, u, v in B.pairs(seed)))

@@ -20,11 +20,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import partial
 
 from .algebras import (PreconditionError, check_hom_associative,
                        check_multiplicative, check_unital, matrix_algebra,
                        poly_algebra, q_poly_algebra, yau_twist_algebra)
 from .bialgebras import (MATRIX_LAYOUT, PLANE_GENS, FreeHomBialgebra,
+                         _equal_mod_or_outside,
                          check_comodule, check_comodule_homalgebra,
                          check_delta_is_morphism,
                          check_hom_coassoc, check_comultiplicative,
@@ -36,8 +38,8 @@ from .congruence import (Bound, ResourceCapError,
                          SaturationConfig, saturate)
 from .grammar import TermSyntaxError, format_lincomb, parse_lincomb
 from .homlie import (affine_line_twisted, bracket_sides,
-                     check_envelope_bialgebra, check_hom_lie, envelope,
-                     load_hom_lie)
+                     check_envelope_bialgebra, check_hom_lie, dimension_report,
+                     envelope, load_hom_lie)
 from .morphisms import FreeAlgebraHandle
 from .poly import (MAX_POLY_SIZE, Poly, PolyEndo, on_line, parse_poly,
                    parse_rational, read_directives, read_keyed, read_leg_names,
@@ -261,15 +263,15 @@ def run_envelope(args):
     else:
         L = affine_line_twisted()
     reports = [check_hom_lie(L)]
-    model = envelope(L, max_arity=min(args.max_arity, 2),
+    basis = envelope(L, max_arity=min(args.max_arity, 2),
                      unit_instances=not args.non_unital)
-    reports.append(law_report("bracket_relations", model.basis.describe(), format_lincomb,
-                              ((label, u, rhs, model.decide)
-                               for label, u, rhs in bracket_sides(L))))
+    decide = partial(_equal_mod_or_outside, basis)
+    reports.append(law_report("bracket_relations", basis.describe(), format_lincomb,
+                              ((label, u, rhs, decide) for label, u, rhs in bracket_sides(L))))
     reports.extend(check_envelope_bialgebra(L, max_arity=args.max_arity,
                                             unit_instances=not args.non_unital))
     extra = {"hom_lie": list(L.names),
-             "residual_dimensions": {str(k): v for k, v in model.dimension_report().items()}}
+             "residual_dimensions": {str(k): v for k, v in dimension_report(basis).items()}}
     return reports, extra
 
 

@@ -50,7 +50,8 @@ def as_coeff(c) -> Coeff:
 
 # A term computes its hash once, when it is built: the hash of its fields'
 # tuple, so a node reads its children's stored hashes and no dict lookup walks
-# a subtree.  Equality checks identity, then the stored hashes, then the fields.
+# a subtree.  Equality checks identity, then the stored hashes, then the fields
+# (a node's children on an explicit stack).
 
 class _Frozen:
     """Slotted and immutable: ``__init__`` sets the fields, nothing else can."""
@@ -111,8 +112,23 @@ class Node(_Frozen):
             return True
         if other.__class__ is not Node:
             return NotImplemented
-        return (self._hash == other._hash and self.left == other.left
-                and self.right == other.right)
+        if self._hash != other._hash:
+            return False
+        # equal-hash node pairs on an explicit stack, so that deep spines
+        # compare without recursion
+        stack = [(self, other)]
+        while stack:
+            u, v = stack.pop()
+            for x, y in ((u.left, v.left), (u.right, v.right)):
+                if x is y:
+                    continue
+                if x.__class__ is Node and y.__class__ is Node:
+                    if x._hash != y._hash:
+                        return False
+                    stack.append((x, y))
+                elif not x == y:
+                    return False
+        return True
 
     def __repr__(self):
         return f"Node(left={self.left!r}, right={self.right!r})"

@@ -208,6 +208,18 @@ def test_colliding_legs_refused_at_names_line(tmp_path):
     assert out.stderr == "error: line 2: leg \"e''\" of \"e'\" is also a leg of 'e'\n"
 
 
+def test_hom_lie_failure_text(tmp_path):
+    f = tmp_path / "jacobi.homlie"
+    f.write_text("names a b c\nbracket a b = c\nbracket b c = a + 2*b\nbracket a c = 1/2*b\n")
+    out = run_cli("verify", "envelope", str(f))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == ("precondition failed: not a multiplicative Hom-Lie algebra: "
+                          "hom-Jacobi fails at (a, b, c): 2*c; "
+                          "hom-Jacobi fails at (a, c, b): -2*c; "
+                          "hom-Jacobi fails at (b, a, c): -2*c\n")
+
+
 def test_byte_identical_reports_across_runs():
     args = ("verify", "envelope", "--json", "--seed", "7")
     one = run_cli(*args)
@@ -423,6 +435,9 @@ GOLDEN_FILES = {
                   "\n"
                   "phi_A x = x\nphi_A y = 1/2*y  # the plane follows c\n"),
     "abelian.homlie": "names e1 e2\nalpha e1 = 2*e1\nalpha e2 = e2\n",
+    "sl2tw.homlie": ("names h e f\nbracket h e = 4*e\nbracket h f = -f\nbracket e f = h\n"
+                     "alpha e = 2*e\nalpha f = 1/2*f\n"),
+    "heis.homlie": "names x y z\nbracket x y = z\nalpha x = x + y\n",
 }
 
 # sha256 of the ``--json`` stdout bytes, and the exit code
@@ -441,6 +456,14 @@ GOLDEN = [
      "dad975baaaee27a34f52fd4d063879a196b4f3c206c5cc504edc6087306e0cc7"),
     (("verify", "envelope", "abelian.homlie"), 0,
      "78b25eb731be6ca61fb18888fd5fcb70112bdd13c1f21bbfa07d703b789ffe35"),
+    (("verify", "envelope", "sl2tw.homlie"), 0,
+     "9c627180f7186cc69aa6e453a1fbe1506895f30fe25fdb25dff03eaed396abfc"),
+    (("verify", "envelope", "sl2tw.homlie", "--non-unital"), 0,
+     "fdde0a7c877fc037372773c5df42d9419352d82dd249c0da361981ee0a395f01"),
+    (("verify", "envelope", "heis.homlie"), 0,
+     "f64019a0d1d776b4aa120edbbb82f60060f7f13f6e9dc6b63a04eae134fbee91"),
+    (("verify", "envelope", "heis.homlie", "--non-unital"), 0,
+     "9f2e0ce0365d0a84d7a01aebfb1cce9e096f80ac182bbfbf1587f9557ed9153e"),
 ]
 
 

@@ -17,9 +17,9 @@ from homalgebra.congruence import (DEFAULT_TERM_CAP, Bound, OutOfWindowError,
                                    _EchelonRows, _Saturator, _vectorize,
                                    enumerate_terms, hom_associator, saturate)
 from homalgebra.grammar import format_lincomb, format_term, parse_lincomb
-from homalgebra.homlie import (LEG_TAGS2, LEG_TAGS3, _matrix_alpha,
-                               _twist_images, abelian_hom_lie,
-                               affine_line_twisted, direct_sum, envelope)
+from homalgebra.homlie import (LEG_TAGS2, LEG_TAGS3, EnvelopeBialgebra,
+                               abelian_hom_lie, affine_line_twisted,
+                               direct_sum, envelope)
 from homalgebra.terms import (Leaf, LinComb, Node, arity, leaves, make_leaf,
                               random_lincomb, rename, shift_term, sort_key)
 
@@ -387,15 +387,14 @@ def dense_abelian():
 def test_column_twist_matches_the_matrix_twist(L, gens, bound):
     assert sorted(L.names) == sorted(gens)
     cols = _Columns(gens, bound, DEFAULT_TERM_CAP)
-    images = _twist_images(L)
-    worker = _Saturator(cols, UNITAL, [_vectorize(cols, images[g]) for g in cols.gens])
+    worker = _Saturator(cols, UNITAL, [_vectorize(cols, L.twist[g]) for g in cols.gens])
     # with each coefficient's type, so that 1 and Fraction(1) differ
     exact = lambda vec: {j: (type(c), c) for j, c in vec.items()}
     for i, t in enumerate(enumerate_terms(gens, bound), 1):
-        want = _vectorize(cols, _matrix_alpha(L, LinComb.of_term(t)))
+        want = _vectorize(cols, EnvelopeBialgebra(L).alpha(LinComb.of_term(t)))
         assert exact(worker._alpha_col(i)) == exact(want), format_term(t)
     with pytest.raises(ValueError, match="envelope leaves carry no exponents"):
-        _matrix_alpha(L, make_leaf(gens[0], 1))
+        EnvelopeBialgebra(L).alpha(make_leaf(gens[0], 1))
 
 
 def test_client_twist_needs_generator_images_and_an_exponent_free_window():
@@ -520,7 +519,7 @@ def rows_digest(basis) -> str:
 
 def envelope_basis(copies, max_arity, unit_instances):
     return envelope(fixture_copies(copies), max_arity=max_arity,
-                    unit_instances=unit_instances).basis
+                    unit_instances=unit_instances)
 
 
 ROW_DIGESTS = [

@@ -8,11 +8,11 @@ import pytest
 from homalgebra.algebras import (matrix_algebra, q_poly_algebra,
                                  rational_algebra, PreconditionError)
 from homalgebra.congruence import Verdict
-from homalgebra.homlie import (EnvelopeBialgebra, HomLieAlgebra,
+from homalgebra.homlie import (LEG_TAGS3, EnvelopeBialgebra, HomLieAlgebra,
                                abelian_hom_lie, affine_line_twisted,
                                bracket_relations,
                                check_envelope_bialgebra, check_hom_lie,
-                               commutator_checks, direct_sum,
+                               commutator_checks, dimension_report, direct_sum,
                                envelope, hom_lie_algebra, load_hom_lie,
                                twist_hom_lie)
 from homalgebra.morphisms import MorphismAssignment, evaluate
@@ -33,20 +33,19 @@ def test_abelian_passes_with_any_twist():
 def test_twisted_affine_line_fixture():
     L = affine_line_twisted(beta=1, gamma=2)
     # the twisted bracket is the twist of the classical one
-    assert L.bracket_table[0][1] == (F(0), F(2))
+    e1, e2 = make_leaf("e1"), make_leaf("e2")
+    assert L.brackets["e1", "e2"] == 2 * e2
     rep = check_hom_lie(L)
     assert rep.passed, rep.counterexamples
     # hand expansion of the twisted Jacobi sum at (e1, e1, e2): the first and
     # third cyclic terms are [e1 + e2, 2 e2] = 4 e2 with opposite signs and
     # the middle one brackets with [e1, e1] = 0
-    e1, e2 = L.basis_vec(0), L.basis_vec(1)
     inner = L.bracket(e1, e2)
-    assert L.bracket(L.alpha(e1), inner) == (F(0), F(4))
-    total = [F(0), F(0)]
+    assert L.bracket(L.alpha(e1), inner) == 4 * e2
+    total = LinComb.zero()
     for x, y, z in ((e1, e1, e2), (e2, e1, e1), (e1, e2, e1)):
-        part = L.bracket(L.alpha(x), L.bracket(y, z))
-        total = [a + b for a, b in zip(total, part)]
-    assert tuple(total) == (F(0), F(0))
+        total = total + L.bracket(L.alpha(x), L.bracket(y, z))
+    assert total == LinComb.zero()
 
 
 def test_corrupted_structure_constant_detected():
@@ -57,12 +56,9 @@ def test_corrupted_structure_constant_detected():
     rep = check_hom_lie(L)
     assert not rep.passed
     assert any("multiplicativity" in c for c in rep.counterexamples)
-    # a raw table that violates skew-symmetry is reported as such
-    broken = HomLieAlgebra(
-        L.names,
-        ((L.bracket_table[0][0], (F(0), F(1))),
-         ((F(0), F(1)), L.bracket_table[1][1])),
-        L.alpha_matrix)
+    # raw brackets that violate skew-symmetry are reported as such
+    e2 = make_leaf("e2")
+    broken = HomLieAlgebra(L.names, {("e1", "e2"): e2, ("e2", "e1"): e2}, L.twist)
     rep = check_hom_lie(broken)
     assert any("skew" in c for c in rep.counterexamples)
 
@@ -97,7 +93,8 @@ def test_commutator_twisted_matrices():
 def test_abelian_envelope_commutes():
     L = abelian_hom_lie(("e1", "e2"), {"e1": {"e1": 1}, "e2": {"e2": 1}})
     m = envelope(L, max_arity=2, unit_instances=False)
-    r = m.equal_mod(m.gen("e1") * m.gen("e2"), m.gen("e2") * m.gen("e1"))
+    e1, e2 = make_leaf("e1"), make_leaf("e2")
+    r = m.equal_mod(e1 * e2, e2 * e1)
     assert r.verdict is Verdict.PROVEN_EQUAL
 
 
@@ -115,10 +112,9 @@ def test_twisted_envelope_bracket_class():
 
 def test_envelope_alpha_acts_leafwise():
     L = affine_line_twisted()
-    m = envelope(L, max_arity=2, unit_instances=False)
-    e1, e2 = m.gen("e1"), m.gen("e2")
-    # alpha(e1 e2) = (e1 + e2)(2 e2) by the matrix action on each leaf
-    assert m.alpha_elem(e1 * e2) == 2 * (e1 * e2) + 2 * (e2 * e2)
+    e1, e2 = make_leaf("e1"), make_leaf("e2")
+    # alpha(e1 e2) = (e1 + e2)(2 e2) by the twist images of the leaves
+    assert EnvelopeBialgebra(L).alpha(e1 * e2) == 2 * (e1 * e2) + 2 * (e2 * e2)
 
 
 def test_envelope_requires_hom_lie():
@@ -133,8 +129,8 @@ def test_direct_sum_blocks():
     D = direct_sum([L, L], ["'", "''"])
     assert D.names == ("e1'", "e2'", "e1''", "e2''")
     # cross brackets vanish, block brackets survive
-    assert D.bracket(D.basis_vec(0), D.basis_vec(2)) == (F(0),) * 4
-    assert D.bracket(D.basis_vec(0), D.basis_vec(1)) == (F(0), F(2), F(0), F(0))
+    assert D.bracket(make_leaf("e1'"), make_leaf("e1''")) == LinComb.zero()
+    assert D.bracket(make_leaf("e1'"), make_leaf("e2'")) == 2 * make_leaf("e2'")
     assert check_hom_lie(D).passed
 
 
@@ -205,7 +201,7 @@ def test_envelope_rows_evaluate_to_zero_in_compatible_carriers():
     E11 = ((F(1), F(0)), (F(0), F(0)))
     E12 = ((F(0), F(1)), (F(0), F(0)))
     assignment = MorphismAssignment(M2, {"e1": E11, "e2": E12})
-    for row in m.basis.rows_as_lincombs():
+    for row in m.rows_as_lincombs():
         assert M2.eq(evaluate(row, assignment), M2.zero)
     # (2) scaled one-dimensional algebra into the doubling twisted carrier,
     # unit rows excluded (the carrier unit is only weak)
@@ -214,7 +210,7 @@ def test_envelope_rows_evaluate_to_zero_in_compatible_carriers():
     A = q_poly_algebra(2)
     from homalgebra.poly import Poly
     assignment = MorphismAssignment(A, {"e": Poly.var("t")})
-    for row in m1.basis.rows_as_lincombs():
+    for row in m1.rows_as_lincombs():
         assert evaluate(row, assignment).is_zero()
 
 
@@ -236,20 +232,16 @@ def test_gl2_commutator_envelope_bracket_classes():
     L = hom_lie_algebra(names, brackets, {})
     assert check_hom_lie(L).passed
     m = envelope(L, max_arity=3, unit_instances=False)
-    for a in range(4):
-        for b in range(4):
-            lhs = m.gen(names[a]) * m.gen(names[b]) - m.gen(names[b]) * m.gen(names[a])
-            rhs = LinComb.zero()
-            for k, c in enumerate(L.bracket_table[a][b]):
-                if c:
-                    rhs = rhs + c * m.gen(names[k])
-            assert m.equal_mod(lhs, rhs).proven
+    for a in names:
+        for b in names:
+            u, v = make_leaf(a), make_leaf(b)
+            assert m.equal_mod(u * v - v * u, L.bracket(u, v)).proven
 
 
 def test_dimension_report_documents_unit_collapse():
     L = affine_line_twisted()
-    free = envelope(L, max_arity=2, unit_instances=False).dimension_report()
-    collapsed = envelope(L, max_arity=2, unit_instances=True).dimension_report()
+    free = dimension_report(envelope(L, max_arity=2, unit_instances=False))
+    collapsed = dimension_report(envelope(L, max_arity=2, unit_instances=True))
     # without unit rows the bracket relation alone cuts one dimension in
     # degree 2; with them the twist-image relations also shrink degree 1
     assert free[1]["residual"] == 2
@@ -268,8 +260,9 @@ def test_load_hom_lie_roundtrip_and_errors():
     """
     L = load_hom_lie(text)
     assert L.names == ("e1", "e2")
-    assert L.bracket_table[0][1] == (F(0), F(2))
-    assert L.alpha_matrix == ((F(1), F(0)), (F(1), F(2)))
+    e1, e2 = make_leaf("e1"), make_leaf("e2")
+    assert L.brackets["e1", "e2"] == 2 * e2
+    assert L.twist == {"e1": e1 + e2, "e2": 2 * e2}
     assert check_hom_lie(L).passed
     with pytest.raises(ValueError):
         load_hom_lie("names e1\nbracket e1 e1 = e1")
@@ -291,14 +284,47 @@ def test_load_hom_lie_roundtrip_and_errors():
         load_hom_lie("dim 5\ndim 2\nnames e1 e2")
 
 
+def test_hom_lie_algebra_refuses_names_outside_the_basis():
+    names = ("e1", "e2")
+    with pytest.raises(ValueError, match="unknown basis name 'x' in a bracket pair"):
+        hom_lie_algebra(names, {("e1", "x"): {"e2": 1}}, {})
+    with pytest.raises(ValueError, match="unknown basis name 'x' in the bracket of e1 and e2"):
+        hom_lie_algebra(names, {("e1", "e2"): {"x": 1}}, {})
+    with pytest.raises(ValueError, match="unknown basis name 'x' in an alpha key"):
+        hom_lie_algebra(names, {}, {"x": {"e1": 1}})
+    with pytest.raises(ValueError, match="unknown basis name 'x' in the twist of e2"):
+        hom_lie_algebra(names, {}, {"e2": {"e2": 1, "x": 2}})
+
+
+@pytest.mark.parametrize("unital", [True, False], ids=["unital", "non-unital"])
+def test_envelope_carrier_saturates_its_own_legs(unital):
+    # coassociativity is decided in the envelope of three copies of L, one
+    # per leg, and multiplicativity in that of two
+    L = affine_line_twisted()
+    by_law = {r.law: r for r in check_envelope_bialgebra(L, 3, unital)}
+    for law, k in (("hom_coassociativity", 3), ("comultiplication_is_algebra_morphism", 2)):
+        window = envelope(direct_sum([L] * k, LEG_TAGS3[:k]), 3, unital)
+        assert by_law[law].context == window.describe()
+
+
+def test_envelope_bialgebra_requires_hom_lie():
+    # the message names the pairs of L itself, not of its tagged copies
+    bad = hom_lie_algebra(("e1", "e2"), {("e1", "e2"): {"e1": 1}},
+                          {"e1": {"e1": 1, "e2": 1}, "e2": {"e2": 2}})
+    with pytest.raises(PreconditionError, match=r"^not a multiplicative Hom-Lie algebra: "
+                       r"multiplicativity fails at \(e1, e2\); "
+                       r"multiplicativity fails at \(e2, e1\)$"):
+        check_envelope_bialgebra(bad, max_arity=2)
+
+
 def test_envelope_carrier_matches_the_doubled_model():
     # the law engine's envelope carrier twists the doubled legs by composing
-    # the structure matrix leafwise; the doubled model twists its own leaves
+    # the twist images leafwise; the doubled sum twists its own leaves
     L = affine_line_twisted()
     E = EnvelopeBialgebra(L)
-    doubled = envelope(direct_sum([L, L], ["'", "''"]), max_arity=2, unit_instances=False)
+    doubled = EnvelopeBialgebra(direct_sum([L, L], ["'", "''"]))
     for _, e in E.generators():
         d = E.delta(e)
-        assert E.tensor_alpha(d) == doubled.alpha_elem(d)
-        assert E.tensor_alpha(d * d) == doubled.alpha_elem(d * d)
+        assert E.tensor_alpha(d) == doubled.alpha(d)
+        assert E.tensor_alpha(d * d) == doubled.alpha(d * d)
         assert E.delta(E.alpha(e)) == E.tensor_alpha(d)

@@ -301,3 +301,16 @@ def test_deep_term_hashes_without_recursion():
         t = Node(Leaf("y", k % 3), t)
     assert hash(t) == hash((t.left, t.right))
     assert t in {t}
+
+
+def test_deep_terms_compare_without_recursion():
+    def spine(deepest):
+        t = Leaf(deepest)
+        for k in range(5_000):
+            t = Node(Leaf("y", k % 3), t)
+        return t
+    one, two, other = spine("x"), spine("x"), spine("z")
+    assert one is not two and one == two and not one != two
+    assert {one: 1}.get(two) == 1
+    # the spines differ only at the deepest leaf
+    assert one != other and {one: 1}.get(other) is None
