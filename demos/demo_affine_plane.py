@@ -17,7 +17,7 @@ for g in ("x", "y"):
 
 print("\nthe coaction extends multiplicatively:")
 xy = make_leaf("x") * make_leaf("y")
-print("  rho(x * y) =", C.coaction(xy))
+print("  rho(x * y) =", C.coaction(xy, "'", "''"))
 
 print("\nthe comodule law at arity <= 3, exponents <= 1:")
 rep = check_comodule(C, bound=Bound(3, 1),

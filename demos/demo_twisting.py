@@ -29,7 +29,7 @@ print("  twisted coassociativity:", "PASS" if check_hom_coassoc(Ht).passed else 
 print("\ntwisting the plane comodule with the compatible pair:")
 C = classical_affine_comodule()
 Ct = twist_comodule(H, C, phi_H, phi_A)
-print("  twisted coaction of y:", Ct.coaction(Poly.var("y")))
+print("  twisted coaction of y:", Ct.coaction(Poly.var("y"), "", ""))
 print("  comodule law:        ", "PASS" if check_comodule(Ct).passed else "FAIL")
 print("  morphism law:        ", "PASS" if check_comodule_homalgebra(Ct).passed else "FAIL")
 

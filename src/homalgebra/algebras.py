@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Optional
 
 from .poly import Poly, PolyEndo, monomials_up_to, random_poly
@@ -95,15 +96,8 @@ def _tuples(A: HomAlgebraDescriptor, width: int, count: int, seed: int):
     """Deterministic test tuples: exhaustive sweep tuples (capped), then
     seeded random tuples up to ``count``."""
     out = []
-    pool = list(A.sweep)
-    if pool and len(pool) ** width <= _TRIPLE_SWEEP_CAP:
-        def rec(prefix):
-            if len(prefix) == width:
-                out.append(tuple(prefix))
-                return
-            for x in pool:
-                rec(prefix + [x])
-        rec([])
+    if A.sweep and len(A.sweep) ** width <= _TRIPLE_SWEEP_CAP:
+        out = list(product(A.sweep, repeat=width))
     rng = random.Random(seed)
     if A.rand is not None:
         while len(out) < count:

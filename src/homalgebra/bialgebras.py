@@ -1,10 +1,11 @@
 """Comultiplications, coactions, and the one law engine that checks them.
 
-Two flavors of carrier appear.  Free carriers hold comultiplication values as
-tagged elements of one larger free algebra (legs are apostrophe tags on
-generator names) and laws are decided by the congruence oracle.  Concrete
-commutative carriers hold them as polynomials in duplicated variables and
-laws are exact polynomial identities.
+Every carrier is data: its generators and their comultiplication or
+coaction images, held at fixed tensor legs.  Free carriers hold the images in
+one larger free algebra (legs are apostrophe tags on generator names) and
+laws are decided by the congruence oracle.  Concrete commutative carriers
+hold them as polynomials in tagged variables, with one twist, and laws are
+exact polynomial identities.
 
 Each law is stated once, for every carrier: two composites of generator
 assignments applied to the same elements, or a structure map compared
@@ -84,7 +85,10 @@ def law_report(law: str, context: dict, fmt, cases) -> LawReport:
 class _Carrier:
     """What a law asks of a carrier.
 
-    ``gens`` name the generators and ``element`` makes one; ``mul`` and
+    ``gens`` name the generators and ``element`` makes one.  A bialgebra
+    holds ``delta_images`` in the legs ' and ''; a comodule holds its
+    bialgebra ``H`` and ``coaction_images`` in the legs ``coaction_legs``;
+    ``relabel(images, mapping)`` moves held images to other legs.  ``mul`` and
     ``alpha`` are the carrier's product and twist, ``tensor_mul`` and
     ``tensor_alpha`` those of the doubled carrier the comultiplication or
     coaction lands in; ``retag`` moves an element into a tensor leg and
@@ -93,6 +97,31 @@ class _Carrier:
     returns its ``decide(lhs, rhs)`` with the report context, and ``fmt``
     prints.
     """
+
+    def delta_at(self, t1: str, t2: str) -> dict:
+        """The comultiplication images with the legs moved to ``t1``, ``t2``."""
+        if t1 == t2:
+            raise NamingError("tensor legs need distinct tags")
+        return self.relabel(self.delta_images, {
+            g + old: g + new for g in self.gens for old, new in (("'", t1), ("''", t2))})
+
+    def delta(self, v, t1: str = "'", t2: str = "''"):
+        """Morphism extension of the comultiplication to any element."""
+        return self.compose(v, self.delta_at(t1, t2))
+
+    def coaction_at(self, h_tag: str, a_tag: str) -> dict:
+        """The coaction images, bialgebra generators in the leg ``h_tag``
+        and carrier generators in the leg ``a_tag``."""
+        h_leg, a_leg = self.coaction_legs
+        mapping = {**{h + h_leg: h + h_tag for h in self.H.gens},
+                   **{x + a_leg: x + a_tag for x in self.gens}}
+        if len(set(mapping.values())) != len(mapping):
+            raise NamingError(f"legs collide under tags {h_tag!r}, {a_tag!r}")
+        return self.relabel(self.coaction_images, mapping)
+
+    def coaction(self, v, h_tag: str, a_tag: str):
+        """Morphism extension of the coaction to any element."""
+        return self.compose(v, self.coaction_at(h_tag, a_tag))
 
     def generators(self) -> list:
         return [(g, self.element(g)) for g in self.gens]
@@ -112,6 +141,7 @@ class _FreeCarrier(_Carrier):
     element = staticmethod(make_leaf)
     mul = tensor_mul = staticmethod(operator.mul)
     alpha = tensor_alpha = staticmethod(LinComb.alpha)
+    coaction_legs = ("'", "''")
     gen_pairs: Optional[int] = None   # default pairs: this many generator pairs
     random_pairs = 0                  # then this many seeded random pairs
 
@@ -126,6 +156,10 @@ class _FreeCarrier(_Carrier):
     retag = staticmethod(rename_embed)
 
     @staticmethod
+    def relabel(images: dict, mapping: dict) -> dict:
+        return {g: rename(v, mapping) for g, v in images.items()}
+
+    @staticmethod
     def compose(v: LinComb, images: dict) -> LinComb:
         return evaluate(v, MorphismAssignment(_FREE_TARGET, images))
 
@@ -133,10 +167,6 @@ class _FreeCarrier(_Carrier):
     def oracle(gens, bound: Bound, config: SaturationConfig):
         basis = saturate(gens, bound, config)
         return partial(_equal_mod_or_outside, basis), basis.describe()
-
-    def delta(self, v: LinComb, t1: str = "'", t2: str = "''") -> LinComb:
-        """Morphism extension of the comultiplication to any element."""
-        return self.compose(v, self.delta_at(t1, t2))
 
     def pairs(self, seed: int) -> list:
         """Generator pairs, then seeded random pairs of short sums."""
@@ -151,22 +181,39 @@ class _FreeCarrier(_Carrier):
 
 class _PolyCarrier(_Carrier):
     """Concrete polynomial carriers: composites are substitutions and every
-    law is an exact identity."""
+    law is an exact identity.  A twisted carrier holds its one ``twist``:
+    the product is the twist after the polynomial product, and the held
+    images are the effective ones (the twist, then the classical map)."""
     element = staticmethod(Poly.var)
     fmt = staticmethod(str)
+    coaction_legs = ("", "")
+
+    @cached_property
+    def algebra(self) -> HomAlgebraDescriptor:
+        """The carrier's descriptor, for its name and its sampling sweep."""
+        A = poly_algebra(self.gens)
+        return yau_twist_algebra(A, self.twist) if self.twist else A
 
     @property
     def context(self) -> dict:
         return {"carrier": self.algebra.name}
 
+    def alpha(self, p: Poly) -> Poly:
+        return self.twist(p) if self.twist else p
+
     def mul(self, p: Poly, q: Poly) -> Poly:
-        return self.algebra.mul(p, q)
+        return self.alpha(p * q)
 
     def tensor_mul(self, p: Poly, q: Poly) -> Poly:
         return self.tensor_alpha(p * q)
 
     def retag(self, p: Poly, tag: str) -> Poly:
         return p.substitute({u: Poly.var(u + tag) for u in self.gens}) if tag else p
+
+    @staticmethod
+    def relabel(images: dict, mapping: dict) -> dict:
+        names = {old: Poly.var(new) for old, new in mapping.items()}
+        return {g: p.substitute(names) for g, p in images.items()}
 
     @staticmethod
     def compose(p: Poly, images: dict) -> Poly:
@@ -199,14 +246,6 @@ class FreeHomBialgebra(_FreeCarrier):
     @property
     def gens(self) -> tuple:
         return self.handle.gens
-
-    def delta_at(self, t1: str, t2: str) -> dict:
-        """The generator images with the two legs retagged."""
-        if t1 == t2:
-            raise NamingError("tensor legs need distinct tags")
-        mapping = {g + old: g + new for g in self.handle.gens
-                   for old, new in (("'", t1), ("''", t2))}
-        return {g: rename(v, mapping) for g, v in self.delta_images.items()}
 
     def twist_samples(self) -> list:
         rng = random.Random(5)
@@ -246,7 +285,7 @@ class FreeComoduleAlgebra(_FreeCarrier):
 
     ``coaction_images`` live in the merged free algebra on the bialgebra
     generators tagged with one apostrophe and the carrier generators tagged
-    with two (the stored convention; law checks retag as needed).
+    with two (``coaction_legs``; law checks relabel as needed).
     """
     H: FreeHomBialgebra
     A: FreeAlgebraHandle
@@ -257,16 +296,6 @@ class FreeComoduleAlgebra(_FreeCarrier):
     @property
     def gens(self) -> tuple:
         return self.A.gens
-
-    def coaction_at(self, h_tag: str, a_tag: str) -> dict:
-        mapping = {**{h + "'": h + h_tag for h in self.H.handle.gens},
-                   **{x + "''": x + a_tag for x in self.A.gens}}
-        if len(set(mapping.values())) != len(mapping):
-            raise NamingError(f"legs collide under tags {h_tag!r}, {a_tag!r}")
-        return {g: rename(v, mapping) for g, v in self.coaction_images.items()}
-
-    def coaction(self, v: LinComb, h_tag: str = "'", a_tag: str = "''") -> LinComb:
-        return self.compose(v, self.coaction_at(h_tag, a_tag))
 
 
 def hom_affine_plane() -> FreeComoduleAlgebra:
@@ -350,22 +379,20 @@ def check_comodule_homalgebra(C, bound: Bound = Bound(3, 1),
     """The coaction respects products and the twist."""
     decide, context = C.oracle(_tagged(C.H.gens, "'") + _tagged(C.gens, "''"),
                                bound, config)
+    rho = lambda v: C.coaction(v, *C.coaction_legs)
 
     def cases():
         for label, u, v in C.pairs(seed):
-            yield (f"product {label}", C.coaction(C.mul(u, v)),
-                   C.tensor_mul(C.coaction(u), C.coaction(v)), decide)
-            yield (f"twist {label}", C.coaction(C.alpha(u)),
-                   C.tensor_alpha(C.coaction(u)), exact)
+            yield (f"product {label}", rho(C.mul(u, v)),
+                   C.tensor_mul(rho(u), rho(v)), decide)
+            yield (f"twist {label}", rho(C.alpha(u)), C.tensor_alpha(rho(u)), exact)
     return law_report("coaction_is_algebra_morphism", context, C.fmt, cases())
 
 
-def representability_check(A: HomAlgebraDescriptor, X, Y,
-                           B: Optional[FreeHomBialgebra] = None) -> LawReport:
-    """Pulling a pair of matrices back along the comultiplication reproduces
-    the matrix product in the carrier, entry by entry."""
-    if B is None:
-        B = m_bialgebra()
+def representability_check(A: HomAlgebraDescriptor, X, Y) -> LawReport:
+    """Pulling a pair of matrices back along the matrix comultiplication
+    reproduces the matrix product in the carrier, entry by entry."""
+    B = m_bialgebra()
     assignment = MorphismAssignment(A, {
         **_keyed(morphism_from_matrix(A, X).images, "'"),
         **_keyed(morphism_from_matrix(A, Y).images, "''")})
@@ -384,96 +411,57 @@ def representability_check(A: HomAlgebraDescriptor, X, Y,
 class PolyHomBialgebra(_PolyCarrier):
     """A polynomial bialgebra, possibly twisted along an endomorphism.
 
-    ``delta_base`` holds the classical comultiplication images in doubled
-    variables (legs tagged with one and two apostrophes); the effective
-    comultiplication precomposes the twist.
+    ``delta_images[v]`` is the effective comultiplication of ``v``: the
+    classical one of ``twist(v)``, in doubled variables (legs tagged with one
+    and two apostrophes).
     """
-    algebra: HomAlgebraDescriptor
-    base_vars: tuple
-    delta_base: dict
+    gens: tuple
+    delta_images: dict
     twist: Optional[PolyEndo] = None
-
-    @property
-    def gens(self) -> tuple:
-        return self.base_vars
-
-    def alpha(self, p: Poly) -> Poly:
-        return self.twist(p) if self.twist else p
-
-    def delta_classical(self, p: Poly, t1: str = "'", t2: str = "''") -> Poly:
-        legs = {v + old: Poly.var(v + new) for v in self.base_vars
-                for old, new in (("'", t1), ("''", t2))}
-        return p.substitute({v: img.substitute(legs) for v, img in self.delta_base.items()})
-
-    def delta(self, p: Poly, t1: str = "'", t2: str = "''") -> Poly:
-        """The effective comultiplication: the twist, then the classical one."""
-        return self.delta_classical(self.alpha(p), t1, t2)
-
-    def delta_at(self, t1: str, t2: str) -> dict:
-        return {v: self.delta(Poly.var(v), t1, t2) for v in self.base_vars}
 
     @cached_property
     def tensor_alpha(self) -> PolyEndo:
         """The twist acting on both legs of the doubled variables."""
         return PolyEndo({v + t: self.twist_into(v, t)
-                         for t in ("'", "''") for v in self.base_vars})
+                         for t in ("'", "''") for v in self.gens})
 
 
 def classical_m2_bialgebra() -> PolyHomBialgebra:
     """The coordinate bialgebra of 2x2 matrices on a, b, c, d."""
     names = tuple(g for row in MATRIX_LAYOUT for g in row)
-    return PolyHomBialgebra(poly_algebra(names), names, _matrix_product(Poly.var))
+    return PolyHomBialgebra(names, _matrix_product(Poly.var))
 
 
 @dataclass(frozen=True)
 class PolyComoduleAlgebra(_PolyCarrier):
     """A polynomial carrier coacted on by a polynomial bialgebra.
 
-    The classical coaction images live in the union variables (bialgebra
-    variables and carrier variables are disjoint names); the effective
-    coaction precomposes the carrier twist.
+    ``coaction_images[x]`` is the effective coaction of ``x``: the classical
+    one of ``twist(x)``, in the union variables (bialgebra variables and
+    carrier variables are disjoint names).
     """
     H: PolyHomBialgebra
-    algebra: HomAlgebraDescriptor
-    a_vars: tuple
-    rho_base: dict
-    twist_A: Optional[PolyEndo] = None
+    gens: tuple
+    coaction_images: dict
+    twist: Optional[PolyEndo] = None
     alpha_rho_first = True   # the comodule law reports (alpha (x) rho) rho as lhs
 
     def __post_init__(self):
-        clash = set(self.H.base_vars) & set(self.a_vars)
+        clash = set(self.H.gens) & set(self.gens)
         if clash:
             raise NamingError(f"carrier variables collide with the bialgebra's: {sorted(clash)}")
-
-    @property
-    def gens(self) -> tuple:
-        return self.a_vars
-
-    def alpha(self, p: Poly) -> Poly:
-        return self.twist_A(p) if self.twist_A else p
-
-    def rho_classical(self, p: Poly) -> Poly:
-        return p.substitute(dict(self.rho_base))
-
-    def coaction(self, p: Poly, h_tag: str = "", a_tag: str = "") -> Poly:
-        """The effective coaction (the carrier twist, then the classical
-        one), bialgebra variables in the leg ``h_tag``."""
-        return self.retag(self.H.retag(self.rho_classical(self.alpha(p)), h_tag), a_tag)
-
-    def coaction_at(self, h_tag: str, a_tag: str) -> dict:
-        return {x: self.coaction(Poly.var(x), h_tag, a_tag) for x in self.a_vars}
 
     @cached_property
     def tensor_alpha(self) -> PolyEndo:
         """The twist on the mixed carrier (bialgebra legs and carrier legs)."""
-        return PolyEndo({**{v: self.H.twist_into(v, "") for v in self.H.base_vars},
-                         **{x: self.twist_into(x, "") for x in self.a_vars}})
+        return PolyEndo({**{v: self.H.twist_into(v, "") for v in self.H.gens},
+                         **{x: self.twist_into(x, "") for x in self.gens}})
 
 
 def classical_affine_comodule() -> PolyComoduleAlgebra:
     """The plane on x, y with the classical matrix coaction."""
-    return PolyComoduleAlgebra(classical_m2_bialgebra(), poly_algebra(PLANE_GENS),
-                               PLANE_GENS, _plane_coaction(Poly.var, "", ""))
+    return PolyComoduleAlgebra(classical_m2_bialgebra(), PLANE_GENS,
+                               _plane_coaction(Poly.var, "", ""))
 
 
 # ---------------------------------------------------------------------------
@@ -482,25 +470,25 @@ def classical_affine_comodule() -> PolyComoduleAlgebra:
 
 def yau_twist_bialgebra(B: PolyHomBialgebra, phi: PolyEndo) -> PolyHomBialgebra:
     """Twist a classical polynomial bialgebra along a bialgebra endomorphism:
-    the product gains phi after, the comultiplication gains phi before.  phi
-    must preserve the comultiplication, with a witness on failure (as a
-    substitution, it preserves the product)."""
+    the product gains phi after, the comultiplication gains phi before.
+    phi must preserve the comultiplication, checked on the generators (both
+    sides are substitutions) with a witness on failure; the checked sides
+    delta(phi(v)) are the twisted images."""
     if B.twist is not None:
         raise PreconditionError("twisting starts from a classical bialgebra")
-    probe = replace(B, twist=phi)
-    sweep = B.algebra.sweep[1:3]
-    probes = [(v, Poly.var(v)) for v in B.base_vars]
-    probes += [(f"{p}*{q}", p * q) for p in sweep for q in sweep]
-    for label, p in probes:
-        lhs = probe.delta(p)
-        rhs = probe.tensor_alpha(B.delta(p))
+    twisted = replace(B, twist=phi)
+    images = {}
+    for v in B.gens:
+        lhs = B.delta(phi(Poly.var(v)))
+        rhs = twisted.tensor_alpha(B.delta_images[v])
         if lhs != rhs:
             raise PreconditionError(
-                f"comultiplication not preserved at {label}: "
+                f"comultiplication not preserved at {v}: "
                 f"delta(phi) = {lhs} but (phi x phi)(delta) = {rhs}")
-    if phi.is_identity_on(B.base_vars):
+        images[v] = lhs
+    if phi.is_identity_on(B.gens):
         return B
-    return replace(B, algebra=yau_twist_algebra(B.algebra, phi), twist=phi)
+    return replace(twisted, delta_images=images)
 
 
 def twist_comodule(H: PolyHomBialgebra, C: PolyComoduleAlgebra,
@@ -509,16 +497,16 @@ def twist_comodule(H: PolyHomBialgebra, C: PolyComoduleAlgebra,
 
     Compatibility demands that the coaction intertwines the carrier twist
     with the pair of twists; it is checked exactly on the carrier generators
-    and reported with a witness when it fails.
+    and reported with a witness when it fails.  The left-hand sides
+    rho(phi_A(x)) are the twisted images.
     """
-    if C.twist_A is not None or H.twist is not None:
+    if C.twist is not None or H.twist is not None:
         raise PreconditionError("twisting starts from classical structures")
-    H_twisted = yau_twist_bialgebra(H, phi_H)
-    twisted = replace(C, H=H_twisted, twist_A=phi_A)
-    witnesses = []
-    for x in C.a_vars:
-        lhs = twisted.coaction(Poly.var(x))
-        rhs = twisted.tensor_alpha(C.coaction(Poly.var(x)))
+    twisted = replace(C, H=yau_twist_bialgebra(H, phi_H), twist=phi_A)
+    images, witnesses = {}, []
+    for x in C.gens:
+        lhs = images[x] = C.coaction(phi_A(Poly.var(x)), "", "")
+        rhs = twisted.tensor_alpha(C.coaction_images[x])
         if lhs != rhs:
             witnesses.append(
                 f"generator {x}: rho(phi_A({x})) = {lhs} "
@@ -526,9 +514,9 @@ def twist_comodule(H: PolyHomBialgebra, C: PolyComoduleAlgebra,
     if witnesses:
         raise PreconditionError(
             "coaction compatibility fails on " + "; ".join(witnesses))
-    if phi_H.is_identity_on(H.base_vars) and phi_A.is_identity_on(C.a_vars):
+    if phi_H.is_identity_on(H.gens) and phi_A.is_identity_on(C.gens):
         return C
-    return replace(twisted, algebra=yau_twist_algebra(C.algebra, phi_A))
+    return replace(twisted, coaction_images=images)
 
 
 def lambda_scaling_pair(lam) -> tuple[PolyEndo, PolyEndo]:

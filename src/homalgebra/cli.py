@@ -32,8 +32,7 @@ from .bialgebras import (MATRIX_LAYOUT, PLANE_GENS, FreeHomBialgebra,
                          check_hom_coassoc, check_comultiplicative,
                          classical_affine_comodule, classical_m2_bialgebra,
                          hom_affine_plane, lambda_scaling_pair, law_report,
-                         m_bialgebra, representability_check, twist_comodule,
-                         yau_twist_bialgebra)
+                         m_bialgebra, representability_check, twist_comodule)
 from .congruence import (Bound, ResourceCapError,
                          SaturationConfig, saturate)
 from .grammar import TermSyntaxError, format_lincomb, parse_lincomb
@@ -242,10 +241,8 @@ def _load_twist_file(path: str):
 def run_twist(args):
     lam = None if args.file else parse_rational(args.lam, "--lambda")
     phi_H, phi_A = _load_twist_file(args.file) if args.file else lambda_scaling_pair(lam)
-    H = classical_m2_bialgebra()
-    C = classical_affine_comodule()
-    Ht = yau_twist_bialgebra(H, phi_H)
-    Ct = twist_comodule(H, C, phi_H, phi_A)
+    Ct = twist_comodule(classical_m2_bialgebra(), classical_affine_comodule(), phi_H, phi_A)
+    Ht = Ct.H
     reports = [
         check_hom_coassoc(Ht),
         check_comultiplicative(Ht),

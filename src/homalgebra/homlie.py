@@ -86,6 +86,9 @@ def hom_lie_algebra(names, brackets: dict, alpha: dict) -> HomLieAlgebra:
     table = {}
     for (a, b), coords in brackets.items():
         known((a, b), "a bracket pair")
+        # skew symmetry fills in the reversed pair, so it is the same bracket
+        if (a, b) in table:
+            raise ValueError(f"second bracket of {a} and {b}")
         value = combination(coords, f"the bracket of {a} and {b}")
         if a == b and not value.is_zero():
             raise ValueError(f"bracket of {a} with itself must vanish")

@@ -18,7 +18,8 @@ from homalgebra.bialgebras import (FreeComoduleAlgebra, FreeHomBialgebra,
                                    yau_twist_bialgebra)
 from homalgebra.congruence import Bound, SaturationConfig
 from homalgebra.grammar import parse_lincomb
-from homalgebra.morphisms import FreeAlgebraHandle, MorphismAssignment, evaluate
+from homalgebra.morphisms import (FreeAlgebraHandle, MorphismAssignment, NamingError,
+                                  evaluate)
 from homalgebra.poly import Poly, PolyEndo
 from homalgebra.terms import LinComb, make_leaf
 
@@ -96,6 +97,12 @@ def test_delta_extension_is_unique_and_deterministic():
         assert evaluate(v, m1) == evaluate(v, m2) == B.delta(v)
 
 
+def test_delta_refuses_equal_legs_on_every_carrier():
+    for B in (m_bialgebra(), classical_m2_bialgebra()):
+        with pytest.raises(NamingError, match="distinct tags"):
+            B.delta(B.element("a"), "'", "'")
+
+
 def test_delta_is_algebra_morphism_free():
     rep = check_delta_is_morphism(m_bialgebra())
     assert rep.passed, rep.first_failure()
@@ -112,12 +119,12 @@ def test_coaction_extends_to_products():
     # carrier by hand (four cross terms)
     C = hom_affine_plane()
     x, y = make_leaf("x"), make_leaf("y")
-    got = C.coaction(x * y)
+    got = C.coaction(x * y, "'", "''")
     expected = parse_lincomb(
         "((a' * x'') * (c' * x'')) + ((a' * x'') * (d' * y'')) + "
         "((b' * y'') * (c' * x'')) + ((b' * y'') * (d' * y''))")
     assert got == expected
-    assert got == C.coaction(x) * C.coaction(y)
+    assert got == C.coaction(x, "'", "''") * C.coaction(y, "'", "''")
 
 
 def test_comodule_law_free_both_configs():
@@ -167,7 +174,7 @@ def test_comodule_homalgebra_perturbed_fails():
     C = hom_affine_plane()
 
     class Perturbed(FreeComoduleAlgebra):
-        def coaction(self, v, h_tag="'", a_tag="''"):
+        def coaction(self, v, h_tag, a_tag):
             out = super().coaction(v, h_tag, a_tag)
             # adding a constant breaks multiplicativity
             return out + LinComb.one()
@@ -217,10 +224,9 @@ def test_representability_commuting_square():
     A = q_poly_algebra(2)
     M2 = matrix_algebra(A)
     rng = random.Random(53)
-    B = m_bialgebra()
     for _ in range(10):
         X, Y = M2.rand(rng), M2.rand(rng)
-        rep1 = representability_check(A, X, Y, B)
+        rep1 = representability_check(A, X, Y)
         product = M2.mul(X, Y)
         for item, (i, j) in zip(rep1.items, [(0, 0), (0, 1), (1, 0), (1, 1)]):
             assert item.rhs == A.fmt(product[i][j])
@@ -233,8 +239,8 @@ def test_representability_commuting_square():
 
 def test_classical_bialgebra_values():
     B = classical_m2_bialgebra()
-    assert B.delta_base["a"] == parse_poly_pair("a'*a'' + b'*c''")
-    assert B.delta_base["d"] == parse_poly_pair("c'*b'' + d'*d''")
+    assert B.delta_images["a"] == parse_poly_pair("a'*a'' + b'*c''")
+    assert B.delta_images["d"] == parse_poly_pair("c'*b'' + d'*d''")
 
 
 def parse_poly_pair(text):
@@ -245,18 +251,18 @@ def parse_poly_pair(text):
 def test_classical_coaction_values():
     C = classical_affine_comodule()
     from homalgebra.poly import parse_poly
-    assert C.rho_base["x"] == parse_poly("a*x + b*y")
-    assert C.rho_base["y"] == parse_poly("c*x + d*y")
+    assert C.coaction_images["x"] == parse_poly("a*x + b*y")
+    assert C.coaction_images["y"] == parse_poly("c*x + d*y")
     assert check_comodule(C).passed
     assert check_comodule_homalgebra(C).passed
 
 
 def test_twist_identity_is_noop():
     B = classical_m2_bialgebra()
-    ident = PolyEndo({v: Poly.var(v) for v in B.base_vars})
+    ident = PolyEndo({v: Poly.var(v) for v in B.gens})
     assert yau_twist_bialgebra(B, ident) is B
     C = classical_affine_comodule()
-    ident_A = PolyEndo({v: Poly.var(v) for v in C.a_vars})
+    ident_A = PolyEndo({v: Poly.var(v) for v in C.gens})
     assert twist_comodule(B, C, ident, ident_A) is C
 
 
@@ -269,7 +275,7 @@ def test_lambda_three_twist_is_valid():
                     ("b", "3*a'*b'' + 3*b'*d''"),
                     ("c", "1/3*c'*a'' + 1/3*d'*c''"),
                     ("d", "c'*b'' + d'*d''")):
-        lhs = B.delta_classical(phi_H(Poly.var(g)))
+        lhs = B.delta(phi_H(Poly.var(g)))
         from homalgebra.poly import parse_poly
         assert lhs == parse_poly(want)
     Bt = yau_twist_bialgebra(B, phi_H)
@@ -301,13 +307,13 @@ def test_twist_comodule_compatibility():
     phi_H, phi_A = lambda_scaling_pair(3)
     C = classical_affine_comodule()
     from homalgebra.poly import parse_poly
-    assert C.rho_classical(phi_A(Poly.var("x"))) == parse_poly("a*x + b*y")
-    assert C.rho_classical(phi_A(Poly.var("y"))) == parse_poly("1/3*c*x + 1/3*d*y")
+    assert C.coaction(phi_A(Poly.var("x")), "", "") == parse_poly("a*x + b*y")
+    assert C.coaction(phi_A(Poly.var("y")), "", "") == parse_poly("1/3*c*x + 1/3*d*y")
     combined = PolyEndo({"a": Poly.var("a"), "b": 3 * Poly.var("b"),
                          "c": Fraction(1, 3) * Poly.var("c"), "d": Poly.var("d"),
                          "x": Poly.var("x"), "y": Fraction(1, 3) * Poly.var("y")})
-    assert combined(C.rho_classical(Poly.var("x"))) == parse_poly("a*x + b*y")
-    assert combined(C.rho_classical(Poly.var("y"))) == parse_poly("1/3*c*x + 1/3*d*y")
+    assert combined(C.coaction(Poly.var("x"), "", "")) == parse_poly("a*x + b*y")
+    assert combined(C.coaction(Poly.var("y"), "", "")) == parse_poly("1/3*c*x + 1/3*d*y")
     Ct = twist_comodule(classical_m2_bialgebra(), C, phi_H, phi_A)
     assert check_comodule(Ct).passed
     assert check_comodule_homalgebra(Ct).passed

@@ -220,6 +220,26 @@ def test_hom_lie_failure_text(tmp_path):
                           "hom-Jacobi fails at (b, a, c): -2*c\n")
 
 
+# a twist that breaks the comultiplication is refused on the first generator
+# it moves; one that breaks the coaction, with a witness per carrier generator
+@pytest.mark.parametrize("phis,message", [
+    ("phi_H b = 3*b\n",
+     "comultiplication not preserved at a: delta(phi) = a'*a'' + b'*c'' "
+     "but (phi x phi)(delta) = a'*a'' + 3*b'*c''"),
+    ("phi_H b = 3*b\nphi_H c = 1/3*c\n",
+     "coaction compatibility fails on generator x: rho(phi_A(x)) = a*x + b*y "
+     "but (phi_H x phi_A)(rho(x)) = a*x + 3*b*y; generator y: "
+     "rho(phi_A(y)) = c*x + d*y but (phi_H x phi_A)(rho(y)) = 1/3*c*x + d*y"),
+])
+def test_twist_refusal_text(tmp_path, phis, message):
+    f = tmp_path / "bad.twist"
+    f.write_text("kind twist\n" + phis)
+    out = run_cli("verify", "twist", "--file", str(f))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == f"precondition failed: {message}\n"
+
+
 def test_byte_identical_reports_across_runs():
     args = ("verify", "envelope", "--json", "--seed", "7")
     one = run_cli(*args)
@@ -434,6 +454,12 @@ GOLDEN_FILES = {
                   "phi_H a = a\nphi_H b = 2*b\nphi_H c = 1/2*c\nphi_H d = d\n"
                   "\n"
                   "phi_A x = x\nphi_A y = 1/2*y  # the plane follows c\n"),
+    # only the plane is twisted; the bialgebra stays classical
+    "carrier.twist": "kind twist\nphi_A x = 2*x\nphi_A y = 2*y\n",
+    # identity twists: both structures stay classical
+    "ident.twist": "kind twist\nphi_H a = a\n",
+    "mixed.twist": ("kind twist\nphi_H b = 2*b\nphi_H c = 1/2*c\n"
+                    "phi_A x = 3*x\nphi_A y = 3/2*y\n"),
     "abelian.homlie": "names e1 e2\nalpha e1 = 2*e1\nalpha e2 = e2\n",
     "sl2tw.homlie": ("names h e f\nbracket h e = 4*e\nbracket h f = -f\nbracket e f = h\n"
                      "alpha e = 2*e\nalpha f = 1/2*f\n"),
@@ -454,6 +480,12 @@ GOLDEN = [
      "e2a87e8561974fd33694a5cc89c904fe7e13504f6609bcd05eb181fc832d0222"),
     (("verify", "twist", "--file", "phi.twist"), 0,
      "dad975baaaee27a34f52fd4d063879a196b4f3c206c5cc504edc6087306e0cc7"),
+    (("verify", "twist", "--file", "carrier.twist"), 0,
+     "27531e64e871028a402632fd88379a4c797781a1dc65a3010cdde7547240f5de"),
+    (("verify", "twist", "--file", "ident.twist"), 0,
+     "c86890d5ace055b3863f114cfd12ead3394b23cf712437bd166ff5a21b903e03"),
+    (("verify", "twist", "--file", "mixed.twist"), 0,
+     "13532378ad8663ec7eb37c7b6e0cfe5ef666530ccee54dfa41c6670b4e4f12d2"),
     (("verify", "envelope", "abelian.homlie"), 0,
      "78b25eb731be6ca61fb18888fd5fcb70112bdd13c1f21bbfa07d703b789ffe35"),
     (("verify", "envelope", "sl2tw.homlie"), 0,

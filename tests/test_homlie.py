@@ -296,6 +296,11 @@ def test_hom_lie_algebra_refuses_names_outside_the_basis():
         hom_lie_algebra(names, {}, {"e2": {"e2": 1, "x": 2}})
 
 
+def test_hom_lie_algebra_refuses_a_pair_given_in_both_orders():
+    with pytest.raises(ValueError, match="second bracket of e2 and e1"):
+        hom_lie_algebra(("e1", "e2"), {("e1", "e2"): {"e2": 1}, ("e2", "e1"): {"e2": 1}}, {})
+
+
 @pytest.mark.parametrize("unital", [True, False], ids=["unital", "non-unital"])
 def test_envelope_carrier_saturates_its_own_legs(unital):
     # coassociativity is decided in the envelope of three copies of L, one
