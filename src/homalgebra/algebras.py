@@ -32,7 +32,12 @@ class PreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class HomAlgebraDescriptor:
-    """A carrier with exact operations, a distinguished twist map, and a sampler."""
+    """A carrier with exact operations, a distinguished twist map, and a sampler.
+
+    Carrier elements are hashable, and ``==`` between two of them implies
+    their equality in the carrier (``eq`` may be coarser, never finer):
+    ``morphisms.evaluate`` numbers values through ``hash`` and ``==``.
+    """
     name: str
     zero: object
     add: Callable

@@ -81,12 +81,23 @@ class MorphismAssignment:
             raise AssignmentError(f"no image assigned for generator {name!r}")
 
 
+# the memo's entry for the value tables, beside its term entries
+_VALUES = object()
+
+
 def evaluate(v: LinComb, m: MorphismAssignment, memo: dict | None = None):
     """Extend the assignment to ``v``: leaves through twisted images, products
     through the carrier product, the unit component onto the carrier unit.
 
-    ``memo`` caches term values; pass one dict across calls when evaluating
-    many elements under the same assignment."""
+    Each carrier value is computed once.  Values are numbered by the
+    carrier's ``hash`` and ``==``, so terms with equal values share a number;
+    a product is computed once per pair of operand numbers, and the
+    coefficients of terms with one number are added before any carrier
+    arithmetic (a sum of 0 costs nothing, a sum of 1 is not scaled).
+
+    ``memo`` holds the value numbers of the terms met and the tables behind
+    them; it is opaque to callers.  Pass one dict across calls when
+    evaluating many elements under the same assignment."""
     target = m.target
     if v.unit and target.unit_flavor is not UnitFlavor.STRICT_UNITAL:
         raise UnitMismatchError(
@@ -94,26 +105,50 @@ def evaluate(v: LinComb, m: MorphismAssignment, memo: dict | None = None):
             f"({target.unit_flavor.value})")
     if memo is None:
         memo = {}
+    tables = memo.get(_VALUES)
+    if tables is None:
+        tables = memo[_VALUES] = ([], {}, {})
+    values, numbers, products = tables
 
-    def of_term(t: Term):
-        got = memo.get(t)
-        if got is not None:
-            return got
-        if isinstance(t, Leaf):
-            out = target.alpha_pow(m.image(t.name), t.exp)
-        else:
-            out = target.mul(of_term(t.left), of_term(t.right))
-        memo[t] = out
-        return out
+    def number(value) -> int:
+        n = numbers.get(value)
+        if n is None:
+            n = numbers[value] = len(values)
+            values.append(value)
+        return n
 
-    # an exact sum does not depend on the order of its terms
-    acc = target.zero
-    if v.unit:
-        acc = target.add(acc, target.scale(v.unit, target.unit))
+    def of_term(t: Term) -> int:
+        n = memo.get(t)
+        if n is None:
+            if isinstance(t, Leaf):
+                n = number(target.alpha_pow(m.image(t.name), t.exp))
+            else:
+                a, b = of_term(t.left), of_term(t.right)
+                # the ordered pair as one int (Szudzik's pairing): a smaller
+                # key than a tuple, for a table as long as the distinct pairs
+                key = a * a + a + b if a >= b else b * b + a
+                n = products.get(key)
+                if n is None:
+                    n = products[key] = number(target.mul(values[a], values[b]))
+            memo[t] = n
+        return n
+
+    coeffs = {}
     for t, c in v.terms.items():
-        value = of_term(t)
-        acc = target.add(acc, value if c == 1 else target.scale(c, value))
-    return acc
+        n = memo.get(t)
+        if n is None:
+            n = of_term(t)
+        coeffs[n] = coeffs.get(n, 0) + c
+    # the recursive closure refers to itself: emptying its cell frees it now,
+    # where a cycle per call would wait for the garbage collector
+    del of_term
+    # an exact sum does not depend on the order of its terms
+    acc = target.scale(v.unit, target.unit) if v.unit else None
+    for n, c in coeffs.items():
+        if c:
+            value = values[n] if c == 1 else target.scale(c, values[n])
+            acc = value if acc is None else target.add(acc, value)
+    return target.zero if acc is None else acc
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Evaluation into carriers, the matrix bijection, tensor-leg tagging."""
 
+import gc
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,7 +20,7 @@ from homalgebra.morphisms import (AssignmentError, FreeAlgebraHandle,
                                   matrix_of_morphism, morphism_from_matrix,
                                   random_assignment, rename_embed,
                                   tensor_element)
-from homalgebra.terms import LinComb, make_leaf, random_lincomb
+from homalgebra.terms import Leaf, LinComb, make_leaf, random_lincomb, rename, shift_term
 
 T = Poly.var("t")
 
@@ -176,16 +179,25 @@ def test_matrix_bijection_naturality():
         assert evaluate(v, composed) == phi(evaluate(v, m))
 
 
-# -- evaluate's sum does not depend on the order of the terms -----------------
+# -- value-numbered evaluation against a plain reference ----------------------
 
-def sorted_sum(v, m):
-    """The value of ``v`` summed in the term order."""
+def reference_value(t, m):
+    """The value of one term, from its leaves up, with no memo."""
+    A = m.target
+    if isinstance(t, Leaf):
+        return A.alpha_pow(m.image(t.name), t.exp)
+    return A.mul(reference_value(t.left, m), reference_value(t.right, m))
+
+
+def reference_evaluate(v, m):
+    """The value of ``v``, term by term in the term order, every coefficient
+    scaled."""
     A = m.target
     acc = A.zero
     if v.unit:
         acc = A.add(acc, A.scale(v.unit, A.unit))
     for t, c in v.sorted_terms():
-        acc = A.add(acc, A.scale(c, evaluate(LinComb.of_term(t), m)))
+        acc = A.add(acc, A.scale(c, reference_value(t, m)))
     return acc
 
 
@@ -223,7 +235,119 @@ def test_evaluate_equals_the_sum_in_term_order(name, terms, unit, seed):
     v = LinComb(unit, terms)
     m = random_assignment(FreeAlgebraHandle(EVAL_GENS), A, random.Random(seed))
     got = evaluate(v, m)
-    assert A.eq(got, sorted_sum(v, m))
+    assert A.eq(got, reference_evaluate(v, m))
     for c in coefficients(got):
         assert c != 0
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def twin(t):
+    """``t`` with ``x`` read as ``w``, a generator that gets an equal image."""
+    return next(iter(rename(LinComb.of_term(t), {"x": "w"}).terms))
+
+
+@st.composite
+def equal_valued_combinations(draw, strict_unit: bool):
+    """Combinations whose terms come with twins, which have equal values, and
+    with twisted variants, which have equal values where the twist is the
+    identity; each partner's coefficient may cancel its term's."""
+    terms = {}
+    for t, c in draw(st.dictionaries(st.sampled_from(EVAL_TERMS), eval_coeffs,
+                                     min_size=1, max_size=5)).items():
+        terms[t] = terms.get(t, 0) + c
+        partners = draw(st.lists(st.sampled_from([twin(t), shift_term(t, 1)]),
+                                 max_size=2))
+        for p in partners:
+            terms[p] = terms.get(p, 0) + draw(st.one_of(st.just(-c), eval_coeffs))
+    unit = draw(eval_coeffs) if strict_unit else 0
+    return LinComb(unit, terms)
+
+
+VALUE_CARRIERS = {**EVAL_CARRIERS, "Q": rational_algebra()}
+
+
+@pytest.mark.parametrize("name", VALUE_CARRIERS)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32))
+def test_value_numbered_evaluate_equals_the_plain_reference(name, data, seed):
+    A = VALUE_CARRIERS[name]
+    strict = A.unit_flavor is UnitFlavor.STRICT_UNITAL
+    elements = data.draw(st.lists(equal_valued_combinations(strict), min_size=1, max_size=6))
+    m = random_assignment(FreeAlgebraHandle(EVAL_GENS), A, random.Random(seed))
+    # an equal image that is another object: numbering goes by ==, not identity
+    m = MorphismAssignment(A, {**m.images, "w": A.add(m.image("x"), A.zero)})
+    shared = {}
+    for v in elements:
+        want = reference_evaluate(v, m)
+        assert A.eq(evaluate(v, m, shared), want)
+        assert A.eq(evaluate(v, m), want)
+    # the shared memo answers again from its tables alone
+    for v in elements:
+        assert A.eq(evaluate(v, m, shared), reference_evaluate(v, m))
+
+
+# -- what value numbering saves: carrier calls counted --------------------------
+
+def counting(A):
+    """``A`` with its mul, scale and add calls counted."""
+    calls = Counter()
+
+    def counted(op):
+        fn = getattr(A, op)
+
+        def call(*args):
+            calls[op] += 1
+            return fn(*args)
+        return call
+    return replace(A, **{op: counted(op) for op in ("mul", "scale", "add")}), calls
+
+
+def test_an_associator_of_equal_values_costs_no_sum():
+    A, calls = counting(poly_algebra(["u", "v"]))
+    u, v = Poly.var("u"), Poly.var("v")
+    m = MorphismAssignment(A, {"x": u, "y": v, "z": u + v})
+    x, y, z = (make_leaf(g) for g in "xyz")
+    assert A.eq(evaluate((x * y) * z - x * (y * z), m), A.zero)
+    assert calls == {"mul": 4}
+
+
+def test_window_rows_cost_one_product_per_pair_of_distinct_values():
+    # criterion 9's 3-generator (3,1) non-unital window: each row is
+    # p - root(p), whose two terms have one value in every model
+    basis = saturate(EVAL_GENS, Bound(3, 1), SaturationConfig(unit_instances=False))
+    A, calls = counting(poly_algebra(["u", "v"]))
+    m = random_assignment(FreeAlgebraHandle(basis.gens), A, random.Random(909))
+    memo = {}
+    rows = basis.rows_as_lincombs()
+    for row in rows:
+        assert A.eq(evaluate(row, m, memo), A.zero)
+    assert calls == {"mul": 45}
+    # the pairs of distinct values under a product node, found by the reference
+    numbers = {}
+
+    def number(t):
+        return numbers.setdefault(reference_value(t, m), len(numbers))
+
+    def pairs(t):
+        if isinstance(t, Leaf):
+            return set()
+        return {(number(t.left), number(t.right))} | pairs(t.left) | pairs(t.right)
+
+    distinct = set().union(*(pairs(t) for row in rows for t in row.terms))
+    assert 45 <= len(distinct)
+
+
+def test_evaluate_leaves_no_cyclic_garbage():
+    # a reference cycle per call would keep each memo alive until the
+    # garbage collector runs, and that collection lands on some later call
+    A = q_poly_algebra(2)
+    m = random_assignment(FreeAlgebraHandle(EVAL_GENS), A, random.Random(26))
+    v = hom_associator(make_leaf("x"), make_leaf("y"), make_leaf("z"))
+    gc.collect()
+    gc.disable()
+    try:
+        for memo in ({}, None):
+            assert A.eq(evaluate(v, m, memo), A.zero)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from homalgebra.algebras import q_poly_algebra
 from homalgebra.poly import (MAX_POLY_SIZE, Poly, PolyEndo, _mono_mul, monomials_up_to,
-                             parse_natural, parse_poly, random_poly, read_directives)
+                             parse_natural, parse_poly, parse_rational, random_poly,
+                             read_directives)
+from homalgebra.terms import as_coeff
 
 t = Poly.var("t")
 x = Poly.var("x")
@@ -142,6 +144,43 @@ def test_read_directives_skips_comments_and_blank_lines():
         (3, "kind", "twist"), (5, "lambda", "3/2")]
     with pytest.raises(ValueError, match="line 2: unknown directive 'gens'"):
         list(read_directives(["kind twist", "gens a b"], ("kind",)))
+
+
+def fraction_reading(text: str):
+    """A coefficient literal read by ``Fraction`` alone, under the size
+    refusals of ``parse_rational``: the reference for its ``int`` paths."""
+    shown = text[:20] + "..." * (len(text) > 20)
+    if len(text) > MAX_POLY_SIZE:
+        raise ValueError(f"coefficient {shown}: above the size bound of "
+                         f"{MAX_POLY_SIZE} characters and exponent {2 * MAX_POLY_SIZE}")
+    try:
+        value = Fraction(text)
+    except ValueError as exc:
+        raise ValueError(f"coefficient: {exc}") from None
+    if max(abs(value.numerator), value.denominator).bit_length() > MAX_POLY_SIZE:
+        raise ValueError(f"coefficient {shown}: above the size bound of {MAX_POLY_SIZE} bits")
+    return as_coeff(value)
+
+
+def reading(read, text: str):
+    try:
+        value = read(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+    return type(value), value
+
+
+@pytest.mark.parametrize("text", [
+    "3/6", "-4/2", "0/5", "-0/5", "007/010", "1/0", "5/00", "12/1", "-7/1", "3", "-12",
+    "0" * (MAX_POLY_SIZE - 3) + "3/6",        # at the length bound
+    "0" * (MAX_POLY_SIZE - 2) + "3/6",        # one character past it
+    "1/" + "7" * (MAX_POLY_SIZE - 2),         # at the length bound, past the bit bound
+    "9" * MAX_POLY_SIZE, "9" * (MAX_POLY_SIZE + 1),
+    "4/-2", "+3/6", "1.5", "2e3",
+])
+def test_parse_rational_agrees_with_the_fraction_reading(text):
+    assert reading(lambda s: parse_rational(s, "coefficient"), text) == \
+        reading(fraction_reading, text)
 
 
 def test_parse_natural_refuses_a_literal_by_its_length():
