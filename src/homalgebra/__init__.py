@@ -12,13 +12,12 @@ from .congruence import (Bound, EqualityResult, OutOfWindowError, RelationBasis,
                          enumerate_terms, hom_associator, saturate)
 from .grammar import TermSyntaxError, format_lincomb, format_term, parse_lincomb
 from .terms import Leaf, LinComb, Node, arity, grading, make_leaf, rename, weight
-from .morphisms import (AssignmentError, FreeAlgebraHandle, MorphismAssignment,
-                        NamingError, UnitMismatchError, evaluate,
-                        matrix_of_morphism, morphism_from_matrix,
-                        random_assignment, rename_embed, tensor_element)
+from .morphisms import (AssignmentError, MorphismAssignment, NamingError,
+                        UnitMismatchError, evaluate, matrix_of_morphism,
+                        morphism_from_matrix, rename_embed)
 from .algebras import (CheckReport, HomAlgebraDescriptor, PreconditionError,
                        UnitFlavor, check_hom_associative, check_multiplicative,
-                       check_unital, matrix_algebra, poly_algebra,
+                       check_unital, free_algebra, matrix_algebra, poly_algebra,
                        q_poly_algebra, rational_algebra, yau_twist_algebra)
 from .poly import Poly, PolyEndo, monomials_up_to, parse_poly, random_poly
 from .bialgebras import (FreeComoduleAlgebra, FreeHomBialgebra,

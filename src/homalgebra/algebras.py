@@ -1,10 +1,11 @@
-"""Concrete Hom-associative carriers and executable axiom checks.
+"""Hom-associative carriers and executable axiom checks.
 
 A carrier is described by its exact element operations plus a sampler; the
-constructors here produce polynomial carriers, scaling twists of them, and 2x2
-matrix carriers.  Twisting a strictly unital algebra along a non-identity
-endomorphism only leaves a weak unit (1 * x gives the twisted image of x), so
-descriptors record which unit law is actually asserted instead of pretending.
+constructors here produce the free algebra on named generators, polynomial
+carriers, scaling twists of them, and 2x2 matrix carriers.  Twisting a
+strictly unital algebra along a non-identity endomorphism only leaves a weak
+unit (1 * x gives the twisted image of x), so descriptors record which unit
+law is actually asserted instead of pretending.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import product
 from typing import Callable, Optional
 
 from .poly import Poly, PolyEndo, monomials_up_to, random_poly
-from .terms import as_coeff
+from .terms import LinComb, as_coeff, make_leaf, random_lincomb
 
 
 class UnitFlavor(Enum):
@@ -152,8 +153,30 @@ def check_unital(A: HomAlgebraDescriptor, count: int = 100, seed: int = 0) -> Ch
 
 
 # ---------------------------------------------------------------------------
-# polynomial carriers and twists
+# the free algebra, polynomial carriers and twists
 # ---------------------------------------------------------------------------
+
+def free_algebra(gens=()) -> HomAlgebraDescriptor:
+    """The free multiplicative Hom-associative algebra on named generators
+    (elements are LinCombs); its sweep is the generators."""
+    if len(set(gens)) != len(gens):
+        raise ValueError(f"generator names must be distinct: {gens}")
+    gens = tuple(sorted(gens))
+    return HomAlgebraDescriptor(
+        name="F<" + ",".join(gens) + ">",
+        zero=LinComb.zero(),
+        add=lambda u, v: u + v,
+        scale=lambda c, u: u.scale(c),
+        mul=lambda u, v: u * v,
+        alpha=lambda u: u.alpha(),
+        eq=lambda u, v: u == v,
+        unit=LinComb.one(),
+        unit_flavor=UnitFlavor.STRICT_UNITAL,
+        sweep=tuple(make_leaf(g) for g in gens),
+        rand=lambda rng: random_lincomb(rng, gens),
+        fmt=str,
+    )
+
 
 def rational_algebra() -> HomAlgebraDescriptor:
     """The ground field as a carrier (alpha = id)."""

@@ -1,11 +1,12 @@
 """Comultiplications, coactions, and the one law engine that checks them.
 
-Every carrier is data: its generators and their comultiplication or
-coaction images, held at fixed tensor legs.  Free carriers hold the images in
-one larger free algebra (legs are apostrophe tags on generator names) and
-laws are decided by the congruence oracle.  Concrete commutative carriers
-hold them as polynomials in tagged variables, with one twist, and laws are
-exact polynomial identities.
+Every carrier is data: its generator names and their comultiplication or
+coaction images, held at fixed tensor legs (a comodule also holds its
+bialgebra).  Free and polynomial carriers take the same fields.  Free
+carriers hold the images in one larger free algebra (legs are apostrophe
+tags on generator names) and laws are decided by the congruence oracle.
+Concrete commutative carriers hold them as polynomials in tagged variables,
+with one twist, and laws are exact polynomial identities.
 
 Each law is stated once, for every carrier: two composites of generator
 assignments applied to the same elements, or a structure map compared
@@ -26,12 +27,12 @@ from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import Optional
 
-from .algebras import (HomAlgebraDescriptor, PreconditionError,
+from .algebras import (HomAlgebraDescriptor, PreconditionError, free_algebra,
                        matrix_algebra, poly_algebra, yau_twist_algebra)
 from .congruence import (Bound, OutOfWindowError, RelationBasis,
                          SaturationConfig, saturate)
-from .morphisms import (FreeAlgebraHandle, MorphismAssignment, NamingError,
-                        evaluate, morphism_from_matrix, rename_embed)
+from .morphisms import (MorphismAssignment, NamingError, evaluate,
+                        morphism_from_matrix, rename_embed)
 from .poly import Poly, PolyEndo
 from .reports import LawItem, LawReport
 from .terms import LinComb, make_leaf, random_lincomb, rename
@@ -41,7 +42,7 @@ MATRIX_LAYOUT = (("a", "b"), ("c", "d"))
 PLANE_GENS = ("x", "y")
 
 # evaluation target for every free composite (elements are LinCombs)
-_FREE_TARGET = FreeAlgebraHandle(()).descriptor()
+_FREE_TARGET = free_algebra()
 
 
 def _tagged(names, *tags: str) -> list[str]:
@@ -145,6 +146,10 @@ class _FreeCarrier(_Carrier):
     gen_pairs: Optional[int] = None   # default pairs: this many generator pairs
     random_pairs = 0                  # then this many seeded random pairs
 
+    def __post_init__(self):
+        if len(set(self.gens)) != len(self.gens):
+            raise ValueError(f"generator names must be distinct: {self.gens}")
+
     @property
     def context(self) -> dict:
         return {"carrier": "free"}
@@ -238,20 +243,15 @@ class FreeHomBialgebra(_FreeCarrier):
     ``delta_images`` live in the merged free algebra on the generators tagged
     with one and with two apostrophes (left and right tensor leg).
     """
-    handle: FreeAlgebraHandle
+    gens: tuple
     delta_images: dict
     gen_pairs = 6
     random_pairs = 4
 
-    @property
-    def gens(self) -> tuple:
-        return self.handle.gens
-
     def twist_samples(self) -> list:
         rng = random.Random(5)
         return self.generators() + [
-            (f"random_{k}", self.handle.random_element(rng, max_arity=2, max_exp=1))
-            for k in range(4)]
+            (f"random_{k}", random_lincomb(rng, self.gens, 2, 1)) for k in range(4)]
 
 
 def _matrix_product(entry) -> dict:
@@ -275,8 +275,8 @@ def _plane_coaction(entry, h_tag: str, a_tag: str) -> dict:
 
 def m_bialgebra() -> FreeHomBialgebra:
     """The free carrier on a, b, c, d with the matrix comultiplication."""
-    handle = FreeAlgebraHandle(tuple(g for row in MATRIX_LAYOUT for g in row))
-    return FreeHomBialgebra(handle, _matrix_product(make_leaf))
+    return FreeHomBialgebra(tuple(g for row in MATRIX_LAYOUT for g in row),
+                            _matrix_product(make_leaf))
 
 
 @dataclass(frozen=True)
@@ -288,19 +288,15 @@ class FreeComoduleAlgebra(_FreeCarrier):
     with two (``coaction_legs``; law checks relabel as needed).
     """
     H: FreeHomBialgebra
-    A: FreeAlgebraHandle
+    gens: tuple
     coaction_images: dict
     random_pairs = 3
     alpha_rho_first = False
 
-    @property
-    def gens(self) -> tuple:
-        return self.A.gens
-
 
 def hom_affine_plane() -> FreeComoduleAlgebra:
     """The free plane on x, y with the matrix coaction of the free bialgebra."""
-    return FreeComoduleAlgebra(m_bialgebra(), FreeAlgebraHandle(PLANE_GENS),
+    return FreeComoduleAlgebra(m_bialgebra(), PLANE_GENS,
                                _plane_coaction(make_leaf, "'", "''"))
 
 

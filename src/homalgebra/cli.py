@@ -39,7 +39,6 @@ from .grammar import TermSyntaxError, format_lincomb, parse_lincomb
 from .homlie import (affine_line_twisted, bracket_sides,
                      check_envelope_bialgebra, check_hom_lie, dimension_report,
                      envelope, load_hom_lie)
-from .morphisms import FreeAlgebraHandle
 from .poly import (MAX_POLY_SIZE, Poly, PolyEndo, on_line, parse_poly,
                    parse_rational, read_directives, read_keyed, read_leg_names,
                    read_names, require_bounded_twist)
@@ -168,7 +167,8 @@ def _load_free_bialgebra(path: str) -> FreeHomBialgebra:
                                  " not a leg g' or g'' of a generator g")
     if not gens or set(images) != set(gens):
         raise ValueError("descriptor needs gens and a delta image per generator")
-    return FreeHomBialgebra(FreeAlgebraHandle(gens), images)
+    # the report's generator order, and so its bytes, follow the sorted names
+    return FreeHomBialgebra(tuple(sorted(gens)), images)
 
 
 def run_m_coassoc(args):

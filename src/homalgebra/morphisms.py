@@ -5,9 +5,9 @@ A generator assignment into any carrier extends uniquely to the whole free
 algebra: a leaf with exponent k maps to the k-fold twist of the generator
 image, products go to carrier products, and the unit component lands on the
 carrier unit.  Tensor legs of free carriers are realized by renaming
-generators with trailing apostrophes inside one larger free algebra; an
-element u (x) w is represented as the product of the left-tagged copy of u
-with the right-tagged copy of w.
+generators with trailing apostrophes inside one larger free algebra
+(``rename_embed``); the free carriers hold their comultiplication and
+coaction images there, at fixed legs.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebras import HomAlgebraDescriptor, UnitFlavor
-from .terms import Leaf, LinComb, Term, make_leaf, random_lincomb, rename
+from .terms import Leaf, LinComb, Term, rename
 
 
 class UnitMismatchError(ValueError):
@@ -28,44 +28,6 @@ class AssignmentError(KeyError):
 
 class NamingError(ValueError):
     """Tensor-leg tags collide on the combined generator set."""
-
-
-@dataclass(frozen=True)
-class FreeAlgebraHandle:
-    """The free multiplicative Hom-associative algebra on named generators."""
-    gens: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(set(self.gens)) != len(self.gens):
-            raise ValueError(f"generator names must be distinct: {self.gens}")
-        object.__setattr__(self, "gens", tuple(sorted(self.gens)))
-
-    def gen(self, name: str) -> LinComb:
-        if name not in self.gens:
-            raise KeyError(f"unknown generator {name!r}")
-        return make_leaf(name, 0)
-
-    def random_element(self, rng, max_arity: int = 3, max_exp: int = 1,
-                       n_terms: int = 3, with_unit: bool = False) -> LinComb:
-        return random_lincomb(rng, self.gens, max_arity, max_exp, n_terms, with_unit)
-
-    def descriptor(self) -> HomAlgebraDescriptor:
-        """This free algebra as an evaluation target (elements are LinCombs)."""
-        gens = self.gens
-        return HomAlgebraDescriptor(
-            name="F<" + ",".join(gens) + ">",
-            zero=LinComb.zero(),
-            add=lambda u, v: u + v,
-            scale=lambda c, u: u.scale(c),
-            mul=lambda u, v: u * v,
-            alpha=lambda u: u.alpha(),
-            eq=lambda u, v: u == v,
-            unit=LinComb.one(),
-            unit_flavor=UnitFlavor.STRICT_UNITAL,
-            sweep=tuple(make_leaf(g) for g in gens),
-            rand=lambda rng: random_lincomb(rng, gens),
-            fmt=str,
-        )
 
 
 @dataclass(frozen=True)
@@ -169,39 +131,10 @@ def matrix_of_morphism(m: MorphismAssignment):
 # tensor legs by generator tagging
 # ---------------------------------------------------------------------------
 
-def _check_tag(tag: str):
-    if any(ch != "'" for ch in tag):
-        raise NamingError(f"leg tags are apostrophe strings, got {tag!r}")
-
-
 def rename_embed(v: LinComb, tag: str) -> LinComb:
     """Relabel every generator with a trailing prime tag (empty = identity)."""
-    _check_tag(tag)
+    if any(ch != "'" for ch in tag):
+        raise NamingError(f"leg tags are apostrophe strings, got {tag!r}")
     if not tag:
         return v
     return rename(v, lambda name: name + tag)
-
-
-def tensor_element(u: LinComb, w: LinComb, left_tag: str = "'",
-                   right_tag: str = "''") -> LinComb:
-    """u (x) w as the product of the tagged embeddings.
-
-    Pure unit factors degenerate to single embeddings; the two tagged
-    generator sets must not collide.
-    """
-    _check_tag(left_tag)
-    _check_tag(right_tag)
-    if left_tag == right_tag:
-        raise NamingError("tensor legs need distinct tags")
-    lu = rename_embed(u, left_tag)
-    rw = rename_embed(w, right_tag)
-    overlap = lu.generators() & rw.generators()
-    if overlap:
-        raise NamingError(f"tensor legs collide on generators {sorted(overlap)}")
-    return lu * rw
-
-
-def random_assignment(handle: FreeAlgebraHandle, target: HomAlgebraDescriptor,
-                      rng) -> MorphismAssignment:
-    """Seeded random generator images; the carrier needs a sampler."""
-    return MorphismAssignment(target, {g: target.rand(rng) for g in handle.gens})

@@ -409,11 +409,14 @@ def read_directives(lines, known, once=()) -> Iterator[tuple[int, str, str]]:
 
 
 def read_names(rest: str, lineno: int) -> tuple[str, ...]:
-    """The words of a ``gens``, ``vars`` or ``names`` line, each a ``NAME``."""
+    """The words of a ``gens``, ``vars`` or ``names`` line, each a ``NAME``
+    given once."""
     names = tuple(rest.split())
-    for n in names:
+    for k, n in enumerate(names):
         if not NAME.fullmatch(n):
             raise ValueError(f"line {lineno}: name {n!r} must match {NAME.pattern}")
+        if n in names[:k]:
+            raise ValueError(f"line {lineno}: name {n!r} given twice")
     return names
 
 

@@ -359,13 +359,15 @@ def rename(v: LinComb, mapping) -> LinComb:
     images = {n: fn(n) for n in v.generators()}
     if len(set(images.values())) != len(images):
         raise ValueError(f"generator relabeling is not injective: {images}")
+    return LinComb(v.unit, {_relabel(t, images): c for t, c in v.terms.items()})
 
-    def go(t: Term) -> Term:
-        if isinstance(t, Leaf):
-            return Leaf(images[t.name], t.exp)
-        return Node(go(t.left), go(t.right))
 
-    return LinComb(v.unit, {go(t): c for t, c in v.terms.items()})
+def _relabel(t: Term, images: dict) -> Term:
+    # a module-level helper: a closure that called itself would leave a
+    # reference cycle per rename for the garbage collector
+    if isinstance(t, Leaf):
+        return Leaf(images[t.name], t.exp)
+    return Node(_relabel(t.left, images), _relabel(t.right, images))
 
 
 def random_lincomb(rng, gens: Iterable[str], max_arity: int = 3, max_exp: int = 1,

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from homalgebra.algebras import (PreconditionError, matrix_algebra,
-                                 poly_algebra, q_poly_algebra)
+from homalgebra.algebras import (PreconditionError, free_algebra,
+                                 matrix_algebra, poly_algebra, q_poly_algebra)
 from homalgebra.bialgebras import (FreeComoduleAlgebra, FreeHomBialgebra,
                                    check_comodule, check_comodule_homalgebra,
                                    check_comultiplicative,
@@ -18,10 +18,9 @@ from homalgebra.bialgebras import (FreeComoduleAlgebra, FreeHomBialgebra,
                                    yau_twist_bialgebra)
 from homalgebra.congruence import Bound, SaturationConfig
 from homalgebra.grammar import parse_lincomb
-from homalgebra.morphisms import (FreeAlgebraHandle, MorphismAssignment, NamingError,
-                                  evaluate)
+from homalgebra.morphisms import MorphismAssignment, NamingError, evaluate
 from homalgebra.poly import Poly, PolyEndo
-from homalgebra.terms import LinComb, make_leaf
+from homalgebra.terms import LinComb, make_leaf, random_lincomb
 
 NON_UNITAL = SaturationConfig(unit_instances=False)
 UNITAL = SaturationConfig(unit_instances=True)
@@ -61,7 +60,7 @@ def test_hom_coassoc_on_sampled_products():
     # extension (tested separately), and the oracle honestly reports the
     # direct product query as out of reach rather than deciding it
     B = m_bialgebra()
-    a, b = B.handle.gen("a"), B.handle.gen("b")
+    a, b = make_leaf("a"), make_leaf("b")
     rep = check_hom_coassoc(B, elements=[("a*b", a * b)], config=NON_UNITAL)
     item = rep.items[0]
     assert item.verdict == "NOT_PROVEN_WITHIN_BOUND"
@@ -72,7 +71,7 @@ def test_corrupted_comultiplication_fails_with_residue():
     B = m_bialgebra()
     bad_images = dict(B.delta_images)
     bad_images["a"] = parse_lincomb("(a' * a'') + -1 * (b' * c'')")
-    bad = FreeHomBialgebra(B.handle, bad_images)
+    bad = FreeHomBialgebra(B.gens, bad_images)
     rep = check_hom_coassoc(bad, config=NON_UNITAL)
     assert not rep.passed
     failure = rep.first_failure()
@@ -87,13 +86,12 @@ def test_comultiplicative_twist_compat():
 
 def test_delta_extension_is_unique_and_deterministic():
     B = m_bialgebra()
-    doubled = FreeAlgebraHandle(tuple(g + t for t in ("'", "''") for g in B.gens))
-    target = doubled.descriptor()
+    target = free_algebra(tuple(g + t for t in ("'", "''") for g in B.gens))
     m1 = MorphismAssignment(target, B.delta_at("'", "''"))
     m2 = MorphismAssignment(target, dict(B.delta_at("'", "''")))
     rng = random.Random(51)
     for _ in range(100):
-        v = B.handle.random_element(rng, max_arity=3, max_exp=1, with_unit=True)
+        v = random_lincomb(rng, B.gens, max_arity=3, max_exp=1, with_unit=True)
         assert evaluate(v, m1) == evaluate(v, m2) == B.delta(v)
 
 
@@ -101,6 +99,13 @@ def test_delta_refuses_equal_legs_on_every_carrier():
     for B in (m_bialgebra(), classical_m2_bialgebra()):
         with pytest.raises(NamingError, match="distinct tags"):
             B.delta(B.element("a"), "'", "'")
+
+
+def test_coaction_refuses_colliding_legs():
+    # a carrier generator that is also a bialgebra generator meets it in one leg
+    C = FreeComoduleAlgebra(m_bialgebra(), ("a",), {"a": parse_lincomb("(a' * a'')")})
+    with pytest.raises(NamingError, match="legs collide under tags \"'\", \"'\""):
+        C.coaction(C.element("a"), "'", "'")
 
 
 def test_delta_is_algebra_morphism_free():
@@ -159,10 +164,19 @@ def test_corrupted_coaction_fails():
     C = hom_affine_plane()
     bad_images = dict(C.coaction_images)
     bad_images["x"] = parse_lincomb("(a' * x'') + -1 * (b' * y'')")
-    bad = FreeComoduleAlgebra(C.H, C.A, bad_images)
+    bad = FreeComoduleAlgebra(C.H, C.gens, bad_images)
     rep = check_comodule(bad, config=NON_UNITAL)
     assert not rep.passed
     assert rep.first_failure().residue is not None
+
+
+def test_free_carriers_refuse_repeated_generators():
+    B = m_bialgebra()
+    with pytest.raises(ValueError, match=r"^generator names must be distinct: \('a', 'a'\)$"):
+        FreeHomBialgebra(("a", "a"), {"a": B.delta_images["a"]})
+    C = hom_affine_plane()
+    with pytest.raises(ValueError, match=r"^generator names must be distinct: \('x', 'x'\)$"):
+        FreeComoduleAlgebra(m_bialgebra(), ("x", "x"), {"x": C.coaction_images["x"]})
 
 
 def test_comodule_homalgebra_free():
@@ -179,7 +193,7 @@ def test_comodule_homalgebra_perturbed_fails():
             # adding a constant breaks multiplicativity
             return out + LinComb.one()
 
-    bad = Perturbed(C.H, C.A, C.coaction_images)
+    bad = Perturbed(C.H, C.gens, C.coaction_images)
     rep = check_comodule_homalgebra(bad)
     assert not rep.passed
 

@@ -174,6 +174,10 @@ ALG = "kind poly\nvars t\n"
     (("verify", "twist", "--file"), "kind twist\nphi_H q = 2*q\n", 2),
     (("verify", "twist", "--file"), "kind twist\nphi_H a = a\nphi_H a = 2*a\n", 3),
     (("verify", "envelope"), "names e1 e2@1\n", 1),
+    # a repeated word of a gens, vars or names line
+    (("verify", "m-coassoc", "--file"), "kind free-bialgebra\ngens a a\n", 2),
+    (("check", "algebra"), "kind poly\nvars t t\n", 2),
+    (("verify", "envelope"), "dim 2\nnames e1 e1\n", 2),
 ])
 def test_malformed_descriptor_exits_2_naming_its_line(tmp_path, command, text, line):
     f = tmp_path / "descriptor"

@@ -271,7 +271,7 @@ def test_load_hom_lie_roundtrip_and_errors():
     with pytest.raises(ValueError):
         load_hom_lie("names e1\nalpha e1 = e1^2")
     # each basis name, bracket pair (in either order) and twist is given once
-    with pytest.raises(ValueError, match="duplicate basis names"):
+    with pytest.raises(ValueError, match="line 1: name 'e1' given twice"):
         load_hom_lie("names e1 e1")
     with pytest.raises(ValueError, match="line 3: second bracket of e2 and e1"):
         load_hom_lie("names e1 e2\nbracket e1 e2 = e1\nbracket e2 e1 = e2")
