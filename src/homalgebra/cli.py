@@ -130,9 +130,15 @@ def _params(args, **extra) -> dict:
 
 def run_reduce(args):
     v = parse_lincomb(args.expr)
-    gens = sorted(args.gens.split(",")) if args.gens else sorted(v.generators())
-    if not gens or gens == [""]:
+    gens = args.gens.split(",") if args.gens else sorted(v.generators())
+    if not gens:
         raise ValueError("no generators: pass --gens for constant inputs")
+    for k, g in enumerate(gens):
+        if g in gens[:k]:
+            raise ValueError(f"--gens: name {g!r} given twice")
+    outside = v.generators() - set(gens)
+    if outside:
+        raise ValueError(f"the term names {min(outside)!r}, not listed in --gens {args.gens}")
     basis = saturate(gens, Bound(args.max_arity, args.max_exp), _config(args))
     residue = basis.reduce(v)
     # reducing is a query, not a check: a nonzero residue is a normal outcome

@@ -10,10 +10,12 @@ inside this window".  Multiplicativity is definitional in the normal form.
 The relations are the Hom-associators ``assoc(u, v, w) = (u v) alpha(w) -
 alpha(u) (v w)`` on windowed terms, in the unital reading (the paper's ideal
 over the whole unital algebra; both readings are first-class) also on the
-unit, plus any caller relations (e.g. an envelope's brackets).  Without these
-and under the default twist, the rows are column classes generated by the
-non-unit associators and the collapses ``assoc(u, 1, 1) = u - alpha(u)``
-alone, as the other unit instances and the twist follow (``_close_classes``).
+unit.  A window is one of two kinds.  The free window, under the default
+twist, keeps its rows as column classes generated by the non-unit
+associators and the collapses ``assoc(u, 1, 1) = u - alpha(u)`` alone, as
+the other unit instances and the twist follow (``_close_classes``).  The
+envelope window, under a client twist and seeded with its bracket
+relations, keeps echelon rows (``_Saturator``).
 The saturated row space is a sound under-approximation of the congruence
 ideal inside the window; completeness within the window is not claimed.
 """
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .grammar import format_term
 from .terms import NAME, Coeff, Leaf, LinComb, Node, Term, as_coeff
@@ -64,17 +66,8 @@ class SaturationConfig:
 
     ``unit_instances`` toggles unit arguments in the associators (the literal,
     unital reading of the defining ideal) versus the non-unital variant.
-    ``extra_relations`` are additional relation vectors, closed under the same
-    ideal operations; they must fit the window.
     """
     unit_instances: bool = True
-    extra_relations: tuple[LinComb, ...] = ()
-
-    def describe(self) -> dict:
-        return {
-            "unit_instances": self.unit_instances,
-            "extra_relations": len(self.extra_relations),
-        }
 
 
 class Verdict(Enum):
@@ -327,13 +320,15 @@ class RelationBasis:
     and only a result's columns are built into terms.  Rows are kept in
     reduced echelon form with the pivot on the largest column, so residues
     concentrate on small terms; a binomial window keeps them as column classes.
+    ``relations`` counts the relation rows the saturation was seeded with.
     """
 
     def __init__(self, cols: _Columns, config: SaturationConfig,
-                 store: _EchelonRows | _ColumnClasses):
+                 store: _EchelonRows | _ColumnClasses, relations: int = 0):
         self.gens = tuple(cols.gens)
         self.bound = cols.bound
         self.config = config
+        self.relations = relations
         self._cols = cols
         self._store = store
 
@@ -378,7 +373,8 @@ class RelationBasis:
         return {
             "generators": list(self.gens),
             "bound": {"max_arity": self.bound.max_arity, "max_exp": self.bound.max_exp},
-            "config": self.config.describe(),
+            "config": {"unit_instances": self.config.unit_instances,
+                       "extra_relations": self.relations},
             "basis_size": self.basis_size,
             "rows_count": self.rows_count,
         }
@@ -393,9 +389,10 @@ class _Saturator:
     factors' images.
 
     It generates the ideal literally, unit instances and twist step included:
-    the reference for the column classes, and the store for caller relations,
-    whose rows the twist step changes (137 rows, 109 without it, for
-    ``2 (x y) - 3 (y x) + 1/2 (x x)`` at ``Bound(3, 2)``, non-unital).
+    the store of the envelope window, and with the default twist the tests'
+    reference for the column classes.  Seeded relations need the twist step:
+    in a tests-only window with the default twist, ``2 (x y) - 3 (y x) + 1/2
+    (x x)`` at ``Bound(3, 2)``, non-unital, gives 137 rows, and 109 without it.
     """
 
     def __init__(self, cols: _Columns, config, leaf_twist: list[Optional[Vec]]):
@@ -632,30 +629,29 @@ def _close_classes(cols: _Columns, unit_instances: bool) -> list[int]:
 def saturate(gens: Iterable[str], bound: Bound,
              config: SaturationConfig = SaturationConfig(),
              twist: dict[str, LinComb] | None = None,
-             cap: int = DEFAULT_TERM_CAP) -> RelationBasis:
+             relations: Sequence[LinComb] = ()) -> RelationBasis:
     """Build the windowed relation basis for the given generators and config.
 
-    ``twist`` overrides the normal-form twist (leaf exponent shift) with each
-    generator's image, a combination of generators, extended multiplicatively
-    (e.g. a structure-constant matrix for enveloping algebras); the window
-    must then carry no exponents.  The output is a pure function of the inputs.
-
-    Without a client twist or extra relations every relation is a binomial,
-    and the rows are kept as column classes; otherwise as echelon rows.
+    Without ``twist`` this is the free window: the twist is the normal form's
+    (leaf exponent shift), every relation is a binomial, and the rows are
+    kept as column classes.  With ``twist``, each generator's image, a
+    combination of generators, extended multiplicatively (an enveloping
+    algebra's structure-constant matrix), it is the envelope window: it must
+    carry no exponents, ``relations`` (the bracket relations) seed the
+    saturation and must fit the window, and the rows are kept as echelon
+    rows.  The output is a pure function of the inputs.
     """
-    cols = _Columns(gens, bound, cap)
-    if twist is None and not config.extra_relations:
+    if twist is None and relations:
+        raise ValueError("relations need a client twist")
+    cols = _Columns(gens, bound, DEFAULT_TERM_CAP)
+    if twist is None:
         store = _ColumnClasses(_close_classes(cols, config.unit_instances))
         return RelationBasis(cols, config, store)
-    if twist is None:
-        leaf_twist = [None if j is None else {j: 1}
-                      for j in map(cols.twist, range(1, cols.starts[2]))]
-    elif bound.max_exp:
+    if bound.max_exp:
         raise ValueError(f"a client twist needs a window without exponents, got {bound}")
-    else:
-        leaf_twist = [_vectorize(cols, twist[g], "twist term") for g in cols.gens]
-        if any(not 0 < j < cols.starts[2] for vec in leaf_twist for j in vec):
-            raise ValueError("a client twist maps each generator to a combination of generators")
-    seeds = [_vectorize(cols, rel, "extra relation term") for rel in config.extra_relations]
+    leaf_twist = [_vectorize(cols, twist[g], "twist term") for g in cols.gens]
+    if any(not 0 < j < cols.starts[2] for vec in leaf_twist for j in vec):
+        raise ValueError("a client twist maps each generator to a combination of generators")
+    seeds = [_vectorize(cols, rel, "extra relation term") for rel in relations]
     rows = _Saturator(cols, config, leaf_twist).run(seeds)
-    return RelationBasis(cols, config, _EchelonRows(rows))
+    return RelationBasis(cols, config, _EchelonRows(rows), len(seeds))

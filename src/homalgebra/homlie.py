@@ -20,7 +20,7 @@ that envelope's ideal (cross brackets vanish).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import product
 
@@ -221,9 +221,7 @@ def _envelope_window(L: HomLieAlgebra, max_arity: int,
     """The saturated window of exponent-free trees on the basis of ``L``:
     the associators of ``config`` and the bracket relations, under the twist
     of ``L``.  ``L`` is not checked here."""
-    config = replace(config, extra_relations=config.extra_relations
-                     + tuple(bracket_relations(L)))
-    return saturate(L.names, Bound(max_arity, 0), config, L.twist)
+    return saturate(L.names, Bound(max_arity, 0), config, L.twist, bracket_relations(L))
 
 
 def envelope(L: HomLieAlgebra, max_arity: int = 3,

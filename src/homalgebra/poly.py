@@ -232,11 +232,6 @@ class PolyEndo:
     def is_identity_on(self, names) -> bool:
         return all(self.images.get(v, Poly.var(v)) == Poly.var(v) for v in names)
 
-    def compose(self, other: "PolyEndo") -> "PolyEndo":
-        """self after other."""
-        names = set(self.images) | set(other.images)
-        return PolyEndo({v: self(other(Poly.var(v))) for v in names})
-
     def __repr__(self):
         body = ", ".join(f"{v} -> {p}" for v, p in sorted(self.images.items()))
         return f"PolyEndo({body})"

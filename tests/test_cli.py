@@ -136,7 +136,7 @@ def test_free_bialgebra_descriptor_file(tmp_path):
 
 
 def test_resource_cap_error_is_clean():
-    out = run_cli("reduce", "x", "--gens",
+    out = run_cli("reduce", "a", "--gens",
                   "a,b,c,d,e,f,g,h,i,j,k,l,m,n,o,p,q,r", "--max-arity", "4")
     assert out.returncode == 2
     assert "cap" in out.stderr
@@ -149,6 +149,17 @@ def test_bad_generator_name_exits_2_without_traceback(gens, shown):
     out = run_cli("reduce", "(x * x)", "--gens", gens)
     assert out.returncode == 2
     assert out.stderr == f"error: generator name {shown} must match [A-Za-z_][A-Za-z0-9_]*'*\n"
+
+
+# refused before any window is saturated: a name the term uses but --gens
+# leaves out, and a name given twice, in a descriptor file's wording
+@pytest.mark.parametrize("term,gens,message", [
+    ("(a * b)", "a", "the term names 'b', not listed in --gens a"),
+    ("(a * a)", "a,a", "--gens: name 'a' given twice")])
+def test_reduce_refuses_gens_that_do_not_fit_the_term(term, gens, message):
+    out = run_cli("reduce", term, "--gens", gens)
+    assert out.returncode == 2
+    assert out.stderr == f"error: {message}\n"
 
 
 BIALG = "kind free-bialgebra\ngens a b\n"

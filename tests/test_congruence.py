@@ -212,12 +212,11 @@ def test_saturation_is_equivariant_under_renaming(config):
 
 def test_extra_relations_are_used_and_windowed():
     rel = x() * y() - y() * x()  # commutation as an extra relation
-    basis = saturate(["x", "y"], Bound(2, 0),
-                     SaturationConfig(unit_instances=False, extra_relations=(rel,)))
+    basis = echelon_basis(["x", "y"], Bound(2, 0), NON_UNITAL, rel)
     assert basis.equal_mod(x() * y(), y() * x()).proven
-    with pytest.raises(OutOfWindowError):
-        saturate(["x"], Bound(1, 0),
-                 SaturationConfig(extra_relations=(x() * x(),)))
+    assert basis.describe()["config"] == {"unit_instances": False, "extra_relations": 1}
+    with pytest.raises(OutOfWindowError, match=r"extra relation term \(x \* x\) lies outside"):
+        saturate(["x"], Bound(1, 0), twist={"x": x()}, relations=(x() * x(),))
 
 
 def test_out_of_window_error_on_queries():
@@ -237,7 +236,7 @@ def test_out_of_window_error_on_queries():
 
 def test_resource_cap():
     with pytest.raises(ResourceCapError) as err:
-        saturate(list("abcdefgh"), Bound(4, 2), NON_UNITAL, cap=500)
+        _Columns(list("abcdefgh"), Bound(4, 2), 500)
     assert "500" in str(err.value)
 
 
@@ -267,8 +266,7 @@ def window_size(n_gens, bound):
 
 
 def default_saturator(cols, config):
-    """The echelon saturator with the default twist's leaf table, as
-    ``saturate`` builds it."""
+    """The echelon saturator with the default twist's leaf table."""
     leaf_twist = [None if j is None else {j: 1} for j in map(cols.twist, range(1, cols.starts[2]))]
     return _Saturator(cols, config, leaf_twist)
 
@@ -408,6 +406,8 @@ def test_client_twist_needs_generator_images_and_an_exponent_free_window():
         saturate(["x", "y"], Bound(3, 0), NON_UNITAL, {"x": x() * y(), "y": x()})
     with pytest.raises(ValueError, match="combination of generators"):
         saturate(["x", "y"], Bound(3, 0), NON_UNITAL, {"x": LinComb.one() + x(), "y": x()})
+    with pytest.raises(ValueError, match="relations need a client twist"):
+        saturate(["x"], Bound(2, 0), relations=(x() * x() - x(),))
 
 
 @pytest.mark.parametrize("gens,bound", [(["x", "y"], Bound(4, 1)), (["x"], Bound(6, 0))])
@@ -415,10 +415,10 @@ def test_term_cap_boundary(gens, bound):
     count = window_size(len(gens), bound)
     assert len(enumerate_terms(gens, bound)) == count
     with pytest.raises(ResourceCapError) as err:
-        saturate(gens, bound, NON_UNITAL, cap=count - 1)
+        _Columns(gens, bound, count - 1)
     assert str(err.value) == (f"windowed basis exceeds the term cap of {count - 1}"
                               f" (bound {bound}, {len(gens)} generators)")
-    assert saturate(gens, bound, NON_UNITAL, cap=count).basis_size == count
+    assert _Columns(gens, bound, count).starts[-1] - 1 == count
 
 
 def test_deep_one_generator_window_saturates_in_small_memory():
@@ -451,9 +451,8 @@ FRACTIONAL_RELATION = "2 * (x * y) + -3 * (y * x) + 1/2 * (x * x)"
 
 
 def fractional_basis():
-    rel = parse_lincomb(FRACTIONAL_RELATION)
-    return saturate(["x", "y"], Bound(3, 1),
-                    SaturationConfig(unit_instances=False, extra_relations=(rel,)))
+    return echelon_basis(["x", "y"], Bound(3, 1), NON_UNITAL,
+                         parse_lincomb(FRACTIONAL_RELATION))
 
 
 def assert_exact(coeffs):
@@ -554,15 +553,25 @@ def test_pinned_row_digests(window, unital, rows_count, digest):
     assert rows_digest(basis) == digest
 
 
+# the envelope's reports count its bracket relations: one per pair of basis
+# elements, 1 for the affine line and 15 for its tripled direct sum
+@pytest.mark.parametrize("copies,max_arity,relations", [(1, 2, 1), (3, 3, 15)])
+def test_envelope_describes_its_bracket_relations(copies, max_arity, relations):
+    config = envelope_basis(copies, max_arity, True).describe()["config"]
+    assert config == {"unit_instances": True, "extra_relations": relations}
+
+
 # ---------------------------------------------------------------------------
 # two row stores: a binomial window's column classes against echelon rows
 # ---------------------------------------------------------------------------
 
-def echelon_basis(gens, bound, config) -> RelationBasis:
-    """The window saturated by the echelon store, the reference."""
+def echelon_basis(gens, bound, config, *relations) -> RelationBasis:
+    """The window saturated by the echelon store under the default twist:
+    the reference for the column classes, and, seeded with ``relations``, a
+    configuration that ``saturate`` does not build."""
     cols = _Columns(gens, bound, DEFAULT_TERM_CAP)
-    rows = default_saturator(cols, config).run()
-    return RelationBasis(cols, config, _EchelonRows(rows))
+    rows = default_saturator(cols, config).run([_vectorize(cols, rel) for rel in relations])
+    return RelationBasis(cols, config, _EchelonRows(rows), len(relations))
 
 
 def exact_items(v: LinComb):
