@@ -29,8 +29,7 @@ from typing import Optional
 
 from .algebras import (HomAlgebraDescriptor, PreconditionError, free_algebra,
                        matrix_algebra, poly_algebra, yau_twist_algebra)
-from .congruence import (Bound, OutOfWindowError, RelationBasis,
-                         SaturationConfig, saturate)
+from .congruence import Bound, SaturationConfig, saturate
 from .morphisms import (MorphismAssignment, NamingError, evaluate,
                         morphism_from_matrix, rename_embed)
 from .poly import Poly, PolyEndo
@@ -61,18 +60,6 @@ def _keyed(images: dict, tag: str) -> dict:
 def exact(lhs, rhs):
     """Verdict of an identity that must hold before any quotient."""
     return ("EQUAL" if lhs == rhs else "NOT_EQUAL"), None
-
-
-def _equal_mod_or_outside(basis: RelationBasis, lhs: LinComb, rhs: LinComb):
-    """Oracle verdict; a difference that escapes the window is a reported
-    non-proof, not a crash (the zero difference never escapes)."""
-    try:
-        res = basis.equal_mod(lhs, rhs)
-    except OutOfWindowError:
-        return ("NOT_PROVEN_WITHIN_BOUND",
-                format_lincomb(lhs - rhs) + "  (difference escapes the window)")
-    return (res.verdict.value,
-            None if res.proven else format_lincomb(res.residue))
 
 
 def law_report(law: str, context: dict, fmt, cases) -> LawReport:
@@ -171,7 +158,7 @@ class _FreeCarrier(_Carrier):
     @staticmethod
     def oracle(gens, bound: Bound, config: SaturationConfig):
         basis = saturate(gens, bound, config)
-        return partial(_equal_mod_or_outside, basis), basis.describe()
+        return basis.decide, basis.describe()
 
     def pairs(self, seed: int) -> list:
         """Generator pairs, then seeded random pairs of short sums."""
@@ -195,9 +182,9 @@ class _PolyCarrier(_Carrier):
 
     @cached_property
     def algebra(self) -> HomAlgebraDescriptor:
-        """The carrier's descriptor, for its name and its sampling sweep."""
-        A = poly_algebra(self.gens)
-        return yau_twist_algebra(A, self.twist) if self.twist else A
+        """The carrier's descriptor, for its name and its sampling sweep: the
+        polynomial carrier on ``gens``, Yau-twisted along ``twist`` if any."""
+        return yau_twist_algebra(self.gens, self.twist) if self.twist else poly_algebra(self.gens)
 
     @property
     def context(self) -> dict:

@@ -20,13 +20,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from functools import partial
 
 from .algebras import (PreconditionError, check_hom_associative,
                        check_multiplicative, check_unital, matrix_algebra,
                        poly_algebra, q_poly_algebra, yau_twist_algebra)
 from .bialgebras import (MATRIX_LAYOUT, PLANE_GENS, FreeHomBialgebra,
-                         _equal_mod_or_outside,
                          check_comodule, check_comodule_homalgebra,
                          check_delta_is_morphism,
                          check_hom_coassoc, check_comultiplicative,
@@ -268,9 +266,9 @@ def run_envelope(args):
     reports = [check_hom_lie(L)]
     basis = envelope(L, max_arity=min(args.max_arity, 2),
                      unit_instances=not args.non_unital)
-    decide = partial(_equal_mod_or_outside, basis)
     reports.append(law_report("bracket_relations", basis.describe(), format_lincomb,
-                              ((label, u, rhs, decide) for label, u, rhs in bracket_sides(L))))
+                              ((label, u, rhs, basis.decide)
+                               for label, u, rhs in bracket_sides(L))))
     reports.extend(check_envelope_bialgebra(L, max_arity=args.max_arity,
                                             unit_instances=not args.non_unital))
     extra = {"hom_lie": list(L.names),
@@ -294,13 +292,11 @@ def _load_algebra_file(path: str):
         raise ValueError("descriptor kind must be poly or matrix")
     if not names:
         raise ValueError("descriptor needs a vars line")
-    A = poly_algebra(names)
-    if twist:
-        phi = PolyEndo(twist)
-        # a 2x2 matrix product is eight entry products of entry sums, so the
-        # same twist costs the matrix checks many times the poly checks' work
-        require_bounded_twist(phi, MAX_POLY_SIZE if kind == "poly" else MAX_POLY_SIZE // 32)
-        A = yau_twist_algebra(A, phi)
+    phi = PolyEndo(twist)
+    # a 2x2 matrix product is eight entry products of entry sums, so the
+    # same twist costs the matrix checks many times the poly checks' work
+    require_bounded_twist(phi, MAX_POLY_SIZE if kind == "poly" else MAX_POLY_SIZE // 32)
+    A = yau_twist_algebra(names, phi)
     if kind == "matrix":
         A = matrix_algebra(A)
     return A

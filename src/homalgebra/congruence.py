@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Optional, Sequence
 
-from .grammar import format_term
+from .grammar import format_lincomb, format_term
 from .terms import NAME, Coeff, Leaf, LinComb, Node, Term, as_coeff
 
 DEFAULT_TERM_CAP = 200_000
@@ -368,6 +368,17 @@ class RelationBasis:
         if residue.is_zero():
             return EqualityResult(Verdict.PROVEN_EQUAL, residue)
         return EqualityResult(Verdict.NOT_PROVEN_WITHIN_BOUND, residue)
+
+    def decide(self, lhs: LinComb, rhs: LinComb) -> tuple[str, Optional[str]]:
+        """A law's verdict and its printed residue (None when proven); a
+        difference that escapes the window is a reported non-proof, not a
+        crash (the zero difference never escapes)."""
+        try:
+            res = self.equal_mod(lhs, rhs)
+        except OutOfWindowError:
+            return ("NOT_PROVEN_WITHIN_BOUND",
+                    format_lincomb(lhs - rhs) + "  (difference escapes the window)")
+        return res.verdict.value, None if res.proven else format_lincomb(res.residue)
 
     def describe(self) -> dict:
         return {

@@ -21,17 +21,16 @@ that envelope's ideal (cross brackets vanish).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 
 from .algebras import (CheckReport, HomAlgebraDescriptor, PreconditionError,
                        _tuples)
-from .bialgebras import (_equal_mod_or_outside, _FreeCarrier,
-                         check_comultiplicative, check_delta_is_morphism,
-                         check_hom_coassoc, coassoc_composites, exact,
-                         law_report)
+from .bialgebras import (_FreeCarrier, check_comultiplicative,
+                         check_delta_is_morphism, check_hom_coassoc,
+                         coassoc_composites, exact, law_report)
 from .congruence import Bound, RelationBasis, SaturationConfig, saturate
-from .poly import on_line, parse_poly, read_directives, read_keyed, read_leg_names
+from .poly import (on_line, parse_natural, parse_poly, read_directives, read_keyed,
+                   read_leg_names)
 from .reports import LawReport
 from .terms import Leaf, LinComb, make_leaf, rename, weight
 
@@ -281,7 +280,7 @@ class EnvelopeBialgebra(_FreeCarrier):
         D = direct_sum([self.L] * len(legs), legs)
         assert D.names == tuple(gens), gens
         basis = _envelope_window(D, bound.max_arity, config)
-        return partial(_equal_mod_or_outside, basis), basis.describe()
+        return basis.decide, basis.describe()
 
 
 def check_envelope_bialgebra(L: HomLieAlgebra, max_arity: int = 3,
@@ -346,7 +345,9 @@ def load_hom_lie(text: str) -> HomLieAlgebra:
                                               once=("dim", "names")):
         lhs, _, rhs = rest.partition("=")
         if head == "dim":
-            dim = on_line(lineno, int, rest)
+            if not (rest.isascii() and rest.isdigit()):
+                raise ValueError(f"line {lineno}: dim must be written in the digits 0-9")
+            dim = parse_natural(rest, f"line {lineno}: dim")
         elif head == "names":
             names = read_leg_names(rest, lineno)
         elif names is None:
@@ -359,7 +360,10 @@ def load_hom_lie(text: str) -> HomLieAlgebra:
             # skew symmetry fills in the reversed pair, so it is the same bracket
             if (pair[0], pair[1]) in brackets or (pair[1], pair[0]) in brackets:
                 raise ValueError(f"line {lineno}: second bracket of {pair[0]} and {pair[1]}")
-            brackets[(pair[0], pair[1])] = on_line(lineno, _linear_coords, rhs, names)
+            coords = on_line(lineno, _linear_coords, rhs, names)
+            if pair[0] == pair[1] and coords:
+                raise ValueError(f"line {lineno}: bracket of {pair[0]} with itself must vanish")
+            brackets[(pair[0], pair[1])] = coords
         else:
             name, image = read_keyed(rest, lineno, "alpha", names, alpha)
             alpha[name] = on_line(lineno, _linear_coords, image, names)

@@ -36,11 +36,6 @@ def as_coeff(c) -> Coeff:
         return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
         return int(c)
-    if isinstance(c, str):
-        try:
-            return int(c)
-        except ValueError:
-            return as_coeff(Fraction(c))
     raise TypeError(f"not an exact rational: {c!r}")
 
 

@@ -16,8 +16,10 @@ t = Poly.var("t")
 
 
 def test_identity_twist_returns_carrier_unchanged():
-    A = poly_algebra(["t"])
-    assert yau_twist_algebra(A, PolyEndo({"t": t})) is A
+    A = yau_twist_algebra(["t"], PolyEndo({"t": t}))
+    assert A.name == "Q[t]"
+    assert A.unit_flavor is UnitFlavor.STRICT_UNITAL
+    assert A.mul(t, t) == t * t
 
 
 def test_doubling_twist_products():
@@ -44,10 +46,9 @@ def test_twist_weak_unitality_witness():
 
 
 def test_twist_rejects_non_endomorphism():
-    A = poly_algebra(["t"])
     broken = lambda p: p + Poly.one()  # not multiplicative
     with pytest.raises(PreconditionError):
-        yau_twist_algebra(A, broken)
+        yau_twist_algebra(["t"], broken)
 
 
 def test_classical_carriers_pass_all_checks():
@@ -116,7 +117,7 @@ def test_tensor_of_twisted_carriers_passes_checks():
     # Q[t]_phi (x) Q[s]_psi on tagged variables: Q[s, t] twisted by phi on
     # the t leg and psi on the s leg
     s = Poly.var("s")
-    T = yau_twist_algebra(poly_algebra(["s", "t"]), PolyEndo({"t": 2 * t, "s": 3 * s}))
+    T = yau_twist_algebra(["s", "t"], PolyEndo({"t": 2 * t, "s": 3 * s}))
     assert check_hom_associative(T, 60, seed=8).passed
     assert check_multiplicative(T, 60, seed=8).passed
     assert T.unit_flavor is UnitFlavor.WEAK_UNITAL

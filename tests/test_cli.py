@@ -189,6 +189,11 @@ ALG = "kind poly\nvars t\n"
     (("verify", "m-coassoc", "--file"), "kind free-bialgebra\ngens a a\n", 2),
     (("check", "algebra"), "kind poly\nvars t t\n", 2),
     (("verify", "envelope"), "dim 2\nnames e1 e1\n", 2),
+    # a bracket of a name with itself is nonzero
+    (("verify", "envelope"), "names e1 e2\nbracket e1 e1 = e2\n", 2),
+    # a dim that int reads but that is not written in digits
+    (("verify", "envelope"), "dim 1_0\nnames e1 e2\n", 1),
+    (("verify", "envelope"), "dim +2\nnames e1 e2\n", 1),
 ])
 def test_malformed_descriptor_exits_2_naming_its_line(tmp_path, command, text, line):
     f = tmp_path / "descriptor"
@@ -363,6 +368,17 @@ def test_oversized_number_literal_exits_2_without_traceback(tmp_path, argv, name
     assert out.returncode == 2
     assert out.stderr.startswith(f"error: {name} 99999")
     assert "above the size bound" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_oversized_dim_exits_2_naming_its_line(tmp_path):
+    f = tmp_path / "huge.lie"
+    f.write_text(f"dim {HUGE}\nnames e1 e2\n")
+    out = subprocess.run([sys.executable, "-m", "homalgebra.cli", "verify", "envelope", str(f)],
+                         capture_output=True, text=True, cwd=ROOT, timeout=2)
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: line 1: dim 99999")
+    assert "above the size bound of 1000 digits" in out.stderr
     assert "Traceback" not in out.stderr
 
 

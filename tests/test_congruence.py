@@ -488,8 +488,9 @@ def test_lincomb_results_are_exact():
               (half * y()).scale(Fraction(2, 3)), half.alpha()):
         assert_exact(lincomb_coeffs(v))
     assert type((half + half).terms[Leaf("x")]) is int
-    with pytest.raises(TypeError):
-        LinComb.of_term(Leaf("x"), 0.5)
+    for inexact in (0.5, "1/2"):
+        with pytest.raises(TypeError):
+            LinComb.of_term(Leaf("x"), inexact)
 
 
 def test_non_unit_pivots_stay_exact():

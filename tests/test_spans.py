@@ -1,29 +1,33 @@
-"""The benchmark's span targets name functions and methods that exist, and
-``saturate`` builds every window its traced run checks."""
+"""The benchmark's span targets name functions and methods that exist,
+``saturate`` builds every window its traced run checks, and the carriers its
+traced ``soundness`` run wraps give the same results wrapped."""
 
 import importlib
 import json
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
 from homalgebra import cli, congruence
+from homalgebra.algebras import poly_algebra, q_poly_algebra
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
 
 
-def span_targets():
+def perfbench_spans():
     sys.path.insert(0, str(PERFBENCH))
     try:
         import spans
     finally:
         sys.path.remove(str(PERFBENCH))
-    return spans.TARGETS
+    return spans
 
 
-TARGETS = span_targets()
+SPANS = perfbench_spans()
+TARGETS = SPANS.TARGETS
 
 
 # the benchmark judges a traced run whose target is missing as incorrect, so a
@@ -57,3 +61,26 @@ def test_saturate_sees_the_reference_windows(inv, monkeypatch):
                     monkeypatch.setattr(module, key, recorded)
     assert cli.main([*inv["argv"], "--json"]) == inv["exit_code"]
     assert seen == inv["windows"]
+
+
+# the benchmark's traced ``soundness`` run wraps these two carriers' element
+# operations with ``dataclasses.replace``, so each must stay a plain
+# descriptor whose wrapped operations give the unwrapped results
+@pytest.mark.parametrize("build", [lambda: poly_algebra(["u", "v"]),
+                                   lambda: q_poly_algebra(2)],
+                         ids=["classical", "twisted"])
+def test_traced_soundness_carriers_keep_their_results(build):
+    recorder = SPANS.Recorder()
+    plain = build()
+    traced = recorder.wrap_descriptor(plain)
+    rng = random.Random(4)
+    for _ in range(8):
+        x, y = plain.rand(rng), plain.rand(rng)
+        c = rng.randint(-3, 3)
+        assert traced.mul(x, y) == plain.mul(x, y)
+        assert traced.alpha(x) == plain.alpha(x)
+        assert traced.add(x, y) == plain.add(x, y)
+        assert traced.scale(c, x) == plain.scale(c, x)
+        assert traced.eq(x, y) == plain.eq(x, y) and traced.eq(x, x)
+    recorded = {recorder.names[i] for i in recorder.name_id}
+    assert recorded == {"algebras.mul", "algebras.alpha", "algebras.add_scale", "algebras.eq"}
