@@ -37,11 +37,18 @@ from .grammar import TermSyntaxError, format_lincomb, parse_lincomb
 from .homlie import (affine_line_twisted, bracket_sides,
                      check_envelope_bialgebra, check_hom_lie, dimension_report,
                      envelope, load_hom_lie)
-from .poly import (MAX_POLY_SIZE, Poly, PolyEndo, on_line, parse_poly,
-                   parse_rational, read_directives, read_keyed, read_leg_names,
-                   read_names, require_bounded_twist)
+from .poly import (MAX_POLY_SIZE, Poly, PolyEndo, on_line, parse_natural,
+                   parse_poly, parse_rational, read_directives, read_keyed,
+                   read_leg_names, read_names, require_bounded_twist)
 from .reports import dump_json, render_text, report_document
 import random
+
+
+def natural(text: str) -> int:
+    # on a ValueError argparse exits 2, naming the option and the text
+    if text.isascii() and text.isdigit():
+        return parse_natural(text, "count")
+    raise ValueError(text)
 
 
 def _bound_args(p):
@@ -84,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = vs.add_parser("m2-representability")
     p.add_argument("--carrier", choices=["classical", "q-poly"], default="classical")
     p.add_argument("--q", default="2", help="twist scale for the q-poly carrier")
-    p.add_argument("--pairs", type=int, default=50)
+    p.add_argument("--pairs", type=natural, default=50)
     _output_args(p)
 
     p = vs.add_parser("twist")
@@ -102,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     cs = c.add_subparsers(dest="what", required=True)
     p = cs.add_parser("algebra")
     p.add_argument("file", help="carrier descriptor file")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=natural, default=100)
     _output_args(p)
 
     return top

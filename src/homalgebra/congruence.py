@@ -10,11 +10,11 @@ inside this window".  Multiplicativity is definitional in the normal form.
 The relations are the Hom-associators ``assoc(u, v, w) = (u v) alpha(w) -
 alpha(u) (v w)`` on windowed terms, in the unital reading (the paper's ideal
 over the whole unital algebra; both readings are first-class) also on the
-unit.  A window is one of two kinds.  The free window, under the default
-twist, keeps its rows as column classes generated by the non-unit
-associators and the collapses ``assoc(u, 1, 1) = u - alpha(u)`` alone, as
-the other unit instances and the twist follow (``_close_classes``).  The
-envelope window, under a client twist and seeded with its bracket
+unit.  Both kinds of window are generated by the associators on non-unit
+terms and, unital, the collapses ``assoc(u, 1, 1) = u - alpha(u)`` alone,
+as the other unit instances and the twist follow.  The free window, under
+the default twist, keeps its rows as column classes (``_close_classes``).
+The envelope window, under a client twist and seeded with its bracket
 relations, keeps echelon rows (``_Saturator``).
 The saturated row space is a sound under-approximation of the congruence
 ideal inside the window; completeness within the window is not claimed.
@@ -26,6 +26,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain, product, starmap
 from math import comb
 from typing import Iterable, Optional, Sequence
 
@@ -275,6 +276,17 @@ def _reduce(rows: dict[int, Vec], vec: Vec) -> Vec:
     return out
 
 
+def _subtract(out: Vec, vec: Vec) -> Vec:
+    """``out - vec``, in place, without zero entries."""
+    for i, c in vec.items():
+        s = out.get(i, 0) - c
+        if s:
+            out[i] = s
+        else:
+            out.pop(i, None)
+    return out
+
+
 class _EchelonRows:
     """Rows in reduced echelon form: pivot column -> row, with coefficient 1
     at the pivot, the largest column of its row."""
@@ -392,18 +404,26 @@ class RelationBasis:
 
 
 class _Saturator:
-    """Index-level worker: builds the echelon row space to a closure fixpoint.
+    """Index-level worker: builds the envelope window's echelon rows to a
+    closure fixpoint.
 
     Products are column arithmetic (see ``_Columns``), and so is the twist:
     ``leaf_twist[d]`` is the image of leaf column ``1 + d`` (None if it
     escapes the window), and a product's image is the product of its two
     factors' images.
 
-    It generates the ideal literally, unit instances and twist step included:
-    the store of the envelope window, and with the default twist the tests'
-    reference for the column classes.  Seeded relations need the twist step:
-    in a tests-only window with the default twist, ``2 (x y) - 3 (y x) + 1/2
-    (x x)`` at ``Bound(3, 2)``, non-unital, gives 137 rows, and 109 without it.
+    It generates what ``_close_classes`` links, the associators on non-unit
+    columns and, unital, the collapses ``u - alpha(u)``, closed under
+    windowed products: the identities there need only ``alpha(1) = 1`` and
+    multiplicativity, so the span, and with it the reduced echelon form, is
+    the literal ideal's.  That span is twist-closed, so there is no twist
+    step: in an exponent-free window with a client twist, ``alpha(assoc(u,
+    v, w)) = assoc(alpha u, alpha v, alpha w)`` expands into windowed
+    associators, ``alpha(u - alpha u)`` is a combination of collapses,
+    ``alpha(r_ij) = sum a_ki a_lj r_kl`` for the bracket relations, as a
+    checked Hom-Lie twist (or a ``direct_sum`` of them) is multiplicative,
+    ``alpha(m r) = alpha(m) alpha(r)``, and the twist keeps arity, so
+    nothing escapes.
     """
 
     def __init__(self, cols: _Columns, config, leaf_twist: list[Optional[Vec]]):
@@ -412,7 +432,7 @@ class _Saturator:
         self.cols = cols
         self.rows: dict[int, Vec] = {}
         self._graft = cols.graft
-        self._twists: dict[int, Optional[Vec]] = {0: {0: 1}, **dict(enumerate(leaf_twist, 1))}
+        self._twists: dict[int, Optional[Vec]] = dict(enumerate(leaf_twist, 1))
 
     def _alpha_col(self, i: int) -> Optional[Vec]:
         """Image of basis column i under the twist, or None if it escapes."""
@@ -425,29 +445,10 @@ class _Saturator:
                 self._graft(p, q): as_coeff(c * d) for p, c in a.items() for q, d in b.items()}
         return memo[i]
 
-    def _alpha_vec(self, vec: Vec) -> Optional[Vec]:
-        out: Vec = {}
-        for i, c in vec.items():
-            img = self._alpha_col(i)
-            if img is None:
-                return None
-            for j, d in img.items():
-                s = out.get(j, 0) + c * d
-                if s:
-                    out[j] = s
-                else:
-                    out.pop(j, None)
-        return out
-
-    def _mul_vec(self, i: int, vec: Vec, on_left: bool) -> Optional[Vec]:
+    def _mul_vec(self, i: int, vec: Vec, on_left: bool) -> Vec:
         # grafting onto a fixed column is injective, so no two terms collide
-        out: Vec = {}
-        for j, c in vec.items():
-            col = self._graft(i, j) if on_left else self._graft(j, i)
-            if col is None:
-                return None
-            out[col] = c
-        return out
+        graft = self._graft
+        return {graft(i, j) if on_left else graft(j, i): c for j, c in vec.items()}
 
     def insert(self, vec: Vec) -> Optional[int]:
         """Reduce and insert; returns the new pivot column, or None."""
@@ -467,73 +468,43 @@ class _Saturator:
     # -- relation instance generation -----------------------------------------
 
     def _assoc_vec(self, iu, iv, iw) -> Optional[Vec]:
-        """Associator row on basis columns (0 = unit), or None if it escapes."""
+        """Associator row on basis columns (0 = unit), or None if a twist
+        escapes; the arguments' arities sum to at most ``max_arity``."""
         aw = self._alpha_col(iw)
         au = self._alpha_col(iu)
         if aw is None or au is None:
             return None
-        uv = self._graft(iu, iv)
         vw = self._graft(iv, iw)
-        if uv is None or vw is None:
-            return None
-        left = self._mul_vec(uv, aw, on_left=True)
-        if left is None:
-            return None
-        out = dict(left)
-        for j, c in au.items():
-            col = self._graft(j, vw)
-            if col is None:
-                return None
-            s = out.get(col, 0) - c
-            if s:
-                out[col] = s
-            else:
-                out.pop(col, None)
-        return out
+        return _subtract(self._mul_vec(self._graft(iu, iv), aw, on_left=True),
+                         {self._graft(j, vw): c for j, c in au.items()})
 
     def initial_instances(self):
-        """Deterministically ordered associator instances that fit the window."""
-        n_max = self.bound.max_arity
-        starts = self.cols.starts
-        # the columns of arity a, with the unit alone at arity 0
-        pools = [range(starts[a], starts[a + 1]) for a in range(n_max + 1)]
-        arg_arities = range(0 if self.config.unit_instances else 1, n_max + 1)
-        for a1 in arg_arities:
-            for a2 in arg_arities:
-                for a3 in arg_arities:
-                    if a1 + a2 + a3 > n_max or a1 + a2 + a3 == 0:
-                        continue
-                    for iu in pools[a1]:
-                        for iv in pools[a2]:
-                            for iw in pools[a3]:
-                                vec = self._assoc_vec(iu, iv, iw)
-                                if vec:
-                                    yield vec
+        """Deterministically ordered instances that fit the window: unital,
+        the collapses ``u - alpha(u)``, then the associators on non-unit
+        columns."""
+        n_max, starts = self.bound.max_arity, self.cols.starts
+        if self.config.unit_instances:
+            for u in range(1, starts[-1]):
+                au = self._alpha_col(u)
+                if au is not None:
+                    yield _subtract({u: 1}, au)
+        for a1 in range(1, n_max + 1):
+            for a2 in range(1, n_max - a1 + 1):
+                for a3 in range(1, n_max - a1 - a2 + 1):
+                    pools = [range(starts[a], starts[a + 1]) for a in (a1, a2, a3)]
+                    yield from filter(None, starmap(self._assoc_vec, product(*pools)))
 
     def closure_candidates(self, vec):
-        av = self._alpha_vec(vec)
-        if av:
-            yield av
-        # columns are ascending in arity: the row's widest term is its last
+        # columns are ascending in arity: the row's widest term is its last,
+        # and the arity sums keep every product inside the window
         room = self.bound.max_arity - _arity_of(self.cols.starts, max(vec))
-        for i in range(1, self.cols.starts[max(room, 0) + 1]):
-            left = self._mul_vec(i, vec, on_left=True)
-            if left:
-                yield left
-            right = self._mul_vec(i, vec, on_left=False)
-            if right:
-                yield right
+        for i in range(1, self.cols.starts[room + 1]):
+            yield self._mul_vec(i, vec, on_left=True)
+            yield self._mul_vec(i, vec, on_left=False)
 
     def run(self, seed_vecs=()):
-        pending = []
-        for vec in seed_vecs:
-            p = self.insert(vec)
-            if p is not None:
-                pending.append(p)
-        for vec in self.initial_instances():
-            p = self.insert(vec)
-            if p is not None:
-                pending.append(p)
+        inserted = map(self.insert, chain(seed_vecs, self.initial_instances()))
+        pending = [p for p in inserted if p is not None]
         # Each inserted row is expanded exactly once: images of rows that
         # reduce to zero are spanned by images of already-expanded rows, so
         # the final span is closed under the windowed ideal operations.
@@ -651,6 +622,11 @@ def saturate(gens: Iterable[str], bound: Bound,
     carry no exponents, ``relations`` (the bracket relations) seed the
     saturation and must fit the window, and the rows are kept as echelon
     rows.  The output is a pure function of the inputs.
+
+    As no row is twisted, ``relations`` must span a twist-invariant space, as
+    the bracket relations of a multiplicative Hom-Lie algebra do (see
+    ``_Saturator``); otherwise the rows need not be twist-closed, but a
+    ``PROVEN_EQUAL`` stays sound.
     """
     if twist is None and relations:
         raise ValueError("relations need a client twist")

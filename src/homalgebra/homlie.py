@@ -347,9 +347,9 @@ def load_hom_lie(text: str) -> HomLieAlgebra:
         if head == "dim":
             if not (rest.isascii() and rest.isdigit()):
                 raise ValueError(f"line {lineno}: dim must be written in the digits 0-9")
-            dim = parse_natural(rest, f"line {lineno}: dim")
+            dim = lineno, parse_natural(rest, f"line {lineno}: dim")
         elif head == "names":
-            names = read_leg_names(rest, lineno)
+            names, names_line = read_leg_names(rest, lineno), lineno
         elif names is None:
             raise ValueError(f"line {lineno}: names must come before "
                              + ("brackets" if head == "bracket" else "alpha"))
@@ -369,6 +369,7 @@ def load_hom_lie(text: str) -> HomLieAlgebra:
             alpha[name] = on_line(lineno, _linear_coords, image, names)
     if names is None:
         raise ValueError("missing 'names' line")
-    if dim is not None and dim != len(names):
-        raise ValueError(f"dim {dim} does not match {len(names)} names")
+    if dim is not None and dim[1] != len(names):
+        raise ValueError(f"line {dim[0]}: dim {dim[1]} does not match the {len(names)} names"
+                         f" of line {names_line}")
     return hom_lie_algebra(names, brackets, alpha)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,9 +14,13 @@ ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "schema" / "report.schema.json").read_text())
 
 
-def run_cli(*args):
+def run_cli(*args, text=True, timeout=None):
+    """``python -m homalgebra.cli ARGS`` from the repository root, with
+    ``src`` on the child's ``PYTHONPATH``."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "homalgebra.cli", *args],
-                          capture_output=True, text=True, cwd=ROOT)
+                          capture_output=True, text=text, cwd=ROOT, timeout=timeout,
+                          env=dict(os.environ, PYTHONPATH=path))
 
 
 def validate(doc):
@@ -194,6 +199,8 @@ ALG = "kind poly\nvars t\n"
     # a dim that int reads but that is not written in digits
     (("verify", "envelope"), "dim 1_0\nnames e1 e2\n", 1),
     (("verify", "envelope"), "dim +2\nnames e1 e2\n", 1),
+    # a dim that does not count the names
+    (("verify", "envelope"), "dim 3\nnames e1 e2\n", 1),
 ])
 def test_malformed_descriptor_exits_2_naming_its_line(tmp_path, command, text, line):
     f = tmp_path / "descriptor"
@@ -325,8 +332,7 @@ def test_oversized_rational_parameter_exits_2_without_traceback(tmp_path, argv, 
     f = tmp_path / "huge.twist"
     f.write_text("kind twist\nlambda 1e100000\n")
     argv = [str(f) if a == f.name else a for a in argv]
-    out = subprocess.run([sys.executable, "-m", "homalgebra.cli", *argv],
-                         capture_output=True, text=True, cwd=ROOT, timeout=2)
+    out = run_cli(*argv, timeout=2)
     assert out.returncode == 2
     assert out.stderr.startswith(f"error: {name} ")
     assert "Traceback" not in out.stderr
@@ -343,8 +349,7 @@ def test_rational_lambda_forms_are_accepted(lam, shown):
 def test_oversized_descriptor_power_exits_2_without_traceback(tmp_path, power):
     f = tmp_path / "huge.alg"
     f.write_text(f"kind poly\nvars t\ntwist t = {power}\n")
-    out = subprocess.run([sys.executable, "-m", "homalgebra.cli", "check", "algebra", str(f)],
-                         capture_output=True, text=True, cwd=ROOT, timeout=2)
+    out = run_cli("check", "algebra", str(f), timeout=2)
     assert out.returncode == 2
     assert "size bound" in out.stderr or "above the bound" in out.stderr
     assert "Traceback" not in out.stderr
@@ -363,19 +368,41 @@ def test_oversized_number_literal_exits_2_without_traceback(tmp_path, argv, name
     f = tmp_path / "huge.alg"
     f.write_text(f"kind poly\nvars t\ntwist t = {HUGE}*t\n")
     argv = [str(f) if a == f.name else a for a in argv]
-    out = subprocess.run([sys.executable, "-m", "homalgebra.cli", *argv],
-                         capture_output=True, text=True, cwd=ROOT, timeout=2)
+    out = run_cli(*argv, timeout=2)
     assert out.returncode == 2
     assert out.stderr.startswith(f"error: {name} 99999")
     assert "above the size bound" in out.stderr
     assert "Traceback" not in out.stderr
 
 
+def test_dim_that_does_not_count_the_names_is_refused_naming_both_lines(tmp_path):
+    f = tmp_path / "dim.lie"
+    f.write_text("names e1 e2\ndim 3\n")
+    out = run_cli("verify", "envelope", str(f))
+    assert out.returncode == 2
+    assert out.stderr == "error: line 2: dim 3 does not match the 2 names of line 1\n"
+
+
+# a count is digits 0-9, as a Hom-Lie dim is: a sign, an underscore or
+# another script's digit is refused by argparse, which names the option
+@pytest.mark.parametrize("argv", [
+    ("verify", "m2-representability", "--pairs", "-2"),
+    ("verify", "m2-representability", "--pairs", "1_0"),
+    ("check", "algebra", "perfbench/data/twisted_matrix.alg", "--samples", "-3"),
+    ("check", "algebra", "perfbench/data/twisted_matrix.alg", "--samples", "+3"),
+])
+def test_negative_or_non_digit_count_exits_2_naming_its_option(argv):
+    out = run_cli(*argv)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert f"error: argument {argv[-2]}: invalid natural value: '{argv[-1]}'" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_oversized_dim_exits_2_naming_its_line(tmp_path):
     f = tmp_path / "huge.lie"
     f.write_text(f"dim {HUGE}\nnames e1 e2\n")
-    out = subprocess.run([sys.executable, "-m", "homalgebra.cli", "verify", "envelope", str(f)],
-                         capture_output=True, text=True, cwd=ROOT, timeout=2)
+    out = run_cli("verify", "envelope", str(f), timeout=2)
     assert out.returncode == 2
     assert out.stderr.startswith("error: line 1: dim 99999")
     assert "above the size bound of 1000 digits" in out.stderr
@@ -393,8 +420,7 @@ def test_oversized_natural_number_exits_2_without_traceback(tmp_path, argv, show
     f = tmp_path / "huge.alg"
     f.write_text(f"kind poly\nvars t\ntwist t = t^{HUGE}\n")
     argv = [str(f) if a == f.name else a for a in argv]
-    out = subprocess.run([sys.executable, "-m", "homalgebra.cli", *argv],
-                         capture_output=True, text=True, cwd=ROOT, timeout=2)
+    out = run_cli(*argv, timeout=2)
     assert out.returncode == 2
     assert out.stderr.startswith(shown)
     assert "above the size bound of 1000 digits" in out.stderr
@@ -415,9 +441,7 @@ def test_number_literal_forms_are_read_as_before(term, code, shown):
 # are built, so a large arity is refused at once
 @pytest.mark.parametrize("max_arity", ["25", "1000000"])
 def test_deep_window_exits_2_at_the_term_cap(max_arity):
-    out = subprocess.run([sys.executable, "-m", "homalgebra.cli", "reduce", "x",
-                          "--max-arity", max_arity],
-                         capture_output=True, text=True, cwd=ROOT, timeout=2)
+    out = run_cli("reduce", "x", "--max-arity", max_arity, timeout=2)
     assert out.returncode == 2
     assert out.stderr.startswith("error: windowed basis exceeds the term cap of 200000")
     assert "Traceback" not in out.stderr
@@ -426,8 +450,7 @@ def test_deep_window_exits_2_at_the_term_cap(max_arity):
 def run_check_algebra_twist(tmp_path, twist, timeout, kind="poly"):
     f = tmp_path / "twist.alg"
     f.write_text(f"kind {kind}\nvars t\ntwist t = {twist}\n")
-    return subprocess.run([sys.executable, "-m", "homalgebra.cli", "check", "algebra", str(f)],
-                          capture_output=True, text=True, cwd=ROOT, timeout=timeout)
+    return run_cli("check", "algebra", str(f), timeout=timeout)
 
 
 # each is inside MAX_POLY_SIZE, but the checks compose it with itself over
@@ -535,8 +558,7 @@ def test_golden_report_digest(tmp_path, argv, code, digest):
     for name, text in GOLDEN_FILES.items():
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / a) if a in GOLDEN_FILES else a for a in argv]
-    out = subprocess.run([sys.executable, "-m", "homalgebra.cli", *argv, "--json"],
-                         capture_output=True, cwd=ROOT)
+    out = run_cli(*argv, "--json", text=False)
     assert out.returncode == code, out.stderr
     assert hashlib.sha256(out.stdout).hexdigest() == digest
 
@@ -548,7 +570,6 @@ REFERENCE = json.loads((ROOT / "perfbench" / "reference.json").read_text())["sui
 
 @pytest.mark.parametrize("inv", REFERENCE, ids=[inv["kind"] for inv in REFERENCE])
 def test_benchmark_reference_invocation(inv):
-    out = subprocess.run([sys.executable, "-m", "homalgebra.cli", *inv["argv"], "--json"],
-                         capture_output=True, cwd=ROOT)
+    out = run_cli(*inv["argv"], "--json", text=False)
     assert out.returncode == inv["exit_code"], out.stderr
     assert hashlib.sha256(out.stdout).hexdigest() == inv["sha256"]

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -19,9 +20,11 @@ from homalgebra.congruence import (DEFAULT_TERM_CAP, Bound, OutOfWindowError,
 from homalgebra.grammar import format_lincomb, format_term, parse_lincomb
 from homalgebra.homlie import (LEG_TAGS2, LEG_TAGS3, EnvelopeBialgebra,
                                abelian_hom_lie, affine_line_twisted,
-                               direct_sum, envelope)
+                               bracket_relations, direct_sum, envelope,
+                               load_hom_lie)
 from homalgebra.terms import (Leaf, LinComb, Node, arity, leaves, make_leaf,
                               random_lincomb, rename, shift_term, sort_key)
+from test_cli import GOLDEN_FILES
 
 NON_UNITAL = SaturationConfig(unit_instances=False)
 UNITAL = SaturationConfig(unit_instances=True)
@@ -265,10 +268,52 @@ def window_size(n_gens, bound):
                for n in range(1, bound.max_arity + 1))
 
 
+class LiteralSaturator(_Saturator):
+    """The ideal generated literally: every associator that fits, unit
+    arguments included, and the twist of every row it expands.  The reference
+    for the rows of both stores that ``saturate`` builds."""
+
+    def __init__(self, cols, config, leaf_twist):
+        super().__init__(cols, config, leaf_twist)
+        self._twists[0] = {0: 1}
+
+    def _alpha_vec(self, vec):
+        out = {}
+        for i, c in vec.items():
+            img = self._alpha_col(i)
+            if img is None:
+                return None
+            for j, d in img.items():
+                s = out.get(j, 0) + c * d
+                if s:
+                    out[j] = s
+                else:
+                    out.pop(j, None)
+        return out
+
+    def initial_instances(self):
+        n_max, starts = self.bound.max_arity, self.cols.starts
+        # the columns of arity a, with the unit alone at arity 0
+        pools = [range(starts[a], starts[a + 1]) for a in range(n_max + 1)]
+        arities = range(0 if self.config.unit_instances else 1, n_max + 1)
+        for a1, a2, a3 in itertools.product(arities, repeat=3):
+            if 0 < a1 + a2 + a3 <= n_max:
+                for args in itertools.product(pools[a1], pools[a2], pools[a3]):
+                    vec = self._assoc_vec(*args)
+                    if vec:
+                        yield vec
+
+    def closure_candidates(self, vec):
+        av = self._alpha_vec(vec)
+        if av:
+            yield av
+        yield from super().closure_candidates(vec)
+
+
 def default_saturator(cols, config):
-    """The echelon saturator with the default twist's leaf table."""
+    """The literal saturator with the default twist's leaf table."""
     leaf_twist = [None if j is None else {j: 1} for j in map(cols.twist, range(1, cols.starts[2]))]
-    return _Saturator(cols, config, leaf_twist)
+    return LiteralSaturator(cols, config, leaf_twist)
 
 
 # the 1-generator deep window is where shapes of different arities share
@@ -522,6 +567,12 @@ def envelope_basis(copies, max_arity, unit_instances):
                     unit_instances=unit_instances)
 
 
+def golden_envelope(name, max_arity, config):
+    """The envelope of the CLI's golden Hom-Lie descriptor ``name``."""
+    L = load_hom_lie(GOLDEN_FILES[f"{name}.homlie"])
+    return envelope(L, max_arity=max_arity, unit_instances=config.unit_instances)
+
+
 ROW_DIGESTS = [
     # (window, unit instances, rows_count, digest)
     ("xyz-3-1", True, 435, "35daf5242c4b70f9fe9aad6093991d7f8eddb8e0acdcaf87bdfa37b1086f828b"),
@@ -536,6 +587,11 @@ ROW_DIGESTS = [
     ("envelope-tripled", True, 455, "71a50ae4a1c0d2800585cd1ebf00df0ad424deca946bcc757b8cb50bc74b42a4"),
     ("envelope-tripled", False, 391, "18ca607e7b33ec5191221bcdffcdd82d4e0a3b028ed6789cd0e5022cdd7378e1"),
     ("fractional", False, 34, "7168cdd6dd4caba24108c078117b088aea2f9b4ed969430a157a335a43818cfc"),
+    # two golden Hom-Lie descriptors of ``verify envelope FILE`` at arity 3
+    ("sl2tw", True, 66, "a44f2dcd93db5410bc0a7b6fcd296e12a0408f1e25de5beea9dbd292573569ed"),
+    ("sl2tw", False, 47, "3a2f5ba86ab3884837e2b7acb8318a1ece1394e35490f1895769e617f77c06e9"),
+    ("heis", True, 63, "52a29b694013a1f17706077c991214d005791659b8b98b6440465c16ed72b3c0"),
+    ("heis", False, 47, "ef9c5104ff627d0edc93b9b168fed9125ca1ec07f95cee98d920cabe39dd52ff"),
 ]
 
 
@@ -549,6 +605,8 @@ def test_pinned_row_digests(window, unital, rows_count, digest):
         "envelope-doubled": lambda: envelope_basis(2, 3, unital),
         "envelope-tripled": lambda: envelope_basis(3, 3, unital),
         "fractional": fractional_basis,
+        "sl2tw": lambda: golden_envelope("sl2tw", 3, config),
+        "heis": lambda: golden_envelope("heis", 3, config),
     }[window]()
     assert basis.rows_count == rows_count
     assert rows_digest(basis) == digest
@@ -560,6 +618,58 @@ def test_pinned_row_digests(window, unital, rows_count, digest):
 def test_envelope_describes_its_bracket_relations(copies, max_arity, relations):
     config = envelope_basis(copies, max_arity, True).describe()["config"]
     assert config == {"unit_instances": True, "extra_relations": relations}
+
+
+# ---------------------------------------------------------------------------
+# the envelope window's rows against the literal ideal
+# ---------------------------------------------------------------------------
+
+def literal_envelope_rows(L, max_arity, config):
+    """The rows of ``L``'s envelope window saturated by ``LiteralSaturator``."""
+    cols = _Columns(L.names, Bound(max_arity, 0), DEFAULT_TERM_CAP)
+    leaf_twist = [_vectorize(cols, L.twist[g]) for g in cols.gens]
+    seeds = [_vectorize(cols, rel) for rel in bracket_relations(L)]
+    return LiteralSaturator(cols, config, leaf_twist).run(seeds)
+
+
+def exact_rows(rows):
+    """Echelon rows with each coefficient's type, so that 1 and Fraction(1) differ."""
+    return {p: {i: (type(c), c) for i, c in row.items()} for p, row in rows.items()}
+
+
+@pytest.mark.parametrize("config", [NON_UNITAL, UNITAL], ids=["non-unital", "unital"])
+@pytest.mark.parametrize("make,max_arity", [
+    (lambda: fixture_copies(1), 2), (lambda: fixture_copies(2), 3),
+    (lambda: fixture_copies(3), 3), (dense_abelian, 3),
+    (lambda: load_hom_lie(GOLDEN_FILES["sl2tw.homlie"]), 3),
+    (lambda: load_hom_lie(GOLDEN_FILES["heis.homlie"]), 3),
+], ids=["affine", "doubled", "tripled", "dense", "sl2tw", "heis"])
+def test_envelope_rows_match_the_literal_saturator(make, max_arity, config):
+    L = make()
+    basis = envelope(L, max_arity=max_arity, unit_instances=config.unit_instances)
+    assert exact_rows(basis._store.rows) == exact_rows(literal_envelope_rows(L, max_arity, config))
+
+
+rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def twisted_hom_lie(draw):
+    """The affine line under a twist ``e1 -> e1 + beta e2, e2 -> gamma e2``, or
+    an abelian algebra of dimension 2 or 3 under a rational twist matrix."""
+    if draw(st.booleans()):
+        return affine_line_twisted(draw(rationals), draw(rationals))
+    names = ("u", "v", "w")[:draw(st.integers(2, 3))]
+    return abelian_hom_lie(names, {n: {m: draw(rationals) for m in names} for n in names})
+
+
+# the twist closure that the saturator leaves out holds on multiplicative twists
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(twisted_hom_lie())
+def test_saturated_envelope_rows_are_the_literal_ideal(L):
+    for config in (NON_UNITAL, UNITAL):
+        basis = saturate(L.names, Bound(3, 0), config, L.twist, bracket_relations(L))
+        assert exact_rows(basis._store.rows) == exact_rows(literal_envelope_rows(L, 3, config))
 
 
 # ---------------------------------------------------------------------------
