@@ -33,7 +33,7 @@ from .congruence import Bound, SaturationConfig, saturate
 from .morphisms import (MorphismAssignment, NamingError, evaluate,
                         morphism_from_matrix, rename_embed)
 from .poly import Poly, PolyEndo
-from .reports import LawItem, LawReport
+from .reports import LawReport, law_report
 from .terms import LinComb, make_leaf, random_lincomb, rename
 from .grammar import format_lincomb
 
@@ -60,14 +60,6 @@ def _keyed(images: dict, tag: str) -> dict:
 def exact(lhs, rhs):
     """Verdict of an identity that must hold before any quotient."""
     return ("EQUAL" if lhs == rhs else "NOT_EQUAL"), None
-
-
-def law_report(law: str, context: dict, fmt, cases) -> LawReport:
-    """One item per ``(label, lhs, rhs, decide)``, both sides printed by ``fmt``."""
-    report = LawReport(law, context=context)
-    for label, lhs, rhs, decide in cases:
-        report.items.append(LawItem(label, fmt(lhs), fmt(rhs), *decide(lhs, rhs)))
-    return report
 
 
 class _Carrier:

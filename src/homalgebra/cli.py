@@ -18,42 +18,24 @@ parameter; JSON output is deterministic unless ``--timings`` is requested.
 from __future__ import annotations
 
 import argparse
+import os
+import random
 import sys
 import time
 
-from .algebras import (PreconditionError, check_hom_associative,
-                       check_multiplicative, check_unital, matrix_algebra,
-                       poly_algebra, q_poly_algebra, yau_twist_algebra)
-from .bialgebras import (MATRIX_LAYOUT, PLANE_GENS, FreeHomBialgebra,
-                         check_comodule, check_comodule_homalgebra,
-                         check_delta_is_morphism,
-                         check_hom_coassoc, check_comultiplicative,
-                         classical_affine_comodule, classical_m2_bialgebra,
-                         hom_affine_plane, lambda_scaling_pair, law_report,
-                         m_bialgebra, representability_check, twist_comodule)
-from .congruence import (Bound, ResourceCapError,
-                         SaturationConfig, saturate)
-from .grammar import TermSyntaxError, format_lincomb, parse_lincomb
-from .homlie import (affine_line_twisted, bracket_sides,
-                     check_envelope_bialgebra, check_hom_lie, dimension_report,
-                     envelope, load_hom_lie)
-from .poly import (MAX_POLY_SIZE, Poly, PolyEndo, on_line, parse_natural,
-                   parse_poly, parse_rational, read_directives, read_keyed,
-                   read_leg_names, read_names, require_bounded_twist)
-from .reports import dump_json, render_text, report_document
-import random
+from . import algebras, bialgebras, congruence, grammar, homlie, poly, reports
 
 
 def natural(text: str) -> int:
     # on a ValueError argparse exits 2, naming the option and the text
     if text.isascii() and text.isdigit():
-        return parse_natural(text, "count")
+        return poly.parse_natural(text, "count")
     raise ValueError(text)
 
 
 def _bound_args(p):
-    p.add_argument("--max-arity", type=int, default=3)
-    p.add_argument("--max-exp", type=int, default=1)
+    p.add_argument("--max-arity", type=natural, default=3)
+    p.add_argument("--max-exp", type=natural, default=1)
     p.add_argument("--non-unital", action="store_true",
                    help="drop unit arguments from the relation instances")
 
@@ -62,7 +44,7 @@ def _output_args(p):
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock time in the report (breaks byte-determinism)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=natural, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = vs.add_parser("envelope")
     p.add_argument("file", nargs="?", help="Hom-Lie descriptor file (default: built-in fixture)")
-    p.add_argument("--max-arity", type=int, default=3)
+    p.add_argument("--max-arity", type=natural, default=3)
     p.add_argument("--non-unital", action="store_true")
     _output_args(p)
 
@@ -115,8 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _config(args) -> SaturationConfig:
-    return SaturationConfig(unit_instances=not args.non_unital)
+def _config(args) -> congruence.SaturationConfig:
+    return congruence.SaturationConfig(unit_instances=not args.non_unital)
 
 
 def _params(args, **extra) -> dict:
@@ -134,7 +116,7 @@ def _params(args, **extra) -> dict:
 # ---------------------------------------------------------------------------
 
 def run_reduce(args):
-    v = parse_lincomb(args.expr)
+    v = grammar.parse_lincomb(args.expr)
     gens = args.gens.split(",") if args.gens else sorted(v.generators())
     if not gens:
         raise ValueError("no generators: pass --gens for constant inputs")
@@ -144,34 +126,35 @@ def run_reduce(args):
     outside = v.generators() - set(gens)
     if outside:
         raise ValueError(f"the term names {min(outside)!r}, not listed in --gens {args.gens}")
-    basis = saturate(gens, Bound(args.max_arity, args.max_exp), _config(args))
+    bound = congruence.Bound(args.max_arity, args.max_exp)
+    basis = congruence.saturate(gens, bound, _config(args))
     residue = basis.reduce(v)
     # reducing is a query, not a check: a nonzero residue is a normal outcome
-    report = law_report("reduce", basis.describe(), format_lincomb, [
-        ("residue class representative", v, residue, lambda _, r: ("PASS", format_lincomb(r)))])
-    return [report], {"normalized": format_lincomb(v),
-                      "residue": format_lincomb(residue),
+    fmt = grammar.format_lincomb
+    report = reports.law_report("reduce", basis.describe(), fmt, [
+        ("residue class representative", v, residue, lambda _, r: ("PASS", fmt(r)))])
+    return [report], {"normalized": fmt(v), "residue": fmt(residue),
                       "reduces_to_zero": residue.is_zero()}
 
 
-def _load_free_bialgebra(path: str) -> FreeHomBialgebra:
+def _load_free_bialgebra(path: str) -> bialgebras.FreeHomBialgebra:
     with open(path) as fh:
         lines = fh.read().splitlines()
     gens, images = (), {}
-    for lineno, head, rest in read_directives(lines, ("kind", "gens", "delta"),
+    for lineno, head, rest in poly.read_directives(lines, ("kind", "gens", "delta"),
                                               once=("kind", "gens")):
         if head == "kind":
             if rest != "free-bialgebra":
                 raise ValueError(f"line {lineno}: expected kind free-bialgebra")
         elif head == "gens":
-            gens = read_leg_names(rest, lineno)
+            gens = poly.read_leg_names(rest, lineno)
         else:
-            name, _ = read_keyed(rest, lineno, "delta", gens, images)
+            name, _ = poly.read_keyed(rest, lineno, "delta", gens, images)
             # the image is parsed in its place in the file, so a syntax error
             # names the file's line and column
             line = lines[lineno - 1].split("#", 1)[0]
             eq = line.index("=") + 1
-            images[name] = parse_lincomb("\n" * (lineno - 1) + " " * eq + line[eq:])
+            images[name] = grammar.parse_lincomb("\n" * (lineno - 1) + " " * eq + line[eq:])
             outside = images[name].generators() - {g + t for g in gens for t in ("'", "''")}
             if outside:
                 raise ValueError(f"line {lineno}: delta {name} names {min(outside)!r},"
@@ -179,144 +162,150 @@ def _load_free_bialgebra(path: str) -> FreeHomBialgebra:
     if not gens or set(images) != set(gens):
         raise ValueError("descriptor needs gens and a delta image per generator")
     # the report's generator order, and so its bytes, follow the sorted names
-    return FreeHomBialgebra(tuple(sorted(gens)), images)
+    return bialgebras.FreeHomBialgebra(tuple(sorted(gens)), images)
 
 
 def run_m_coassoc(args):
-    B = _load_free_bialgebra(args.file) if args.file else m_bialgebra()
-    bound = Bound(args.max_arity, args.max_exp)
+    B = _load_free_bialgebra(args.file) if args.file else bialgebras.m_bialgebra()
+    bound = congruence.Bound(args.max_arity, args.max_exp)
     config = _config(args)
-    reports = [
-        check_hom_coassoc(B, bound=bound, config=config),
-        check_comultiplicative(B),
-        check_delta_is_morphism(B, bound=bound, config=config, seed=args.seed),
+    laws = [
+        bialgebras.check_hom_coassoc(B, bound=bound, config=config),
+        bialgebras.check_comultiplicative(B),
+        bialgebras.check_delta_is_morphism(B, bound=bound, config=config, seed=args.seed),
     ]
-    return reports, {}
+    return laws, {}
 
 
 def run_affine_comodule(args):
-    C = hom_affine_plane()
-    bound = Bound(args.max_arity, args.max_exp)
+    C = bialgebras.hom_affine_plane()
+    bound = congruence.Bound(args.max_arity, args.max_exp)
     config = _config(args)
-    reports = [
-        check_comodule(C, bound=bound, config=config),
-        check_comodule_homalgebra(C, bound=bound, config=config, seed=args.seed),
+    laws = [
+        bialgebras.check_comodule(C, bound=bound, config=config),
+        bialgebras.check_comodule_homalgebra(C, bound=bound, config=config, seed=args.seed),
     ]
-    return reports, {}
+    return laws, {}
 
 
 def run_m2_representability(args):
     rng = random.Random(args.seed)
-    reports = []
+    laws = []
     if args.carrier == "classical":
-        X, Y = (tuple(tuple(Poly.var(f"{m}{i}{j}") for j in (1, 2)) for i in (1, 2))
+        X, Y = (tuple(tuple(poly.Poly.var(f"{m}{i}{j}") for j in (1, 2)) for i in (1, 2))
                 for m in "xy")
-        A = poly_algebra([str(e) for M in (X, Y) for row in M for e in row])
-        rep = representability_check(A, X, Y)
+        A = algebras.poly_algebra([str(e) for M in (X, Y) for row in M for e in row])
+        rep = bialgebras.representability_check(A, X, Y)
         rep.law = "matrix_representability (generic symbols)"
-        reports.append(rep)
+        laws.append(rep)
     else:
-        A = q_poly_algebra(parse_rational(args.q, "--q"))
-    M = matrix_algebra(A)
+        A = algebras.q_poly_algebra(poly.parse_rational(args.q, "--q"))
+    M = algebras.matrix_algebra(A)
     for k in range(args.pairs):
         X, Y = M.rand(rng), M.rand(rng)
-        rep = representability_check(A, X, Y)
+        rep = bialgebras.representability_check(A, X, Y)
         rep.law = f"matrix_representability (random pair {k})"
-        reports.append(rep)
-    return reports, {"carrier": A.name, "pairs": args.pairs}
+        laws.append(rep)
+    return laws, {"carrier": A.name, "pairs": args.pairs}
 
 
 def _load_twist_file(path: str):
     lam = None
     phis = {"phi_H": {}, "phi_A": {}}
     # the variables of the classical bialgebra and of the plane it coacts on
-    keys = {"phi_H": tuple(g for row in MATRIX_LAYOUT for g in row), "phi_A": PLANE_GENS}
+    keys = {"phi_H": tuple(g for row in bialgebras.MATRIX_LAYOUT for g in row),
+            "phi_A": bialgebras.PLANE_GENS}
     with open(path) as fh:
-        for lineno, head, rest in read_directives(fh, ("kind", "lambda", "phi_H", "phi_A"),
+        for lineno, head, rest in poly.read_directives(fh, ("kind", "lambda", "phi_H", "phi_A"),
                                                   once=("kind", "lambda")):
             if head == "kind":
                 if rest != "twist":
                     raise ValueError(f"line {lineno}: expected kind twist")
             elif head == "lambda":
-                lam = parse_rational(rest, f"line {lineno}: lambda")
+                lam = poly.parse_rational(rest, f"line {lineno}: lambda")
             else:
-                name, image = read_keyed(rest, lineno, head, keys[head], phis[head])
-                phis[head][name] = on_line(lineno, parse_poly, image, keys[head])
+                name, image = poly.read_keyed(rest, lineno, head, keys[head], phis[head])
+                phis[head][name] = poly.on_line(lineno, poly.parse_poly, image, keys[head])
             if lam is not None and (phis["phi_H"] or phis["phi_A"]):
                 raise ValueError(f"line {lineno}: lambda and phi lines exclude each other")
     if lam is not None:
-        return lambda_scaling_pair(lam)
-    return PolyEndo(phis["phi_H"]), PolyEndo(phis["phi_A"])
+        return bialgebras.lambda_scaling_pair(lam)
+    return poly.PolyEndo(phis["phi_H"]), poly.PolyEndo(phis["phi_A"])
 
 
 def run_twist(args):
-    lam = None if args.file else parse_rational(args.lam, "--lambda")
-    phi_H, phi_A = _load_twist_file(args.file) if args.file else lambda_scaling_pair(lam)
-    Ct = twist_comodule(classical_m2_bialgebra(), classical_affine_comodule(), phi_H, phi_A)
+    lam = None if args.file else poly.parse_rational(args.lam, "--lambda")
+    phi_H, phi_A = (_load_twist_file(args.file) if args.file
+                    else bialgebras.lambda_scaling_pair(lam))
+    Ct = bialgebras.twist_comodule(bialgebras.classical_m2_bialgebra(),
+                                   bialgebras.classical_affine_comodule(), phi_H, phi_A)
     Ht = Ct.H
-    reports = [
-        check_hom_coassoc(Ht),
-        check_comultiplicative(Ht),
-        check_delta_is_morphism(Ht),
-        check_comodule(Ct),
-        check_comodule_homalgebra(Ct),
+    laws = [
+        bialgebras.check_hom_coassoc(Ht),
+        bialgebras.check_comultiplicative(Ht),
+        bialgebras.check_delta_is_morphism(Ht),
+        bialgebras.check_comodule(Ct),
+        bialgebras.check_comodule_homalgebra(Ct),
     ]
-    return reports, {"lambda": str(lam) if lam is not None else "file"}
+    return laws, {"lambda": str(lam) if lam is not None else "file"}
 
 
 def run_envelope(args):
     if args.file:
         with open(args.file) as fh:
-            L = load_hom_lie(fh.read())
+            L = homlie.load_hom_lie(fh.read())
     else:
-        L = affine_line_twisted()
-    reports = [check_hom_lie(L)]
-    basis = envelope(L, max_arity=min(args.max_arity, 2),
-                     unit_instances=not args.non_unital)
-    reports.append(law_report("bracket_relations", basis.describe(), format_lincomb,
-                              ((label, u, rhs, basis.decide)
-                               for label, u, rhs in bracket_sides(L))))
-    reports.extend(check_envelope_bialgebra(L, max_arity=args.max_arity,
-                                            unit_instances=not args.non_unital))
+        L = homlie.affine_line_twisted()
+    laws = [homlie.check_hom_lie(L)]
+    basis = homlie.envelope(L, max_arity=min(args.max_arity, 2),
+                            unit_instances=not args.non_unital)
+    laws.append(reports.law_report("bracket_relations", basis.describe(),
+                                   grammar.format_lincomb,
+                                   ((label, u, rhs, basis.decide)
+                                    for label, u, rhs in homlie.bracket_sides(L))))
+    laws.extend(homlie.check_envelope_bialgebra(L, max_arity=args.max_arity,
+                                                unit_instances=not args.non_unital))
+    dims = homlie.dimension_report(basis)
     extra = {"hom_lie": list(L.names),
-             "residual_dimensions": {str(k): v for k, v in dimension_report(basis).items()}}
-    return reports, extra
+             "residual_dimensions": {str(k): v for k, v in dims.items()}}
+    return laws, extra
 
 
 def _load_algebra_file(path: str):
     kind, names, twist = None, (), {}
     with open(path) as fh:
-        for lineno, head, rest in read_directives(fh, ("kind", "vars", "twist"),
+        for lineno, head, rest in poly.read_directives(fh, ("kind", "vars", "twist"),
                                                   once=("kind", "vars")):
             if head == "kind":
                 kind = rest
             elif head == "vars":
-                names = read_names(rest, lineno)
+                names = poly.read_names(rest, lineno)
             else:
-                name, image = read_keyed(rest, lineno, "twist", names, twist)
-                twist[name] = on_line(lineno, parse_poly, image, names)
+                name, image = poly.read_keyed(rest, lineno, "twist", names, twist)
+                twist[name] = poly.on_line(lineno, poly.parse_poly, image, names)
     if kind not in ("poly", "matrix"):
         raise ValueError("descriptor kind must be poly or matrix")
     if not names:
         raise ValueError("descriptor needs a vars line")
-    phi = PolyEndo(twist)
+    phi = poly.PolyEndo(twist)
     # a 2x2 matrix product is eight entry products of entry sums, so the
     # same twist costs the matrix checks many times the poly checks' work
-    require_bounded_twist(phi, MAX_POLY_SIZE if kind == "poly" else MAX_POLY_SIZE // 32)
-    A = yau_twist_algebra(names, phi)
+    size = poly.MAX_POLY_SIZE
+    poly.require_bounded_twist(phi, size if kind == "poly" else size // 32)
+    A = algebras.yau_twist_algebra(names, phi)
     if kind == "matrix":
-        A = matrix_algebra(A)
+        A = algebras.matrix_algebra(A)
     return A
 
 
 def run_check_algebra(args):
     A = _load_algebra_file(args.file)
-    reports = [
-        check_hom_associative(A, args.samples, args.seed),
-        check_multiplicative(A, args.samples, args.seed),
-        check_unital(A, args.samples, args.seed),
+    laws = [
+        algebras.check_hom_associative(A, args.samples, args.seed),
+        algebras.check_multiplicative(A, args.samples, args.seed),
+        algebras.check_unital(A, args.samples, args.seed),
     ]
-    return reports, {"carrier": A.name}
+    return laws, {"carrier": A.name}
 
 
 # ---------------------------------------------------------------------------
@@ -339,20 +328,28 @@ def main(argv=None) -> int:
                                  getattr(args, "what", None))))
     t0 = time.time()
     try:
-        reports, extra = JOBS[job](args)
-    except TermSyntaxError as exc:
+        laws, extra = JOBS[job](args)
+    except grammar.TermSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except PreconditionError as exc:
+    except algebras.PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, ZeroDivisionError, ResourceCapError) as exc:
+    except (ValueError, OSError, ZeroDivisionError, congruence.ResourceCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    doc = report_document(job, _params(args, **extra), reports,
-                          elapsed=(time.time() - t0) if args.timings else None)
-    print(dump_json(doc) if args.json else render_text(doc))
+    doc = reports.report_document(job, _params(args, **extra), laws,
+                                  elapsed=(time.time() - t0) if args.timings else None)
+    try:
+        print(reports.dump_json(doc) if args.json else reports.render_text(doc))
+        # flushed here, so a reader that stopped early is met inside this block
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: point it at devnull,
+        # and exit 1 as Python does on a broken pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     if doc["passed"]:
         return 0
     for rep in doc["reports"]:

@@ -13,11 +13,39 @@ over the whole unital algebra; both readings are first-class) also on the
 unit.  Both kinds of window are generated by the associators on non-unit
 terms and, unital, the collapses ``assoc(u, 1, 1) = u - alpha(u)`` alone,
 as the other unit instances and the twist follow.  The free window, under
-the default twist, keeps its rows as column classes (``_close_classes``).
-The envelope window, under a client twist and seeded with its bracket
-relations, keeps echelon rows (``_Saturator``).
-The saturated row space is a sound under-approximation of the congruence
-ideal inside the window; completeness within the window is not claimed.
+the default twist, keeps its rows as column classes; the envelope window,
+under a client twist and seeded with its bracket relations, keeps echelon
+rows (``_Saturator``).  The saturated row space is a sound
+under-approximation of the congruence ideal inside the window.
+
+A unital free window with ``max_exp >= 1`` needs no saturation: its classes
+are the words, a term's leaf names read left to right (``_word_roots``).
+
+(a) Every link keeps the word.  Both sides of ``assoc(u, v, w)`` read the
+    names of ``u``, ``v``, ``w`` in order, a collapse ``u ~ alpha(u)`` only
+    raises exponents, and a product by a column puts one word beside both
+    sides.  So a class lies inside one word.
+(b) Leaf collapses carried by column products lower any leaf exponent in
+    any context, without leaving the window.  For ``1 <= e <= max_exp``,
+    ``x@(e-1) ~ x@e`` is the collapse of ``x@(e-1)``.  A term holding ``x@e``
+    is that leaf multiplied, left or right, by the columns beside its path to
+    the root; each product has at most the term's arity, so it fits, and the
+    classes are closed under products by columns.  So every term lies in the
+    class of its exponent-free copy.
+(c) On exponent-free ``u``, ``v``, ``w`` whose arities sum to at most
+    ``max_arity``, ``assoc(u, v, w)`` links ``(u v) alpha(w)`` to ``alpha(u)
+    (v w)``, whose leaves carry exponents 0 and 1, and by (b) these lie in the
+    classes of ``(u v) w`` and ``u (v w)``.  That rotation holds in any
+    context by (b)'s products, and rotations connect all bracketings of one
+    word, so the exponent-free terms of a word form one class.
+
+So the window's row space is the kernel of the word map on its columns.  The
+word map sends the whole ideal to zero (its target, the free associative
+algebra with ``alpha = id``, is a unital multiplicative Hom-associative
+algebra), so there a residue is zero exactly when the two sides are equal in
+the quotient: completeness holds in these windows.  Elsewhere it is not
+claimed: without the unit no collapse links a term to its twist, and at
+``max_exp = 0`` no collapse fits, so no two columns are linked.
 """
 
 from __future__ import annotations
@@ -526,22 +554,43 @@ class _Saturator:
             self.rows[p] = tail
 
 
-def _close_classes(cols: _Columns, unit_instances: bool) -> list[int]:
-    """Each column's smallest class member.  The classes are those of the
-    least equivalence that holds the links and is closed under products by
-    columns (class members share an arity, so a product fits for all or
-    none); being least, they do not depend on the order of the links.
+def _word_roots(cols: _Columns) -> list[int]:
+    """Each column's smallest class member in a unital window with ``max_exp
+    >= 1``, where the classes are the words (see the module docstring).
 
-    The links are the associators on non-unit columns and, unital, the
-    collapses ``assoc(u, 1, 1) = u - alpha(u)``, where the twists fit.  The
-    other unit instances are products of collapses in the same window:
-    ``assoc(u, v, 1) = (u - alpha(u)) v``, ``assoc(1, v, w) = v (alpha(w) -
-    w)``, ``assoc(u, 1, w)`` goes through ``u w``, ``assoc(1, 1, w)`` is a
-    collapse and ``assoc(1, v, 1) = 0``.  No twist step is needed: unital,
-    ``alpha(s) ~ s ~ t ~ alpha(t)``; non-unital, the twist of an associator
-    or product link is one, but a chain may pass through terms whose twists
-    escape, so there it is measured: no root differs from the twist-closed
-    classes on 180 windows of up to 150,000 columns.
+    The smallest column of a word has the first shape of its arity and no
+    exponents: column ``p`` of arity ``n`` has root ``starts[n]`` plus ``p``'s
+    labelling with its exponent digits zeroed.
+    """
+    e = cols.bound.max_exp + 1
+    width = len(cols.gens) * e
+    digits = [d - d % e for d in range(width)]
+    starts, labels, root = cols.starts, [0], [0]
+    for n in range(1, cols.bound.max_arity + 1):
+        labels = [lab * width + d for lab in labels for d in digits]
+        block = [starts[n] + lab for lab in labels]
+        root.extend(block * ((starts[n + 1] - starts[n]) // len(block)))
+    return root
+
+
+def _close_classes(cols: _Columns) -> list[int]:
+    """Each column's smallest class member, without unit instances.  The
+    classes are those of the least equivalence that holds the links and is
+    closed under products by columns (class members share an arity, so a
+    product fits for all or none); being least, they do not depend on the
+    order of the links.
+
+    The links are the associators on non-unit columns whose twists fit.  In
+    a unital window the collapses ``assoc(u, 1, 1) = u - alpha(u)`` generate
+    the other unit instances as products in the same window (``assoc(u, v,
+    1) = (u - alpha(u)) v``, ``assoc(1, v, w) = v (alpha(w) - w)``,
+    ``assoc(u, 1, w)`` goes through ``u w``, ``assoc(1, 1, w)`` is a collapse
+    and ``assoc(1, v, 1) = 0``), and with them the classes are the words
+    (``_word_roots``); at ``max_exp = 0`` no collapse fits, and the links here
+    are the whole relation set.  No twist step is needed: the twist of an
+    associator or product link is one, but a chain may pass through terms
+    whose twists escape, so that is measured: no root differs from the
+    twist-closed classes on 180 windows of up to 150,000 columns.
     """
     starts, n_max = cols.starts, cols.bound.max_arity
     graft, twist, shift = cols.graft, cols.twist, cols.twist_shift
@@ -564,10 +613,6 @@ def _close_classes(cols: _Columns, unit_instances: bool) -> list[int]:
     first = [bisect_left(cols.shape_arity, a, 0, len(scale) - 1) for a in range(n_max + 2)]
     untwisted = [[w for w in range(shape_start[g], shape_start[g] + scale[g])
                   if twist(w) is not None] for g in range(len(scale))]
-    if unit_instances:
-        for g in range(len(scale) - 1):
-            for u in untwisted[g]:
-                union(u, u + shift[cols.shape_arity[g]])
     # assoc(u, v, w) = (u v) alpha(w) - alpha(u) (v w): within a shape block
     # of w both sides are a constant plus w
     for a1 in range(1, n_max + 1):
@@ -632,7 +677,8 @@ def saturate(gens: Iterable[str], bound: Bound,
         raise ValueError("relations need a client twist")
     cols = _Columns(gens, bound, DEFAULT_TERM_CAP)
     if twist is None:
-        store = _ColumnClasses(_close_classes(cols, config.unit_instances))
+        words = config.unit_instances and bound.max_exp
+        store = _ColumnClasses(_word_roots(cols) if words else _close_classes(cols))
         return RelationBasis(cols, config, store)
     if bound.max_exp:
         raise ValueError(f"a client twist needs a window without exponents, got {bound}")

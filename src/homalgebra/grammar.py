@@ -37,7 +37,7 @@ class TermSyntaxError(ValueError):
 
 # A token is a rational, a name or a symbol.  Their first characters differ,
 # so the first alternative that matches is the token.
-_TOKEN = re.compile(rf"-?\d+(?:/\d+)?|{NAME.pattern}|[()*+@]")
+_TOKEN = re.compile(rf"-?[0-9]+(?:/[0-9]+)?|{NAME.pattern}|[()*+@]")
 _TOKENIZABLE = re.compile(rf"(?:\s|{_TOKEN.pattern})*")
 _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz")  # of a NAME
 
@@ -49,6 +49,11 @@ def _line_col(text: str, pos: int) -> tuple[int, int]:
 
 def _is_rational(token: str) -> bool:
     return token[:1] == "-" or token[:1].isdecimal()
+
+
+def _is_natural(token: str) -> bool:
+    # digits 0-9 only: ``isdigit`` alone also takes other scripts' digits
+    return token.isascii() and token.isdigit()
 
 
 class _Parser:
@@ -103,7 +108,7 @@ class _Parser:
             exp = 0
             if tokens[i + 1] == "@":
                 self.i = i + 2
-                if not tokens[i + 2].isdigit():
+                if not _is_natural(tokens[i + 2]):
                     self.fail("expected a nonnegative exponent after '@'")
                 exp = self.natural("exponent")
             return Leaf(token, exp + shift)
@@ -114,7 +119,7 @@ class _Parser:
         self.i = i + 1
         if tokens[i + 1] == "A" and _is_rational(tokens[i + 2]):
             self.i = i + 2
-            weight = self.natural("twist weight") if tokens[i + 2].isdigit() else 0
+            weight = self.natural("twist weight") if _is_natural(tokens[i + 2]) else 0
             if weight < 1:
                 raise self.error("twist weight must be a positive integer", i + 2)
             child = self.term(depth + 1, shift + weight)

@@ -27,11 +27,11 @@ from .algebras import (CheckReport, HomAlgebraDescriptor, PreconditionError,
                        _tuples)
 from .bialgebras import (_FreeCarrier, check_comultiplicative,
                          check_delta_is_morphism, check_hom_coassoc,
-                         coassoc_composites, exact, law_report)
+                         coassoc_composites, exact)
 from .congruence import Bound, RelationBasis, SaturationConfig, saturate
 from .poly import (on_line, parse_natural, parse_poly, read_directives, read_keyed,
                    read_leg_names)
-from .reports import LawReport
+from .reports import LawReport, law_report
 from .terms import Leaf, LinComb, make_leaf, rename, weight
 
 

@@ -287,7 +287,7 @@ MAX_POLY_DEPTH = 100
 MAX_POLY_SIZE = 1000
 
 _POLY_TOKEN = re.compile(
-    rf"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>{NAME.pattern})|(?P<sym>[-+*^()]))")
+    rf"\s*(?:(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<name>{NAME.pattern})|(?P<sym>[-+*^()]))")
 
 
 # an integer, or a ratio of an integer to digits
@@ -320,6 +320,9 @@ def parse_rational(text: str, name: str) -> Coeff:
             raise _oversized(text, name, f"{MAX_POLY_SIZE} characters and exponent"
                                          f" {2 * MAX_POLY_SIZE}")
         try:
+            # ``Fraction`` also reads other scripts' digits; a literal is 0-9
+            if not text.isascii():
+                raise ValueError(f"Invalid literal for Fraction: {text!r}")
             value = Fraction(text)
         except ValueError as exc:
             raise ValueError(f"{name}: {exc}") from None
@@ -455,9 +458,11 @@ def parse_poly(text: str, allowed=None) -> Poly:
     pos = 0
     while pos < len(text):
         m = _POLY_TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ValueError(f"bad polynomial syntax near {text[pos:]!r}")
+        if not m:
+            bad = len(text) - len(text[pos:].lstrip())
+            if bad < len(text):
+                raise ValueError(f"bad polynomial syntax: unexpected character {text[bad]!r}"
+                                 f" at column {bad + 1} of {text!r}")
             break
         if m.lastgroup:
             tokens.append((m.lastgroup, m.group(m.lastgroup)))

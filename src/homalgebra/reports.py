@@ -64,6 +64,14 @@ class LawReport:
         }
 
 
+def law_report(law: str, context: dict, fmt, cases) -> LawReport:
+    """One item per ``(label, lhs, rhs, decide)``, both sides printed by ``fmt``."""
+    report = LawReport(law, context=context)
+    for label, lhs, rhs, decide in cases:
+        report.items.append(LawItem(label, fmt(lhs), fmt(rhs), *decide(lhs, rhs)))
+    return report
+
+
 def report_document(job: str, parameters: dict, reports: list, *,
                     elapsed: Optional[float] = None) -> dict:
     """The top-level report document emitted by the command-line tool."""

@@ -384,12 +384,19 @@ def test_dim_that_does_not_count_the_names_is_refused_naming_both_lines(tmp_path
 
 
 # a count is digits 0-9, as a Hom-Lie dim is: a sign, an underscore or
-# another script's digit is refused by argparse, which names the option
+# another script's digit is refused by argparse, which names the option; the
+# window bounds and the seed are counts too
 @pytest.mark.parametrize("argv", [
     ("verify", "m2-representability", "--pairs", "-2"),
     ("verify", "m2-representability", "--pairs", "1_0"),
     ("check", "algebra", "perfbench/data/twisted_matrix.alg", "--samples", "-3"),
     ("check", "algebra", "perfbench/data/twisted_matrix.alg", "--samples", "+3"),
+    ("reduce", "x", "--max-arity", "1_0"),
+    ("reduce", "x", "--max-exp", "+0"),
+    ("reduce", "x", "--seed", "-1"),
+    ("verify", "m-coassoc", "--max-exp", "\u0661"),
+    ("verify", "envelope", "--max-arity", "-2"),
+    ("verify", "twist", "--seed", "7.0"),
 ])
 def test_negative_or_non_digit_count_exits_2_naming_its_option(argv):
     out = run_cli(*argv)
@@ -397,6 +404,45 @@ def test_negative_or_non_digit_count_exits_2_naming_its_option(argv):
     assert out.stdout == ""
     assert f"error: argument {argv[-2]}: invalid natural value: '{argv[-1]}'" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+# numbers are written in the digits 0-9: another script's digit is an
+# unexpected character, never a number
+@pytest.mark.parametrize("argv,shown", [
+    (("reduce", "x@\u0663"), "parse error: unexpected character '\u0663' (line 1, column 3)"),
+    (("reduce", "(A \u0663 x)"), "parse error: unexpected character '\u0663' (line 1, column 4)"),
+    (("reduce", "\u0662 * x"), "parse error: unexpected character '\u0662' (line 1, column 1)"),
+    (("check", "algebra", "digits.alg"),
+     "error: bad polynomial syntax: unexpected character '\u0662' at column 1 of"
+     " '\u0662*t' (line 3)"),
+    (("verify", "twist", "--lambda", "\u0663"),
+     "error: --lambda: Invalid literal for Fraction: '\u0663'"),
+])
+def test_other_scripts_digits_are_refused(tmp_path, argv, shown):
+    f = tmp_path / "digits.alg"
+    f.write_text("kind poly\nvars t\ntwist t = \u0662*t\n", encoding="utf-8")
+    argv = [str(f) if a == f.name else a for a in argv]
+    out = run_cli(*argv)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == shown + "\n"
+
+
+def test_output_closed_early_exits_without_traceback():
+    # the reader is gone before the report is written, as with ``| head -c1``
+    # once head has exited
+    read, write = os.pipe()
+    os.close(read)
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    try:
+        out = subprocess.run([sys.executable, "-m", "homalgebra.cli", "verify", "m-coassoc",
+                              "--max-arity", "2", "--non-unital", "--json"],
+                             stdout=write, stderr=subprocess.PIPE, text=True, cwd=ROOT,
+                             env=dict(os.environ, PYTHONPATH=path))
+    finally:
+        os.close(write)
+    assert out.stderr == ""
+    assert out.returncode == 1
 
 
 def test_oversized_dim_exits_2_naming_its_line(tmp_path):

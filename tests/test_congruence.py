@@ -3,10 +3,12 @@
 import functools
 import hashlib
 import itertools
+import json
 import random
 import tracemalloc
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -739,6 +741,23 @@ def test_unital_classes_are_words(gens, bound):
     root, first = saturate(gens, bound, UNITAL)._store.root, {}
     for col, t in enumerate(enumerate_terms(gens, bound), 1):
         assert root[col] == first.setdefault(tuple(lf.name for lf in leaves(t)), col)
+
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+REFERENCE_WINDOWS = json.loads(REFERENCE.read_text())["windows"]
+
+
+# one class per word: a unital window with max_exp >= 1 has sum |G|**n
+# classes, so every other column is a row's pivot
+@pytest.mark.parametrize("name", [n for n in REFERENCE_WINDOWS if n.endswith("-unital")])
+def test_unital_reference_windows_count_one_class_per_word(name):
+    size, max_arity, max_exp = map(int, name.replace("gen", "").split("-")[:3])
+    basis = saturate([f"g{i}" for i in range(size)], Bound(max_arity, max_exp), UNITAL)
+    words = sum(size ** n for n in range(1, max_arity + 1))
+    assert max_exp >= 1
+    assert basis.rows_count == basis.basis_size - words
+    assert REFERENCE_WINDOWS[name] == {"basis_size": basis.basis_size,
+                                       "rows_count": basis.rows_count}
 
 
 @pytest.mark.parametrize("gens,bound", [(["x", "y"], Bound(4, 0)), (["x", "y", "z"], Bound(3, 0))])

@@ -1,0 +1,94 @@
+"""The package loads its modules on first use: each check runs in a fresh
+interpreter, where nothing has been imported yet."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = {"algebras", "bialgebras", "congruence", "grammar", "homlie", "morphisms",
+           "poly", "reports", "terms"}
+
+# the names ``from homalgebra import *`` gave when the package imported every
+# module eagerly (the exported names and the modules), and ``__version__``
+NAMES = MODULES | {"__version__"} | {
+    "AssignmentError", "Bound", "CheckReport", "EnvelopeBialgebra", "EqualityResult",
+    "FreeComoduleAlgebra", "FreeHomBialgebra", "HomAlgebraDescriptor", "HomLieAlgebra",
+    "LawItem", "LawReport", "Leaf", "LinComb", "MorphismAssignment", "NamingError", "Node",
+    "OutOfWindowError", "Poly", "PolyComoduleAlgebra", "PolyEndo", "PolyHomBialgebra",
+    "PreconditionError", "RelationBasis", "ResourceCapError", "SaturationConfig",
+    "TermSyntaxError", "UnitFlavor", "UnitMismatchError", "Verdict", "abelian_hom_lie",
+    "affine_line_twisted", "arity", "bracket_relations", "bracket_sides", "check_comodule",
+    "check_comodule_homalgebra", "check_comultiplicative", "check_delta_is_morphism",
+    "check_envelope_bialgebra", "check_hom_associative", "check_hom_coassoc",
+    "check_hom_lie", "check_multiplicative", "check_unital", "classical_affine_comodule",
+    "classical_m2_bialgebra", "commutator_checks", "dimension_report", "direct_sum",
+    "dump_json", "enumerate_terms", "envelope", "evaluate", "format_lincomb", "format_term",
+    "free_algebra", "grading", "hom_affine_plane", "hom_associator", "hom_lie_algebra",
+    "lambda_scaling_pair", "load_hom_lie", "m_bialgebra", "make_leaf", "matrix_algebra",
+    "matrix_of_morphism", "monomials_up_to", "morphism_from_matrix", "parse_lincomb",
+    "parse_poly", "poly_algebra", "q_poly_algebra", "random_poly", "rational_algebra",
+    "rename", "rename_embed", "render_text", "report_document", "representability_check",
+    "saturate", "twist_comodule", "twist_hom_lie", "weight", "yau_twist_algebra",
+    "yau_twist_bialgebra"}
+
+# prints, as JSON, the package modules whose code has run: a module that is
+# registered but not loaded is still of the lazy loader's module type
+EXECUTED = """
+import json, sys, types
+print(json.dumps(sorted(n.split(".")[1] for n, m in sys.modules.items()
+                        if n.startswith("homalgebra.") and type(m) is types.ModuleType)))
+"""
+
+
+def fresh(code: str) -> str:
+    """The stdout of ``code`` run by a new interpreter with ``src`` on its path."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         cwd=ROOT, env=dict(os.environ, PYTHONPATH=path), check=True)
+    return out.stdout
+
+
+def test_importing_the_command_line_runs_no_other_module():
+    assert json.loads(fresh("import homalgebra.cli" + EXECUTED)) == ["cli"]
+    registered = ("import sys, homalgebra\n"
+                  "print(sorted(n for n in sys.modules if n.startswith('homalgebra.')))")
+    assert fresh(registered).strip() == repr(sorted(f"homalgebra.{m}" for m in MODULES))
+
+
+def test_reduce_runs_only_the_modules_it_needs():
+    code = ("import contextlib, io, homalgebra.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert homalgebra.cli.main(['reduce', '((x * y) * (A 1 z))']) == 0\n")
+    assert json.loads(fresh(code + EXECUTED)) == [
+        "cli", "congruence", "grammar", "poly", "reports", "terms"]
+
+
+def test_exported_names_are_the_eager_packages_and_the_version():
+    code = ("import json, homalgebra\nns = {}\nexec('from homalgebra import *', ns)\n"
+            "print(json.dumps([sorted(set(ns) - {'__builtins__'}), dir(homalgebra)]))")
+    star, listed = json.loads(fresh(code))
+    assert set(star) == NAMES
+    assert set(listed) == NAMES
+
+
+@pytest.mark.parametrize("name,home", [("saturate", "congruence"), ("Poly", "poly"),
+                                       ("LawReport", "reports")])
+def test_an_exported_name_is_its_modules_object(name, home):
+    import homalgebra
+    module = importlib.import_module(f"homalgebra.{home}")
+    assert getattr(homalgebra, name) is getattr(module, name)
+    with pytest.raises(AttributeError, match="no attribute 'law_report'"):
+        homalgebra.law_report
+
+
+def test_span_targets_resolve_after_importing_the_command_line_alone():
+    # the benchmark's launcher imports homalgebra.cli, then wraps its targets
+    code = (f"import sys\nsys.path.insert(0, {str(ROOT / 'perfbench')!r})\n"
+            "import homalgebra.cli\nfrom spans import Recorder\nprint(Recorder().install())")
+    assert fresh(code).strip() == "[]"
