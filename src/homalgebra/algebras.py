@@ -19,7 +19,7 @@ from itertools import product
 from typing import Callable, Optional
 
 from .poly import Poly, PolyEndo, monomials_up_to, random_poly
-from .terms import LinComb, as_coeff, make_leaf, random_lincomb
+from .terms import InputError, LinComb, as_coeff, make_leaf, random_lincomb
 
 
 class UnitFlavor(Enum):
@@ -28,8 +28,9 @@ class UnitFlavor(Enum):
     NON_UNITAL = "NON_UNITAL"
 
 
-class PreconditionError(ValueError):
+class PreconditionError(InputError, ValueError):
     """A constructor precondition failed; the witness is in the message."""
+    prefix = "precondition failed"
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import random
 import sys
 import time
 
-from . import algebras, bialgebras, congruence, grammar, homlie, poly, reports
+from . import algebras, bialgebras, congruence, grammar, homlie, poly, reports, terms
 
 
 def natural(text: str) -> int:
@@ -149,12 +149,11 @@ def _load_free_bialgebra(path: str) -> bialgebras.FreeHomBialgebra:
         elif head == "gens":
             gens = poly.read_leg_names(rest, lineno)
         else:
-            name, _ = poly.read_keyed(rest, lineno, "delta", gens, images)
+            name, image, offset = poly.read_keyed(lines[lineno - 1], lineno, "delta", gens,
+                                                  images)
             # the image is parsed in its place in the file, so a syntax error
             # names the file's line and column
-            line = lines[lineno - 1].split("#", 1)[0]
-            eq = line.index("=") + 1
-            images[name] = grammar.parse_lincomb("\n" * (lineno - 1) + " " * eq + line[eq:])
+            images[name] = grammar.parse_lincomb("\n" * (lineno - 1) + " " * offset + image)
             outside = images[name].generators() - {g + t for g in gens for t in ("'", "''")}
             if outside:
                 raise ValueError(f"line {lineno}: delta {name} names {min(outside)!r},"
@@ -216,18 +215,20 @@ def _load_twist_file(path: str):
     keys = {"phi_H": tuple(g for row in bialgebras.MATRIX_LAYOUT for g in row),
             "phi_A": bialgebras.PLANE_GENS}
     with open(path) as fh:
-        for lineno, head, rest in poly.read_directives(fh, ("kind", "lambda", "phi_H", "phi_A"),
-                                                  once=("kind", "lambda")):
-            if head == "kind":
-                if rest != "twist":
-                    raise ValueError(f"line {lineno}: expected kind twist")
-            elif head == "lambda":
-                lam = poly.parse_rational(rest, f"line {lineno}: lambda")
-            else:
-                name, image = poly.read_keyed(rest, lineno, head, keys[head], phis[head])
-                phis[head][name] = poly.on_line(lineno, poly.parse_poly, image, keys[head])
-            if lam is not None and (phis["phi_H"] or phis["phi_A"]):
-                raise ValueError(f"line {lineno}: lambda and phi lines exclude each other")
+        lines = fh.readlines()
+    for lineno, head, rest in poly.read_directives(lines, ("kind", "lambda", "phi_H", "phi_A"),
+                                              once=("kind", "lambda")):
+        if head == "kind":
+            if rest != "twist":
+                raise ValueError(f"line {lineno}: expected kind twist")
+        elif head == "lambda":
+            lam = poly.parse_rational(rest, f"line {lineno}: lambda")
+        else:
+            name, image, offset = poly.read_keyed(lines[lineno - 1], lineno, head, keys[head],
+                                                  phis[head])
+            phis[head][name] = poly.on_line(lineno, poly.parse_poly, image, keys[head], offset)
+        if lam is not None and (phis["phi_H"] or phis["phi_A"]):
+            raise ValueError(f"line {lineno}: lambda and phi lines exclude each other")
     if lam is not None:
         return bialgebras.lambda_scaling_pair(lam)
     return poly.PolyEndo(phis["phi_H"]), poly.PolyEndo(phis["phi_A"])
@@ -274,15 +275,17 @@ def run_envelope(args):
 def _load_algebra_file(path: str):
     kind, names, twist = None, (), {}
     with open(path) as fh:
-        for lineno, head, rest in poly.read_directives(fh, ("kind", "vars", "twist"),
-                                                  once=("kind", "vars")):
-            if head == "kind":
-                kind = rest
-            elif head == "vars":
-                names = poly.read_names(rest, lineno)
-            else:
-                name, image = poly.read_keyed(rest, lineno, "twist", names, twist)
-                twist[name] = poly.on_line(lineno, poly.parse_poly, image, names)
+        lines = fh.readlines()
+    for lineno, head, rest in poly.read_directives(lines, ("kind", "vars", "twist"),
+                                              once=("kind", "vars")):
+        if head == "kind":
+            kind = rest
+        elif head == "vars":
+            names = poly.read_names(rest, lineno)
+        else:
+            name, image, offset = poly.read_keyed(lines[lineno - 1], lineno, "twist", names,
+                                                  twist)
+            twist[name] = poly.on_line(lineno, poly.parse_poly, image, names, offset)
     if kind not in ("poly", "matrix"):
         raise ValueError("descriptor kind must be poly or matrix")
     if not names:
@@ -329,13 +332,10 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         laws, extra = JOBS[job](args)
-    except grammar.TermSyntaxError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+    except terms.InputError as exc:
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
         return 2
-    except algebras.PreconditionError as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, ZeroDivisionError, congruence.ResourceCapError) as exc:
+    except (ValueError, OSError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

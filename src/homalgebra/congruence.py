@@ -3,9 +3,10 @@
 Equality in the multiplicative Hom-associative quotient of the free term
 algebra is semi-decided: the relation instances whose terms fit in a finite
 window (arity and per-leaf exponent caps) are closed under windowed products
-and the twist, and row-reduced over the exact rationals.  A zero residue
-proves equality in the quotient; a nonzero residue only means "not proven
-inside this window".  Multiplicativity is definitional in the normal form.
+and row-reduced over the exact rationals; no twist step is needed (see
+``_Saturator`` and ``_close_classes``).  A zero residue proves equality in
+the quotient; a nonzero residue only means "not proven inside this window".
+Multiplicativity is definitional in the normal form.
 
 The relations are the Hom-associators ``assoc(u, v, w) = (u v) alpha(w) -
 alpha(u) (v w)`` on windowed terms, in the unital reading (the paper's ideal
@@ -59,7 +60,7 @@ from math import comb
 from typing import Iterable, Optional, Sequence
 
 from .grammar import format_lincomb, format_term
-from .terms import NAME, Coeff, Leaf, LinComb, Node, Term, as_coeff
+from .terms import NAME, Coeff, InputError, Leaf, LinComb, Node, Term, as_coeff
 
 DEFAULT_TERM_CAP = 200_000
 
@@ -72,7 +73,7 @@ class OutOfWindowError(ValueError):
     """A term fell outside the saturation window; enlarge the bound."""
 
 
-class ResourceCapError(RuntimeError):
+class ResourceCapError(InputError, RuntimeError):
     """The windowed basis would exceed the configured term cap."""
 
 

@@ -10,24 +10,25 @@ so the parser reads it straight into the leaf exponents: every leaf of t gets
 k more.  Names match ``terms.NAME``: letters/digits/underscores with any
 number of trailing apostrophes (the tensor-leg tags).  Formatting is canonical:
 unit component first, then terms ascending in the term order, ``@0`` omitted.
+Parsed leaves are shared: two texts that spell a leaf alike get one object.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache, partial
 from itertools import islice
 
 from .poly import parse_natural, parse_rational
-from .terms import NAME, Leaf, LinComb, Node, Term
+from .terms import NAME, InputError, Leaf, LinComb, Node, Term, as_coeff, trusted_lincomb
 
-
-# Terms are parsed and traversed recursively; refusing deeper input keeps every
-# later traversal of a parsed term inside the interpreter's recursion limit.
+# later traversals of a parsed term recurse: deeper input would pass their limit
 MAX_TERM_DEPTH = 300
 
 
-class TermSyntaxError(ValueError):
+class TermSyntaxError(InputError, ValueError):
     """Raised on malformed input; carries 1-based line and column."""
+    prefix = "parse error"
 
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{message} (line {line}, column {col})")
@@ -35,11 +36,24 @@ class TermSyntaxError(ValueError):
         self.col = col
 
 
-# A token is a rational, a name or a symbol.  Their first characters differ,
-# so the first alternative that matches is the token.
-_TOKEN = re.compile(rf"-?[0-9]+(?:/[0-9]+)?|{NAME.pattern}|[()*+@]")
-_TOKENIZABLE = re.compile(rf"(?:\s|{_TOKEN.pattern})*")
-_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz")  # of a NAME
+# A token is one match with its text in one of five groups: a leaf's name, "@"
+# and exponent (the last two maybe empty), a rational, or any other character,
+# a symbol.  Names and rationals start differently.  An exponent is read as a
+# rational, so that ``x@-1`` fails at ``-1``.
+_RATIONAL = r"-?[0-9]+(?:/[0-9]+)?"
+_LEAF = rf"({NAME.pattern})(?:\s*(@)\s*({_RATIONAL})?)?"
+_TOKEN = re.compile(rf"\s*(?:{_LEAF}|({_RATIONAL})|(\S))")
+_TOKENIZABLE = re.compile(rf"(?:\s|{_LEAF}|{_RATIONAL}|[()*+@])*")  # the symbols are ()*+@
+_END = ("",) * 5
+
+# leaves and coefficients by their spelling, up to these many
+_coeff = lru_cache(maxsize=256)(partial(parse_rational, name="coefficient"))
+
+
+@lru_cache(maxsize=4096)
+def _leaf(name: str, exp: str, shift: int) -> Leaf:
+    """``name@exp`` (``exp`` digits or empty) under twists of weight ``shift``."""
+    return Leaf(name, (parse_natural(exp, "exponent") if exp else 0) + shift)
 
 
 def _line_col(text: str, pos: int) -> tuple[int, int]:
@@ -47,124 +61,116 @@ def _line_col(text: str, pos: int) -> tuple[int, int]:
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
-def _is_rational(token: str) -> bool:
-    return token[:1] == "-" or token[:1].isdecimal()
+def _error(text: str, message: str, index: int, group: int = 0) -> TermSyntaxError:
+    """The error at token ``index``, or at its ``group``: only errors need offsets."""
+    m = next(islice(_TOKEN.finditer(text), index, None), None)
+    if m is None:
+        pos = len(text)
+    else:  # a token's text starts after its spaces
+        pos = m.start(group) if group else m.end() - len(m.group().lstrip())
+    return TermSyntaxError(message, *_line_col(text, pos))
 
 
-def _is_natural(token: str) -> bool:
-    # digits 0-9 only: ``isdigit`` alone also takes other scripts' digits
-    return token.isascii() and token.isdigit()
+def _fail(text: str, tokens: list, index: int, message: str) -> TermSyntaxError:
+    shown = tokens[index][0] or tokens[index][3] or tokens[index][4] or "end of input"
+    return _error(text, f"{message}, got {shown!r}", index)
 
 
-class _Parser:
-    """Recursive descent over the token strings, ``""`` at the end of input;
-    ``i`` indexes the next token."""
+def _term(text: str, tokens: list, i: int) -> tuple[Term, int]:
+    """The term at token ``i``, and the index of the token after it.
 
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _TOKEN.findall(text)
-        # findall skips what starts no token, so the tokens cover every
-        # non-space character unless one is unexpected, which wins over any
-        # grammar error
-        if len("".join(self.tokens)) != len("".join(text.split())):
-            pos = _TOKENIZABLE.match(text).end()
-            raise TermSyntaxError(f"unexpected character {text[pos]!r}",
-                                  *_line_col(text, pos))
-        self.tokens.append("")
-        self.i = 0
-
-    def error(self, message: str, index: int) -> TermSyntaxError:
-        """The error at token ``index``: only errors need token offsets."""
-        match = next(islice(_TOKEN.finditer(self.text), index, None), None)
-        pos = match.start() if match else len(self.text)
-        return TermSyntaxError(message, *_line_col(self.text, pos))
-
-    def fail(self, message):
-        shown = self.tokens[self.i] or "end of input"
-        raise self.error(f"{message}, got {shown!r}", self.i)
-
-    def expect(self, token: str):
-        if self.tokens[self.i] != token:
-            self.fail(f"expected {token}")
-        self.i += 1
-
-    def natural(self, what: str) -> int:
-        """The next token, a string of digits, as a natural number."""
-        i = self.i
-        self.i = i + 1
-        try:
-            return parse_natural(self.tokens[i], what)
-        except ValueError as exc:
-            raise self.error(str(exc), i) from None
-
-    # term := leaf | "(" term "*" term ")" | "(" "A" NAT term ")"
-    # ``shift`` is the twist weight of the enclosing ``(A k ...)`` nodes, which
-    # every leaf below them carries in its exponent
-    def term(self, depth: int = 0, shift: int = 0) -> Term:
-        tokens, i = self.tokens, self.i
-        token = tokens[i]
-        if token[:1] in _NAME_START:
-            self.i = i + 1
-            exp = 0
-            if tokens[i + 1] == "@":
-                self.i = i + 2
-                if not _is_natural(tokens[i + 2]):
-                    self.fail("expected a nonnegative exponent after '@'")
-                exp = self.natural("exponent")
-            return Leaf(token, exp + shift)
-        if token != "(":
-            self.fail("expected a term")
-        if depth == MAX_TERM_DEPTH:
-            raise self.error(f"term nested deeper than {MAX_TERM_DEPTH} parentheses", i)
-        self.i = i + 1
-        if tokens[i + 1] == "A" and _is_rational(tokens[i + 2]):
-            self.i = i + 2
-            weight = self.natural("twist weight") if _is_natural(tokens[i + 2]) else 0
+    ``stack`` holds the open parentheses, innermost last: None until a
+    product's left factor is read, then that factor; for ``(A k ...)`` the
+    twist weight outside it.  ``shift`` is the weight of the open twists,
+    which every leaf below them carries in its exponent.
+    """
+    stack: list = []
+    shift = 0
+    while True:
+        name, at, exp, _, symbol = tokens[i]
+        if symbol == "(":
+            if len(stack) == MAX_TERM_DEPTH:
+                raise _error(text, f"term nested deeper than {MAX_TERM_DEPTH} parentheses", i)
+            after = tokens[i + 1]
+            rational = after[0] == "A" and not after[1] and tokens[i + 2][3]
+            if not rational:
+                stack.append(None)
+                i += 1
+                continue
+            try:
+                weight = parse_natural(rational, "twist weight") if rational.isdigit() else 0
+            except ValueError as exc:
+                raise _error(text, str(exc), i + 2) from None
             if weight < 1:
-                raise self.error("twist weight must be a positive integer", i + 2)
-            child = self.term(depth + 1, shift + weight)
-            self.expect(")")
-            return child
-        left = self.term(depth + 1, shift)
-        self.expect("*")
-        right = self.term(depth + 1, shift)
-        self.expect(")")
-        return Node(left, right)
-
-    # lincomb := "0" | RATIONAL | part {"+" part}, summed in one dict: a term
-    # whose coefficients cancel leaves it, as in a sum of LinCombs
-    def lincomb(self) -> LinComb:
-        tokens = self.tokens
-        unit, terms = 0, {}
-        while True:
-            token = tokens[self.i]
-            coeff, term = 1, None
-            if _is_rational(token):
-                self.i += 1
-                coeff = parse_rational(token, "coefficient")
-                if tokens[self.i] == "*":
-                    self.i += 1
-                    term = self.term()
-                else:
-                    unit += coeff
+                raise _error(text, "twist weight must be a positive integer", i + 2)
+            stack.append(shift)
+            shift += weight
+            i += 3
+            continue
+        if not name:
+            raise _fail(text, tokens, i, "expected a term")
+        if at and not exp.isdigit():
+            message = "expected a nonnegative exponent after '@'"
+            if not exp:
+                raise _fail(text, tokens, i + 1, message)
+            raise _error(text, f"{message}, got {exp!r}", i, 3)
+        try:
+            t = _leaf(name, exp, shift)
+        except ValueError as exc:
+            raise _error(text, str(exc), i, 3) from None
+        i += 1
+        # close what the term ends: a twist, or a product after its right factor
+        while stack:
+            outer = stack.pop()
+            want = "*" if outer is None else ")"
+            if tokens[i][4] != want:
+                raise _fail(text, tokens, i, f"expected {want}")
+            i += 1
+            if outer is None:
+                stack.append(t)
+                break
+            if type(outer) is int:
+                shift = outer
             else:
-                term = self.term()
+                t = Node(outer, t)
+        else:
+            return t, i
+
+
+def parse_lincomb(text: str) -> LinComb:
+    tokens = _TOKEN.findall(text)
+    tokens.append(_END)
+    # parts are summed in one dict: a term whose coefficients cancel leaves
+    # it, as in a sum of LinCombs
+    unit, terms, i = 0, {}, 0
+    try:
+        while True:
+            rational = tokens[i][3]
+            coeff = _coeff(rational) if rational else 1
+            if rational and tokens[i + 1][4] != "*":  # a bare rational, the unit's part
+                unit, term, i = unit + coeff, None, i + 1
+            else:
+                term, i = _term(text, tokens, i + 2 if rational else i)
             if term is not None and coeff:
-                total = terms.get(term, 0) + coeff
+                total = as_coeff(terms[term] + coeff) if term in terms else coeff
                 if total:
                     terms[term] = total
                 else:
                     del terms[term]
-            if tokens[self.i] != "+":
+            if tokens[i][4] != "+":
                 break
-            self.i += 1
-        if tokens[self.i]:
-            self.fail("trailing input")
-        return LinComb(unit, terms)
-
-
-def parse_lincomb(text: str) -> LinComb:
-    return _Parser(text).lincomb()
+            i += 1
+        if tokens[i] is not _END:
+            raise _fail(text, tokens, i, "trailing input")
+    except (ValueError, ZeroDivisionError):
+        # a character that starts no token is a symbol no rule reads, so it
+        # fails the parse; as an unexpected character it wins over any error
+        pos = _TOKENIZABLE.match(text).end()
+        if pos < len(text):
+            raise TermSyntaxError(f"unexpected character {text[pos]!r}",
+                                  *_line_col(text, pos)) from None
+        raise
+    return trusted_lincomb(as_coeff(unit), terms)
 
 
 def format_term(t: Term) -> str:
@@ -176,14 +182,7 @@ def format_term(t: Term) -> str:
 
 
 def format_lincomb(v: LinComb) -> str:
-    if v.is_zero():
-        return "0"
-    parts = []
-    if v.unit:
-        parts.append(str(v.unit))
-    for t, c in v.sorted_terms():
-        if c == 1:
-            parts.append(format_term(t))
-        else:
-            parts.append(f"{c} * {format_term(t)}")
-    return " + ".join(parts)
+    parts = [str(v.unit)] if v.unit else []
+    parts += [format_term(t) if c == 1 else f"{c} * {format_term(t)}"
+              for t, c in v.sorted_terms()]
+    return " + ".join(parts) or "0"

@@ -314,9 +314,10 @@ def check_envelope_bialgebra(L: HomLieAlgebra, max_arity: int = 3,
 # declarative text format
 # ---------------------------------------------------------------------------
 
-def _linear_coords(text: str, names) -> dict:
-    """Parse a linear combination of basis names into a coordinate dict."""
-    p = parse_poly(text, allowed=set(names))
+def _linear_coords(text: str, names, offset: int = 0) -> dict:
+    """Parse a linear combination of basis names into a coordinate dict;
+    ``offset`` is the column before ``text`` on its line (``parse_poly``)."""
+    p = parse_poly(text, allowed=set(names), offset=offset)
     out = {}
     for mono, c in p.coeffs.items():
         if mono == ():
@@ -341,8 +342,8 @@ def load_hom_lie(text: str) -> HomLieAlgebra:
     brackets = {}
     alpha = {}
     directives = ("dim", "names", "bracket", "alpha")
-    for lineno, head, rest in read_directives(text.splitlines(), directives,
-                                              once=("dim", "names")):
+    lines = text.splitlines()
+    for lineno, head, rest in read_directives(lines, directives, once=("dim", "names")):
         lhs, _, rhs = rest.partition("=")
         if head == "dim":
             if not (rest.isascii() and rest.isdigit()):
@@ -365,8 +366,8 @@ def load_hom_lie(text: str) -> HomLieAlgebra:
                 raise ValueError(f"line {lineno}: bracket of {pair[0]} with itself must vanish")
             brackets[(pair[0], pair[1])] = coords
         else:
-            name, image = read_keyed(rest, lineno, "alpha", names, alpha)
-            alpha[name] = on_line(lineno, _linear_coords, image, names)
+            name, image, offset = read_keyed(lines[lineno - 1], lineno, "alpha", names, alpha)
+            alpha[name] = on_line(lineno, _linear_coords, image, names, offset)
     if names is None:
         raise ValueError("missing 'names' line")
     if dim is not None and dim[1] != len(names):

@@ -431,18 +431,21 @@ def read_leg_names(rest: str, lineno: int) -> tuple[str, ...]:
     return names
 
 
-def read_keyed(rest: str, lineno: int, head: str, keys, done) -> tuple[str, str]:
-    """``(key, image)`` of a ``head KEY = IMAGE`` line: the key is one of
-    ``keys`` and not yet in ``done``."""
-    key, eq, image = rest.partition("=")
-    key = key.strip()
+def read_keyed(line: str, lineno: int, head: str, keys, done) -> tuple[str, str, int]:
+    """``(key, image, offset)`` of the directive ``line``, ``head KEY = IMAGE``
+    (``read_directives`` has checked its head): the key is one of ``keys`` and
+    not yet in ``done``, and the image starts ``offset`` characters into the
+    line, so that a parser can give an error's column in the line."""
+    text = line.split("#", 1)[0]
+    before, eq, image = text.partition("=")
+    key = before.strip()[len(head):].strip()
     if not eq:
         raise ValueError(f"line {lineno}: expected {head} NAME = IMAGE")
     if key not in keys:
         raise ValueError(f"line {lineno}: {head} of unknown name {key!r}")
     if key in done:
         raise ValueError(f"line {lineno}: second {head} of {key}")
-    return key, image.strip()
+    return key, image.strip(), len(text) - len(image.lstrip())
 
 
 def on_line(lineno: int, parse, *args):
@@ -453,7 +456,10 @@ def on_line(lineno: int, parse, *args):
         raise ValueError(f"{exc} (line {lineno})") from None
 
 
-def parse_poly(text: str, allowed=None) -> Poly:
+def parse_poly(text: str, allowed=None, offset: int = 0) -> Poly:
+    """The polynomial ``text`` writes, in the names ``allowed`` if given.
+    ``offset`` characters come before ``text`` on its line, and the column of
+    an unexpected character counts them."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -462,7 +468,7 @@ def parse_poly(text: str, allowed=None) -> Poly:
             bad = len(text) - len(text[pos:].lstrip())
             if bad < len(text):
                 raise ValueError(f"bad polynomial syntax: unexpected character {text[bad]!r}"
-                                 f" at column {bad + 1} of {text!r}")
+                                 f" at column {offset + bad + 1} of {text!r}")
             break
         if m.lastgroup:
             tokens.append((m.lastgroup, m.group(m.lastgroup)))

@@ -39,6 +39,12 @@ def as_coeff(c) -> Coeff:
     raise TypeError(f"not an exact rational: {c!r}")
 
 
+class InputError(Exception):
+    """An input the program refuses.  The command line prints it after its
+    ``prefix`` and exits 2; the subclasses live beside what they check."""
+    prefix = "error"
+
+
 # ---------------------------------------------------------------------------
 # normalized terms
 # ---------------------------------------------------------------------------
@@ -272,7 +278,21 @@ class LinComb:
         return LinComb(self.unit + other.unit, out)
 
     def __sub__(self, other: "LinComb") -> "LinComb":
-        return self + (-1) * other
+        # one pass, with the keys, order and cancellation of self + (-1) * other
+        if not isinstance(other, LinComb):
+            return NotImplemented
+        out = dict(self.terms)
+        for t, c in other.terms.items():
+            s = out.get(t)
+            if s is None:
+                out[t] = -c
+            else:
+                s -= c
+                if s:
+                    out[t] = s if type(s) is int else as_coeff(s)
+                else:
+                    del out[t]
+        return trusted_lincomb(as_coeff(self.unit - other.unit), out)
 
     def __neg__(self) -> "LinComb":
         return (-1) * self
@@ -330,6 +350,20 @@ class LinComb:
 
     def generators(self) -> set[str]:
         return {lf.name for t in self.terms for lf in leaves(t)}
+
+
+_new = object.__new__
+_set_unit, _set_terms = (LinComb.__dict__[f].__set__ for f in LinComb.__slots__)
+
+
+def trusted_lincomb(unit: Coeff, terms: dict[Term, Coeff]) -> LinComb:
+    """The combination on ``unit`` and ``terms``, trusted to be clean already:
+    each coefficient exact (see ``as_coeff``) and no term's zero.  ``terms``
+    becomes the result's own dict."""
+    v = _new(LinComb)
+    _set_unit(v, unit)
+    _set_terms(v, terms)
+    return v
 
 
 def make_leaf(name: str, exp: int = 0) -> LinComb:

@@ -413,7 +413,7 @@ def test_negative_or_non_digit_count_exits_2_naming_its_option(argv):
     (("reduce", "(A \u0663 x)"), "parse error: unexpected character '\u0663' (line 1, column 4)"),
     (("reduce", "\u0662 * x"), "parse error: unexpected character '\u0662' (line 1, column 1)"),
     (("check", "algebra", "digits.alg"),
-     "error: bad polynomial syntax: unexpected character '\u0662' at column 1 of"
+     "error: bad polynomial syntax: unexpected character '\u0662' at column 11 of"
      " '\u0662*t' (line 3)"),
     (("verify", "twist", "--lambda", "\u0663"),
      "error: --lambda: Invalid literal for Fraction: '\u0663'"),
@@ -423,6 +423,31 @@ def test_other_scripts_digits_are_refused(tmp_path, argv, shown):
     f.write_text("kind poly\nvars t\ntwist t = \u0662*t\n", encoding="utf-8")
     argv = [str(f) if a == f.name else a for a in argv]
     out = run_cli(*argv)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == shown + "\n"
+
+
+# a descriptor image is read in its place on its line: an error's column
+# counts from the line's start, past the directive, the name and any spaces
+@pytest.mark.parametrize("command,text,shown", [
+    (("check", "algebra"), ALG + "\ntwist t = \u0662*t\n",
+     "error: bad polynomial syntax: unexpected character '\u0662' at column 11 of"
+     " '\u0662*t' (line 4)"),
+    (("verify", "twist", "--file"), "kind twist\nphi_H  b =  \u0662*b  # twice b\n",
+     "error: bad polynomial syntax: unexpected character '\u0662' at column 13 of"
+     " '\u0662*b' (line 2)"),
+    (("verify", "envelope"), "names e1 e2\nalpha e1 = e1\nalpha e2 =   \u0663*e2\n",
+     "error: bad polynomial syntax: unexpected character '\u0663' at column 14 of"
+     " '\u0663*e2' (line 3)"),
+    (("verify", "m-coassoc", "--file"), BIALG + "delta a = (a' * a'')\ndelta  b = (b' * \u0662)\n",
+     "parse error: unexpected character '\u0662' (line 4, column 18)"),
+], ids=["twist", "phi_H", "alpha", "delta"])
+def test_descriptor_image_errors_count_columns_from_the_line_start(tmp_path, command, text,
+                                                                  shown):
+    f = tmp_path / "descriptor"
+    f.write_text(text, encoding="utf-8")
+    out = run_cli(*command, str(f))
     assert out.returncode == 2
     assert out.stdout == ""
     assert out.stderr == shown + "\n"

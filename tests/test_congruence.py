@@ -767,6 +767,32 @@ def test_unital_classes_need_exponents(gens, bound):
     assert unital._store.root == non_unital._store.root
 
 
+# Twists of an associator are associators, so the sequence of a term's leaves
+# as (name, exp + depth) is invariant; but its fibers are not classes from
+# arity 4 on.  These two terms share one, (2, 3, 3, 2), and each factor of the
+# second holds a leaf at exponent 0, so no rotation reaches it: only the
+# unit's collapses join them.  A fiber test would make PROVEN_EQUAL unsound.
+COUNTEREXAMPLE = "(x@1 * ((x * x) * x)) + -1 * ((x * x@1) * (x@1 * x))"
+
+
+def leaf_fiber(t, depth=0) -> tuple:
+    if isinstance(t, Leaf):
+        return ((t.name, t.exp + depth),)
+    return leaf_fiber(t.left, depth + 1) + leaf_fiber(t.right, depth + 1)
+
+
+@pytest.mark.parametrize("config", [NON_UNITAL, UNITAL], ids=["non-unital", "unital"])
+@pytest.mark.parametrize("bound", [Bound(4, 2), Bound(4, 3)], ids=["4-2", "4-3"])
+def test_leaf_sequence_fibers_are_not_classes(bound, config):
+    v = parse_lincomb(COUNTEREXAMPLE)
+    lhs, rhs = (LinComb.of_term(t) for t in v.terms)
+    assert len({leaf_fiber(t) for t in v.terms}) == 1
+    basis, literal = saturate(["x"], bound, config), echelon_basis(["x"], bound, config)
+    for b in (basis, literal):
+        assert b.reduce(v).is_zero() == config.unit_instances
+        assert b.equal_mod(lhs, rhs).proven == config.unit_instances
+
+
 @functools.cache
 def small_bases():
     """Both stores on the 3-gen (3,1) window, in both configurations."""

@@ -78,6 +78,11 @@ def test_errors_carry_line_and_column():
         parse_lincomb("(A 0 x)")
     with pytest.raises(TermSyntaxError):
         parse_lincomb("x y")
+    # an exponent is written in the digits 0-9 (the reference below reads
+    # other scripts' digits as digits, so this case is pinned here)
+    with pytest.raises(TermSyntaxError, match="unexpected character") as err:
+        parse_lincomb("x@\u0663")
+    assert (err.value.line, err.value.col) == (1, 3)
 
 
 def test_whitespace_insensitive():
@@ -301,6 +306,19 @@ def texts(draw):
 @example("x + -1 * x + y + 2 * x")        # a cancelled term comes back last
 @example("(x * ) + \n\t(y # z)")           # an unexpected character wins
 @example("\n\n   2 * (x * y) + 1/0")
+# a leaf's "@" and exponent, which the parser reads as one token with its name
+@example("x@")
+@example("x@ y")
+@example("x@-1")
+@example("x@@1")
+@example("x@1@2")
+@example("(A@1 * x)")
+@example("(A 0 x)")
+@example("(A x)")
+@example(f"x@{BIG}")
+@example(f"(A {BIG} x)")
+# a delta image as the free-bialgebra loader pads it onto its line
+@example("\n\n" + " " * 10 + "(a' * a'') + (b'@ * c'')")
 def test_parser_matches_reference(text):
     assert _outcome(parse_lincomb, text) == _outcome(reference_parse_lincomb, text)
 

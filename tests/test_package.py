@@ -92,3 +92,15 @@ def test_span_targets_resolve_after_importing_the_command_line_alone():
     code = (f"import sys\nsys.path.insert(0, {str(ROOT / 'perfbench')!r})\n"
             "import homalgebra.cli\nfrom spans import Recorder\nprint(Recorder().install())")
     assert fresh(code).strip() == "[]"
+
+
+def test_a_failed_command_runs_only_the_modules_it_needs(tmp_path):
+    # main classes an input error by the one base class in ``terms``, so a
+    # missing file loads no parser, algebra or window
+    argv = ["check", "algebra", str(tmp_path / "no.alg")]
+    code = ("import contextlib, io, homalgebra.cli\n"
+            "err = io.StringIO()\n"
+            "with contextlib.redirect_stderr(err):\n"
+            f"    assert homalgebra.cli.main({argv!r}) == 2\n"
+            "assert err.getvalue().startswith('error: [Errno 2] No such file'), err.getvalue()\n")
+    assert json.loads(fresh(code + EXECUTED)) == ["cli", "terms"]
