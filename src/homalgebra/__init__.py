@@ -12,6 +12,18 @@ module's code runs when one of its attributes is first read, so a command
 pays only for the modules it touches.  The names below are exported through
 a module ``__getattr__`` (PEP 562): ``homalgebra.saturate`` loads
 ``congruence`` the first time it is read.
+
+To keep it so, a module binds a sibling that not every command needs as a
+module (``from . import poly``), and nothing that runs at import reads a
+sibling's attribute.  ``reduce`` runs ``terms``, ``grammar``, ``congruence``
+and ``reports``; the free suites add ``algebras``, ``morphisms`` and
+``bialgebras`` but no ``poly``; the polynomial suites (``m2-representability``,
+``twist``) run ``poly`` but neither ``congruence`` nor ``grammar``; ``verify
+envelope`` adds ``homlie``; ``check algebra`` runs ``terms``, ``algebras``,
+``poly`` and ``reports``.  Number literals are read in ``terms``, and the
+records nothing copies with ``dataclasses.replace`` are ``terms.Record``
+classes, so ``reduce`` never imports ``dataclasses``; the carriers, whose API
+includes ``replace``, stay dataclasses (README, "Modules load on first use").
 """
 
 import importlib.util

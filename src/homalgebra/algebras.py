@@ -18,8 +18,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Optional
 
-from .poly import Poly, PolyEndo, monomials_up_to, random_poly
-from .terms import InputError, LinComb, as_coeff, make_leaf, random_lincomb
+from . import poly
+from .terms import InputError, LinComb, Record, as_coeff, make_leaf, random_lincomb
 
 
 class UnitFlavor(Enum):
@@ -67,12 +67,13 @@ class HomAlgebraDescriptor:
 # check reports
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CheckReport:
-    law: str
-    samples_run: int
-    counterexamples: list[str]
-    seed: Optional[int] = None
+class CheckReport(Record):
+    __slots__ = ("law", "samples_run", "counterexamples", "seed")
+
+    def __init__(self, law: str, samples_run: int, counterexamples: list[str],
+                 seed: Optional[int] = None):
+        self.law, self.samples_run = law, samples_run
+        self.counterexamples, self.seed = counterexamples, seed
 
     @property
     def passed(self) -> bool:
@@ -197,16 +198,16 @@ def poly_algebra(names) -> HomAlgebraDescriptor:
         raise ValueError(f"duplicate variable names: {names}")
     return HomAlgebraDescriptor(
         name="Q[" + ",".join(names) + "]",
-        zero=Poly.zero(),
+        zero=poly.Poly.zero(),
         add=lambda p, q: p + q,
         scale=lambda c, p: as_coeff(c) * p,
         mul=lambda p, q: p * q,
         alpha=lambda p: p,
         eq=lambda p, q: p == q,
-        unit=Poly.one(),
+        unit=poly.Poly.one(),
         unit_flavor=UnitFlavor.STRICT_UNITAL,
-        sweep=tuple(monomials_up_to(names, 2)),
-        rand=lambda rng: random_poly(rng, names),
+        sweep=tuple(poly.monomials_up_to(names, 2)),
+        rand=lambda rng: poly.random_poly(rng, names),
         fmt=str,
     )
 
@@ -222,7 +223,7 @@ def yau_twist_algebra(names, phi, phi_name: str = "phi") -> HomAlgebraDescriptor
     The identity substitution returns the classical carrier; any other leaves
     the unit only weak.
     """
-    if not isinstance(phi, PolyEndo):
+    if not isinstance(phi, poly.PolyEndo):
         raise PreconditionError(
             f"a twist must be a PolyEndo substitution, not {type(phi).__name__}")
     A = poly_algebra(names)
@@ -235,7 +236,7 @@ def yau_twist_algebra(names, phi, phi_name: str = "phi") -> HomAlgebraDescriptor
 
 def q_poly_algebra(q, var: str = "t") -> HomAlgebraDescriptor:
     """The one-variable carrier twisted along t -> q t."""
-    phi = PolyEndo({var: as_coeff(q) * Poly.var(var)})
+    phi = poly.PolyEndo({var: as_coeff(q) * poly.Poly.var(var)})
     return yau_twist_algebra([var], phi, phi_name=f"{var}->{q}{var}")
 
 

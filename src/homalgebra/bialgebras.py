@@ -27,15 +27,11 @@ from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import Optional
 
+from . import congruence, grammar, morphisms, poly
 from .algebras import (HomAlgebraDescriptor, PreconditionError, free_algebra,
                        matrix_algebra, poly_algebra, yau_twist_algebra)
-from .congruence import Bound, SaturationConfig, saturate
-from .morphisms import (MorphismAssignment, NamingError, evaluate,
-                        morphism_from_matrix, rename_embed)
-from .poly import Poly, PolyEndo
 from .reports import LawReport, law_report
 from .terms import LinComb, make_leaf, random_lincomb, rename
-from .grammar import format_lincomb
 
 MATRIX_LAYOUT = (("a", "b"), ("c", "d"))
 PLANE_GENS = ("x", "y")
@@ -62,6 +58,15 @@ def exact(lhs, rhs):
     return ("EQUAL" if lhs == rhs else "NOT_EQUAL"), None
 
 
+def _window(bound, config, unital: bool = True) -> tuple:
+    """The window a law saturates: ``bound`` and ``config``, or where the
+    caller gives none, ``Bound(3, 1)`` and the unital relation set (the
+    non-unital one if ``unital`` is false).  Built only by a carrier that
+    saturates: one that decides exactly never loads ``congruence``."""
+    return (congruence.Bound(3, 1) if bound is None else bound,
+            congruence.SaturationConfig(unital) if config is None else config)
+
+
 class _Carrier:
     """What a law asks of a carrier.
 
@@ -73,15 +78,15 @@ class _Carrier:
     ``tensor_alpha`` those of the doubled carrier the comultiplication or
     coaction lands in; ``retag`` moves an element into a tensor leg and
     ``compose`` extends a generator assignment to an element;
-    ``oracle(gens, bound, config)`` saturates the window on ``gens`` and
-    returns its ``decide(lhs, rhs)`` with the report context, and ``fmt``
-    prints.
+    ``oracle(gens, bound, config, unital)`` saturates the window on
+    ``gens`` (see ``_window``) and returns its ``decide(lhs, rhs)`` with the
+    report context, and ``fmt`` prints.
     """
 
     def delta_at(self, t1: str, t2: str) -> dict:
         """The comultiplication images with the legs moved to ``t1``, ``t2``."""
         if t1 == t2:
-            raise NamingError("tensor legs need distinct tags")
+            raise morphisms.NamingError("tensor legs need distinct tags")
         return self.relabel(self.delta_images, {
             g + old: g + new for g in self.gens for old, new in (("'", t1), ("''", t2))})
 
@@ -96,7 +101,7 @@ class _Carrier:
         mapping = {**{h + h_leg: h + h_tag for h in self.H.gens},
                    **{x + a_leg: x + a_tag for x in self.gens}}
         if len(set(mapping.values())) != len(mapping):
-            raise NamingError(f"legs collide under tags {h_tag!r}, {a_tag!r}")
+            raise morphisms.NamingError(f"legs collide under tags {h_tag!r}, {a_tag!r}")
         return self.relabel(self.coaction_images, mapping)
 
     def coaction(self, v, h_tag: str, a_tag: str):
@@ -135,9 +140,11 @@ class _FreeCarrier(_Carrier):
 
     @staticmethod
     def fmt(v: LinComb) -> str:
-        return format_lincomb(v)
+        return grammar.format_lincomb(v)
 
-    retag = staticmethod(rename_embed)
+    @staticmethod
+    def retag(v: LinComb, tag: str) -> LinComb:
+        return morphisms.rename_embed(v, tag)
 
     @staticmethod
     def relabel(images: dict, mapping: dict) -> dict:
@@ -145,11 +152,11 @@ class _FreeCarrier(_Carrier):
 
     @staticmethod
     def compose(v: LinComb, images: dict) -> LinComb:
-        return evaluate(v, MorphismAssignment(_FREE_TARGET, images))
+        return morphisms.evaluate(v, morphisms.MorphismAssignment(_FREE_TARGET, images))
 
     @staticmethod
-    def oracle(gens, bound: Bound, config: SaturationConfig):
-        basis = saturate(gens, bound, config)
+    def oracle(gens, bound, config, unital: bool = True):
+        basis = congruence.saturate(gens, *_window(bound, config, unital))
         return basis.decide, basis.describe()
 
     def pairs(self, seed: int) -> list:
@@ -168,9 +175,12 @@ class _PolyCarrier(_Carrier):
     law is an exact identity.  A twisted carrier holds its one ``twist``:
     the product is the twist after the polynomial product, and the held
     images are the effective ones (the twist, then the classical map)."""
-    element = staticmethod(Poly.var)
     fmt = staticmethod(str)
     coaction_legs = ("", "")
+
+    @staticmethod
+    def element(name: str) -> poly.Poly:
+        return poly.Poly.var(name)
 
     @cached_property
     def algebra(self) -> HomAlgebraDescriptor:
@@ -182,28 +192,28 @@ class _PolyCarrier(_Carrier):
     def context(self) -> dict:
         return {"carrier": self.algebra.name}
 
-    def alpha(self, p: Poly) -> Poly:
+    def alpha(self, p: poly.Poly) -> poly.Poly:
         return self.twist(p) if self.twist else p
 
-    def mul(self, p: Poly, q: Poly) -> Poly:
+    def mul(self, p: poly.Poly, q: poly.Poly) -> poly.Poly:
         return self.alpha(p * q)
 
-    def tensor_mul(self, p: Poly, q: Poly) -> Poly:
+    def tensor_mul(self, p: poly.Poly, q: poly.Poly) -> poly.Poly:
         return self.tensor_alpha(p * q)
 
-    def retag(self, p: Poly, tag: str) -> Poly:
-        return p.substitute({u: Poly.var(u + tag) for u in self.gens}) if tag else p
+    def retag(self, p: poly.Poly, tag: str) -> poly.Poly:
+        return p.substitute({u: poly.Poly.var(u + tag) for u in self.gens}) if tag else p
 
     @staticmethod
     def relabel(images: dict, mapping: dict) -> dict:
-        names = {old: Poly.var(new) for old, new in mapping.items()}
+        names = {old: poly.Poly.var(new) for old, new in mapping.items()}
         return {g: p.substitute(names) for g, p in images.items()}
 
     @staticmethod
-    def compose(p: Poly, images: dict) -> Poly:
+    def compose(p: poly.Poly, images: dict) -> poly.Poly:
         return p.substitute(images)
 
-    def oracle(self, gens, bound, config):
+    def oracle(self, gens, bound, config, unital: bool = True):
         return exact, self.context
 
     def pairs(self, seed: int) -> list:
@@ -298,12 +308,13 @@ def _composite_cases(C, first, left: dict, right: dict, elements, decide):
         yield label, C.compose(d, left), C.compose(d, right), decide
 
 
-def check_hom_coassoc(B, elements=None, bound: Bound = Bound(3, 1),
-                      config: SaturationConfig = SaturationConfig()) -> LawReport:
+def check_hom_coassoc(B, elements=None, bound: congruence.Bound | None = None,
+                      config: congruence.SaturationConfig | None = None) -> LawReport:
     """Twisted coassociativity (Delta (x) alpha) Delta = (alpha (x) Delta) Delta.
 
     Both composites land in the triple-tagged legs; a free carrier compares
-    them by the oracle on that window, a concrete one exactly.
+    them by the oracle on that window (by default ``Bound(3, 1)``, unital),
+    a concrete one exactly.
     """
     decide, context = B.oracle(_tagged(B.gens, "'", "''", "'''"), bound, config)
     left, right = coassoc_composites(B)
@@ -318,22 +329,24 @@ def check_comultiplicative(B) -> LawReport:
         for label, e in B.twist_samples()))
 
 
-def check_delta_is_morphism(B, bound: Bound = Bound(3, 1),
-                            config: SaturationConfig = SaturationConfig(unit_instances=False),
+def check_delta_is_morphism(B, bound: congruence.Bound | None = None,
+                            config: congruence.SaturationConfig | None = None,
                             seed: int = 9) -> LawReport:
-    """The comultiplication respects products (free: modulo the congruence)."""
-    decide, context = B.oracle(_tagged(B.gens, "'", "''"), bound, config)
+    """The comultiplication respects products (free: modulo the congruence,
+    by default at ``Bound(3, 1)``, non-unital)."""
+    decide, context = B.oracle(_tagged(B.gens, "'", "''"), bound, config, unital=False)
     return law_report("comultiplication_is_algebra_morphism", context, B.fmt, (
         (label, B.delta(B.mul(u, v)), B.tensor_mul(B.delta(u), B.delta(v)), decide)
         for label, u, v in B.pairs(seed)))
 
 
-def check_comodule(C, bound: Bound = Bound(3, 1),
-                   config: SaturationConfig = SaturationConfig()) -> LawReport:
+def check_comodule(C, bound: congruence.Bound | None = None,
+                   config: congruence.SaturationConfig | None = None) -> LawReport:
     """The twisted comodule law (Delta (x) alpha) rho = (alpha (x) rho) rho.
 
     Both composites land in the bialgebra legs ' and '' next to the bare
-    carrier generators.
+    carrier generators; a free carrier decides by default at ``Bound(3, 1)``,
+    unital.
     """
     H = C.H
     decide, context = C.oracle(_tagged(H.gens, "'", "''") + list(C.gens), bound, config)
@@ -348,12 +361,13 @@ def check_comodule(C, bound: Bound = Bound(3, 1),
         C.generators(), decide))
 
 
-def check_comodule_homalgebra(C, bound: Bound = Bound(3, 1),
-                              config: SaturationConfig = SaturationConfig(unit_instances=False),
+def check_comodule_homalgebra(C, bound: congruence.Bound | None = None,
+                              config: congruence.SaturationConfig | None = None,
                               seed: int = 13) -> LawReport:
-    """The coaction respects products and the twist."""
+    """The coaction respects products and the twist (free: modulo the
+    congruence, by default at ``Bound(3, 1)``, non-unital)."""
     decide, context = C.oracle(_tagged(C.H.gens, "'") + _tagged(C.gens, "''"),
-                               bound, config)
+                               bound, config, unital=False)
     rho = lambda v: C.coaction(v, *C.coaction_legs)
 
     def cases():
@@ -368,13 +382,14 @@ def representability_check(A: HomAlgebraDescriptor, X, Y) -> LawReport:
     """Pulling a pair of matrices back along the matrix comultiplication
     reproduces the matrix product in the carrier, entry by entry."""
     B = m_bialgebra()
-    assignment = MorphismAssignment(A, {
-        **_keyed(morphism_from_matrix(A, X).images, "'"),
-        **_keyed(morphism_from_matrix(A, Y).images, "''")})
+    assignment = morphisms.MorphismAssignment(A, {
+        **_keyed(morphisms.morphism_from_matrix(A, X).images, "'"),
+        **_keyed(morphisms.morphism_from_matrix(A, Y).images, "''")})
     expected = matrix_algebra(A).mul(X, Y)
     decide = lambda got, want: (("EQUAL" if A.eq(got, want) else "NOT_EQUAL"), None)
     return law_report("matrix_representability", {"carrier": A.name}, A.fmt, (
-        (f"entry ({i + 1},{j + 1})", evaluate(B.delta_images[MATRIX_LAYOUT[i][j]], assignment),
+        (f"entry ({i + 1},{j + 1})",
+         morphisms.evaluate(B.delta_images[MATRIX_LAYOUT[i][j]], assignment),
          expected[i][j], decide) for i in range(2) for j in range(2)))
 
 
@@ -392,19 +407,19 @@ class PolyHomBialgebra(_PolyCarrier):
     """
     gens: tuple
     delta_images: dict
-    twist: Optional[PolyEndo] = None
+    twist: Optional[poly.PolyEndo] = None
 
     @cached_property
-    def tensor_alpha(self) -> PolyEndo:
+    def tensor_alpha(self) -> poly.PolyEndo:
         """The twist acting on both legs of the doubled variables."""
-        return PolyEndo({v + t: self.twist_into(v, t)
-                         for t in ("'", "''") for v in self.gens})
+        return poly.PolyEndo({v + t: self.twist_into(v, t)
+                              for t in ("'", "''") for v in self.gens})
 
 
 def classical_m2_bialgebra() -> PolyHomBialgebra:
     """The coordinate bialgebra of 2x2 matrices on a, b, c, d."""
     names = tuple(g for row in MATRIX_LAYOUT for g in row)
-    return PolyHomBialgebra(names, _matrix_product(Poly.var))
+    return PolyHomBialgebra(names, _matrix_product(poly.Poly.var))
 
 
 @dataclass(frozen=True)
@@ -418,32 +433,33 @@ class PolyComoduleAlgebra(_PolyCarrier):
     H: PolyHomBialgebra
     gens: tuple
     coaction_images: dict
-    twist: Optional[PolyEndo] = None
+    twist: Optional[poly.PolyEndo] = None
     alpha_rho_first = True   # the comodule law reports (alpha (x) rho) rho as lhs
 
     def __post_init__(self):
         clash = set(self.H.gens) & set(self.gens)
         if clash:
-            raise NamingError(f"carrier variables collide with the bialgebra's: {sorted(clash)}")
+            raise morphisms.NamingError(
+                f"carrier variables collide with the bialgebra's: {sorted(clash)}")
 
     @cached_property
-    def tensor_alpha(self) -> PolyEndo:
+    def tensor_alpha(self) -> poly.PolyEndo:
         """The twist on the mixed carrier (bialgebra legs and carrier legs)."""
-        return PolyEndo({**{v: self.H.twist_into(v, "") for v in self.H.gens},
+        return poly.PolyEndo({**{v: self.H.twist_into(v, "") for v in self.H.gens},
                          **{x: self.twist_into(x, "") for x in self.gens}})
 
 
 def classical_affine_comodule() -> PolyComoduleAlgebra:
     """The plane on x, y with the classical matrix coaction."""
     return PolyComoduleAlgebra(classical_m2_bialgebra(), PLANE_GENS,
-                               _plane_coaction(Poly.var, "", ""))
+                               _plane_coaction(poly.Poly.var, "", ""))
 
 
 # ---------------------------------------------------------------------------
 # twisting classical structures
 # ---------------------------------------------------------------------------
 
-def yau_twist_bialgebra(B: PolyHomBialgebra, phi: PolyEndo) -> PolyHomBialgebra:
+def yau_twist_bialgebra(B: PolyHomBialgebra, phi: poly.PolyEndo) -> PolyHomBialgebra:
     """Twist a classical polynomial bialgebra along a bialgebra endomorphism:
     the product gains phi after, the comultiplication gains phi before.
     phi must preserve the comultiplication, checked on the generators (both
@@ -454,7 +470,7 @@ def yau_twist_bialgebra(B: PolyHomBialgebra, phi: PolyEndo) -> PolyHomBialgebra:
     twisted = replace(B, twist=phi)
     images = {}
     for v in B.gens:
-        lhs = B.delta(phi(Poly.var(v)))
+        lhs = B.delta(phi(poly.Poly.var(v)))
         rhs = twisted.tensor_alpha(B.delta_images[v])
         if lhs != rhs:
             raise PreconditionError(
@@ -467,7 +483,7 @@ def yau_twist_bialgebra(B: PolyHomBialgebra, phi: PolyEndo) -> PolyHomBialgebra:
 
 
 def twist_comodule(H: PolyHomBialgebra, C: PolyComoduleAlgebra,
-                   phi_H: PolyEndo, phi_A: PolyEndo) -> PolyComoduleAlgebra:
+                   phi_H: poly.PolyEndo, phi_A: poly.PolyEndo) -> PolyComoduleAlgebra:
     """Twist a classical comodule algebra along compatible endomorphisms.
 
     Compatibility demands that the coaction intertwines the carrier twist
@@ -480,7 +496,7 @@ def twist_comodule(H: PolyHomBialgebra, C: PolyComoduleAlgebra,
     twisted = replace(C, H=yau_twist_bialgebra(H, phi_H), twist=phi_A)
     images, witnesses = {}, []
     for x in C.gens:
-        lhs = images[x] = C.coaction(phi_A(Poly.var(x)), "", "")
+        lhs = images[x] = C.coaction(phi_A(poly.Poly.var(x)), "", "")
         rhs = twisted.tensor_alpha(C.coaction_images[x])
         if lhs != rhs:
             witnesses.append(
@@ -494,7 +510,7 @@ def twist_comodule(H: PolyHomBialgebra, C: PolyComoduleAlgebra,
     return replace(twisted, coaction_images=images)
 
 
-def lambda_scaling_pair(lam) -> tuple[PolyEndo, PolyEndo]:
+def lambda_scaling_pair(lam) -> tuple[poly.PolyEndo, poly.PolyEndo]:
     """The scaling fixtures: b and the second plane variable scale by lam
     and 1/lam in the compatible pattern; lam must be invertible."""
     from fractions import Fraction
@@ -502,5 +518,5 @@ def lambda_scaling_pair(lam) -> tuple[PolyEndo, PolyEndo]:
     if lam == 0:
         raise PreconditionError("scaling parameter must be invertible (nonzero)")
     scale = {"a": 1, "b": lam, "c": 1 / lam, "d": 1, "x": 1, "y": 1 / lam}
-    phi = lambda names: PolyEndo({v: scale[v] * Poly.var(v) for v in names})
+    phi = lambda names: poly.PolyEndo({v: scale[v] * poly.Poly.var(v) for v in names})
     return phi("abcd"), phi(PLANE_GENS)

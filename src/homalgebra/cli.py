@@ -29,7 +29,7 @@ from . import algebras, bialgebras, congruence, grammar, homlie, poly, reports, 
 def natural(text: str) -> int:
     # on a ValueError argparse exits 2, naming the option and the text
     if text.isascii() and text.isdigit():
-        return poly.parse_natural(text, "count")
+        return terms.parse_natural(text, "count")
     raise ValueError(text)
 
 
@@ -198,7 +198,7 @@ def run_m2_representability(args):
         rep.law = "matrix_representability (generic symbols)"
         laws.append(rep)
     else:
-        A = algebras.q_poly_algebra(poly.parse_rational(args.q, "--q"))
+        A = algebras.q_poly_algebra(terms.parse_rational(args.q, "--q"))
     M = algebras.matrix_algebra(A)
     for k in range(args.pairs):
         X, Y = M.rand(rng), M.rand(rng)
@@ -222,7 +222,7 @@ def _load_twist_file(path: str):
             if rest != "twist":
                 raise ValueError(f"line {lineno}: expected kind twist")
         elif head == "lambda":
-            lam = poly.parse_rational(rest, f"line {lineno}: lambda")
+            lam = terms.parse_rational(rest, f"line {lineno}: lambda")
         else:
             name, image, offset = poly.read_keyed(lines[lineno - 1], lineno, head, keys[head],
                                                   phis[head])
@@ -235,7 +235,7 @@ def _load_twist_file(path: str):
 
 
 def run_twist(args):
-    lam = None if args.file else poly.parse_rational(args.lam, "--lambda")
+    lam = None if args.file else terms.parse_rational(args.lam, "--lambda")
     phi_H, phi_A = (_load_twist_file(args.file) if args.file
                     else bialgebras.lambda_scaling_pair(lam))
     Ct = bialgebras.twist_comodule(bialgebras.classical_m2_bialgebra(),
@@ -293,7 +293,7 @@ def _load_algebra_file(path: str):
     phi = poly.PolyEndo(twist)
     # a 2x2 matrix product is eight entry products of entry sums, so the
     # same twist costs the matrix checks many times the poly checks' work
-    size = poly.MAX_POLY_SIZE
+    size = terms.MAX_POLY_SIZE
     poly.require_bounded_twist(phi, size if kind == "poly" else size // 32)
     A = algebras.yau_twist_algebra(names, phi)
     if kind == "matrix":

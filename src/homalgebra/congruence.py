@@ -52,7 +52,6 @@ claimed: without the unit no collapse links a term to its twist, and at
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, product, starmap
@@ -60,7 +59,8 @@ from math import comb
 from typing import Iterable, Optional, Sequence
 
 from .grammar import format_lincomb, format_term
-from .terms import NAME, Coeff, InputError, Leaf, LinComb, Node, Term, as_coeff
+from .terms import (NAME, Coeff, FrozenRecord, InputError, Leaf, LinComb, Node, Term,
+                    as_coeff)
 
 DEFAULT_TERM_CAP = 200_000
 
@@ -77,27 +77,29 @@ class ResourceCapError(InputError, RuntimeError):
     """The windowed basis would exceed the configured term cap."""
 
 
-@dataclass(frozen=True)
-class Bound:
+class Bound(FrozenRecord):
     """Saturation window: arity cap and per-leaf exponent cap."""
-    max_arity: int
-    max_exp: int = 0
+    __slots__ = ("max_arity", "max_exp")
 
-    def __post_init__(self):
-        if self.max_arity < 1:
+    def __init__(self, max_arity: int, max_exp: int = 0):
+        object.__setattr__(self, "max_arity", max_arity)
+        object.__setattr__(self, "max_exp", max_exp)
+        if max_arity < 1:
             raise ValueError("max_arity must be >= 1")
-        if self.max_exp < 0:
+        if max_exp < 0:
             raise ValueError("max_exp must be >= 0")
 
 
-@dataclass(frozen=True)
-class SaturationConfig:
+class SaturationConfig(FrozenRecord):
     """Which relation instances are generated.
 
     ``unit_instances`` toggles unit arguments in the associators (the literal,
     unital reading of the defining ideal) versus the non-unital variant.
     """
-    unit_instances: bool = True
+    __slots__ = ("unit_instances",)
+
+    def __init__(self, unit_instances: bool = True):
+        object.__setattr__(self, "unit_instances", unit_instances)
 
 
 class Verdict(Enum):
@@ -105,10 +107,12 @@ class Verdict(Enum):
     NOT_PROVEN_WITHIN_BOUND = "NOT_PROVEN_WITHIN_BOUND"
 
 
-@dataclass(frozen=True)
-class EqualityResult:
-    verdict: Verdict
-    residue: LinComb
+class EqualityResult(FrozenRecord):
+    __slots__ = ("verdict", "residue")
+
+    def __init__(self, verdict: Verdict, residue: LinComb):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "residue", residue)
 
     @property
     def proven(self) -> bool:

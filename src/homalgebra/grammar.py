@@ -19,8 +19,8 @@ import re
 from functools import lru_cache, partial
 from itertools import islice
 
-from .poly import parse_natural, parse_rational
-from .terms import NAME, InputError, Leaf, LinComb, Node, Term, as_coeff, trusted_lincomb
+from .terms import (NAME, InputError, Leaf, LinComb, Node, Term, as_coeff, parse_natural,
+                    parse_rational, trusted_lincomb)
 
 # later traversals of a parsed term recurse: deeper input would pass their limit
 MAX_TERM_DEPTH = 300

@@ -23,16 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from . import poly
 from .algebras import (CheckReport, HomAlgebraDescriptor, PreconditionError,
                        _tuples)
-from .bialgebras import (_FreeCarrier, check_comultiplicative,
+from .bialgebras import (_FreeCarrier, _window, check_comultiplicative,
                          check_delta_is_morphism, check_hom_coassoc,
                          coassoc_composites, exact)
 from .congruence import Bound, RelationBasis, SaturationConfig, saturate
-from .poly import (on_line, parse_natural, parse_poly, read_directives, read_keyed,
-                   read_leg_names)
 from .reports import LawReport, law_report
-from .terms import Leaf, LinComb, make_leaf, rename, weight
+from .terms import Leaf, LinComb, make_leaf, parse_natural, rename, weight
 
 
 @dataclass(frozen=True)
@@ -273,9 +272,10 @@ class EnvelopeBialgebra(_FreeCarrier):
     def delta_at(self, t1: str, t2: str) -> dict:
         return {n: self.twist_into(n, t1) + self.twist_into(n, t2) for n in self.gens}
 
-    def oracle(self, gens, bound: Bound, config: SaturationConfig):
+    def oracle(self, gens, bound, config, unital: bool = True):
         """The oracle of the envelope of ``L`` summed over the legs that
-        ``gens`` names, at ``Bound(bound.max_arity, 0)``."""
+        ``gens`` names, at ``Bound(bound.max_arity, 0)`` (see ``_window``)."""
+        bound, config = _window(bound, config, unital)
         legs = LEG_TAGS3[:len(gens) // len(self.gens)]
         D = direct_sum([self.L] * len(legs), legs)
         assert D.names == tuple(gens), gens
@@ -317,7 +317,7 @@ def check_envelope_bialgebra(L: HomLieAlgebra, max_arity: int = 3,
 def _linear_coords(text: str, names, offset: int = 0) -> dict:
     """Parse a linear combination of basis names into a coordinate dict;
     ``offset`` is the column before ``text`` on its line (``parse_poly``)."""
-    p = parse_poly(text, allowed=set(names), offset=offset)
+    p = poly.parse_poly(text, allowed=set(names), offset=offset)
     out = {}
     for mono, c in p.coeffs.items():
         if mono == ():
@@ -343,31 +343,33 @@ def load_hom_lie(text: str) -> HomLieAlgebra:
     alpha = {}
     directives = ("dim", "names", "bracket", "alpha")
     lines = text.splitlines()
-    for lineno, head, rest in read_directives(lines, directives, once=("dim", "names")):
-        lhs, _, rhs = rest.partition("=")
+    for lineno, head, rest in poly.read_directives(lines, directives, once=("dim", "names")):
         if head == "dim":
             if not (rest.isascii() and rest.isdigit()):
                 raise ValueError(f"line {lineno}: dim must be written in the digits 0-9")
             dim = lineno, parse_natural(rest, f"line {lineno}: dim")
         elif head == "names":
-            names, names_line = read_leg_names(rest, lineno), lineno
+            names, names_line = poly.read_leg_names(rest, lineno), lineno
         elif names is None:
             raise ValueError(f"line {lineno}: names must come before "
                              + ("brackets" if head == "bracket" else "alpha"))
         elif head == "bracket":
-            pair = lhs.split()
+            # the image is read in its place on the line, as an alpha image is
+            key, _, image, offset = poly.split_keyed(lines[lineno - 1], head)
+            pair = key.split()
             if len(pair) != 2 or pair[0] not in names or pair[1] not in names:
                 raise ValueError(f"line {lineno}: bracket needs two basis names")
             # skew symmetry fills in the reversed pair, so it is the same bracket
             if (pair[0], pair[1]) in brackets or (pair[1], pair[0]) in brackets:
                 raise ValueError(f"line {lineno}: second bracket of {pair[0]} and {pair[1]}")
-            coords = on_line(lineno, _linear_coords, rhs, names)
+            coords = poly.on_line(lineno, _linear_coords, image, names, offset)
             if pair[0] == pair[1] and coords:
                 raise ValueError(f"line {lineno}: bracket of {pair[0]} with itself must vanish")
             brackets[(pair[0], pair[1])] = coords
         else:
-            name, image, offset = read_keyed(lines[lineno - 1], lineno, "alpha", names, alpha)
-            alpha[name] = on_line(lineno, _linear_coords, image, names, offset)
+            name, image, offset = poly.read_keyed(lines[lineno - 1], lineno, "alpha", names,
+                                                  alpha)
+            alpha[name] = poly.on_line(lineno, _linear_coords, image, names, offset)
     if names is None:
         raise ValueError("missing 'names' line")
     if dim is not None and dim[1] != len(names):

@@ -12,10 +12,8 @@ coaction images there, at fixed legs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebras import HomAlgebraDescriptor, UnitFlavor
-from .terms import Leaf, LinComb, Term, rename
+from .terms import FrozenRecord, Leaf, LinComb, Term, rename
 
 
 class UnitMismatchError(ValueError):
@@ -30,11 +28,13 @@ class NamingError(ValueError):
     """Tensor-leg tags collide on the combined generator set."""
 
 
-@dataclass(frozen=True)
-class MorphismAssignment:
+class MorphismAssignment(FrozenRecord):
     """A generator-to-element assignment into a carrier."""
-    target: HomAlgebraDescriptor
-    images: dict
+    __slots__ = ("target", "images")
+
+    def __init__(self, target: HomAlgebraDescriptor, images: dict):
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "images", images)
 
     def image(self, name: str):
         try:

@@ -10,12 +10,11 @@ are immutable and hashable.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import Iterator
 
-from .terms import NAME, Coeff, as_coeff
+from .terms import MAX_POLY_SIZE, NAME, Coeff, as_coeff, parse_natural, parse_rational
 
 Mono = tuple[tuple[str, int], ...]
 
@@ -281,71 +280,8 @@ def random_poly(rng, names, degree: int = 2, terms: int = 3) -> Poly:
 # nesting cap on parentheses and unary minus signs: the parser recurses on both
 MAX_POLY_DEPTH = 100
 
-# cap on what one power or product may build: an exponent, a total degree, a
-# term count or a coefficient size in bits above it is refused before the
-# expansion starts, so a short line cannot ask for an enormous polynomial
-MAX_POLY_SIZE = 1000
-
 _POLY_TOKEN = re.compile(
     rf"\s*(?:(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<name>{NAME.pattern})|(?P<sym>[-+*^()]))")
-
-
-# an integer, or a ratio of an integer to digits
-_INTEGER_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-
-
-def parse_rational(text: str, name: str) -> Coeff:
-    """The exact rational written ``text`` (``3``, ``5/2``, ``0.5``, ``1e-3``)
-    as a coefficient (see ``as_coeff``), refused if its numerator or
-    denominator passes ``MAX_POLY_SIZE`` bits.
-
-    ``Fraction`` builds ``10 ** exponent`` eagerly, so the exponent is checked
-    first: beside at most ``MAX_POLY_SIZE`` characters, one above twice that
-    leaves more than ``MAX_POLY_SIZE`` digits in the numerator or denominator.
-    An integer, or a ratio of integers, is read by ``int`` (and one exact
-    division), which is several times faster than ``Fraction``'s regular
-    expression; a zero denominator raises ``Fraction``'s own error.
-    """
-    parts = _INTEGER_RATIO.fullmatch(text) if len(text) <= MAX_POLY_SIZE else None
-    if parts:
-        num, den = parts.groups()
-        value = int(num) if den is None else Fraction(int(num), int(den))
-    else:
-        _, e, exponent = text.lower().partition("e")
-        try:
-            shift = int(exponent) if e and len(text) <= MAX_POLY_SIZE else 0
-        except ValueError:
-            shift = 0  # not an exponent: Fraction reports the bad literal
-        if len(text) > MAX_POLY_SIZE or abs(shift) > 2 * MAX_POLY_SIZE:
-            raise _oversized(text, name, f"{MAX_POLY_SIZE} characters and exponent"
-                                         f" {2 * MAX_POLY_SIZE}")
-        try:
-            # ``Fraction`` also reads other scripts' digits; a literal is 0-9
-            if not text.isascii():
-                raise ValueError(f"Invalid literal for Fraction: {text!r}")
-            value = Fraction(text)
-        except ValueError as exc:
-            raise ValueError(f"{name}: {exc}") from None
-    if max(abs(value.numerator), value.denominator).bit_length() > MAX_POLY_SIZE:
-        raise _oversized(text, name, f"{MAX_POLY_SIZE} bits")
-    return as_coeff(value)
-
-
-def parse_natural(text: str, name: str) -> int:
-    """The natural number written in the digits ``text``.
-
-    A literal of more than ``MAX_POLY_SIZE`` digits passes every bound here, so
-    it is refused by its length, before ``int`` reads it (``int`` itself stops
-    at 4,300 digits, with a message that names no token).
-    """
-    if len(text) > MAX_POLY_SIZE:
-        raise _oversized(text, name, f"{MAX_POLY_SIZE} digits")
-    return int(text)
-
-
-def _oversized(text: str, name: str, bound: str) -> ValueError:
-    shown = text[:20] + "..." * (len(text) > 20)
-    return ValueError(f"{name} {shown}: above the size bound of {bound}")
 
 
 def _require_bounded(*factors: tuple[Poly, int], size: int = MAX_POLY_SIZE):
@@ -431,21 +367,28 @@ def read_leg_names(rest: str, lineno: int) -> tuple[str, ...]:
     return names
 
 
-def read_keyed(line: str, lineno: int, head: str, keys, done) -> tuple[str, str, int]:
-    """``(key, image, offset)`` of the directive ``line``, ``head KEY = IMAGE``
-    (``read_directives`` has checked its head): the key is one of ``keys`` and
-    not yet in ``done``, and the image starts ``offset`` characters into the
-    line, so that a parser can give an error's column in the line."""
+def split_keyed(line: str, head: str) -> tuple[str, str, str, int]:
+    """``(key, eq, image, offset)`` of the directive ``line``, ``head KEY =
+    IMAGE`` (``read_directives`` has checked its head): key and image
+    stripped, ``eq`` the ``=`` or empty if there is none, and the image
+    starting ``offset`` characters into the line, so that a parser can give
+    an error's column in the line."""
     text = line.split("#", 1)[0]
     before, eq, image = text.partition("=")
-    key = before.strip()[len(head):].strip()
+    return before.strip()[len(head):].strip(), eq, image.strip(), len(text) - len(image.lstrip())
+
+
+def read_keyed(line: str, lineno: int, head: str, keys, done) -> tuple[str, str, int]:
+    """``(key, image, offset)`` of ``split_keyed``, where the key is one of
+    ``keys`` and not yet in ``done``."""
+    key, eq, image, offset = split_keyed(line, head)
     if not eq:
         raise ValueError(f"line {lineno}: expected {head} NAME = IMAGE")
     if key not in keys:
         raise ValueError(f"line {lineno}: {head} of unknown name {key!r}")
     if key in done:
         raise ValueError(f"line {lineno}: second {head} of {key}")
-    return key, image.strip(), len(text) - len(image.lstrip())
+    return key, image, offset
 
 
 def on_line(lineno: int, parse, *args):

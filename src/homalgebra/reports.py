@@ -10,19 +10,20 @@ unless explicitly requested so that reports are byte-identical across runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Optional
+
+from .terms import Record
 
 SCHEMA_VERSION = "1"
 
 
-@dataclass
-class LawItem:
-    label: str
-    lhs: str
-    rhs: str
-    verdict: str
-    residue: Optional[str] = None
+class LawItem(Record):
+    __slots__ = ("label", "lhs", "rhs", "verdict", "residue")
+
+    def __init__(self, label: str, lhs: str, rhs: str, verdict: str,
+                 residue: Optional[str] = None):
+        self.label, self.lhs, self.rhs = label, lhs, rhs
+        self.verdict, self.residue = verdict, residue
 
     @property
     def passed(self) -> bool:
@@ -39,11 +40,14 @@ class LawItem:
         }
 
 
-@dataclass
-class LawReport:
-    law: str
-    items: list[LawItem] = field(default_factory=list)
-    context: dict = field(default_factory=dict)
+class LawReport(Record):
+    __slots__ = ("law", "items", "context")
+
+    def __init__(self, law: str, items: Optional[list[LawItem]] = None,
+                 context: Optional[dict] = None):
+        self.law = law
+        self.items = [] if items is None else items
+        self.context = {} if context is None else context
 
     @property
     def passed(self) -> bool:

@@ -8,6 +8,10 @@ it only increments leaf exponents.
 Everything is immutable and exact: a coefficient is an ``int`` while it is
 integral and a ``fractions.Fraction`` otherwise, never a float (``as_coeff``).
 All operations are pure functions.
+
+Every command runs this module, so it also holds what every layer shares:
+the readers of number literals (``parse_rational``, ``parse_natural``), the
+input error base class and the plain ``Record`` base of the package's records.
 """
 
 from __future__ import annotations
@@ -46,6 +50,123 @@ class InputError(Exception):
 
 
 # ---------------------------------------------------------------------------
+# number literals
+# ---------------------------------------------------------------------------
+
+# cap on the size of what a line of input may ask for: a literal of more
+# characters, digits or bits is refused before it is read, and ``poly`` refuses
+# a power or product whose exponent, degree, term count or coefficient bits
+# would pass it before the expansion starts
+MAX_POLY_SIZE = 1000
+
+# an integer, or a ratio of an integer to digits
+_INTEGER_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_rational(text: str, name: str) -> Coeff:
+    """The exact rational written ``text`` (``3``, ``5/2``, ``0.5``, ``1e-3``)
+    as a coefficient (see ``as_coeff``), refused if its numerator or
+    denominator passes ``MAX_POLY_SIZE`` bits.
+
+    ``Fraction`` builds ``10 ** exponent`` eagerly, so the exponent is checked
+    first: beside at most ``MAX_POLY_SIZE`` characters, one above twice that
+    leaves more than ``MAX_POLY_SIZE`` digits in the numerator or denominator.
+    An integer, or a ratio of integers, is read by ``int`` (and one exact
+    division), which is several times faster than ``Fraction``'s regular
+    expression; a zero denominator raises ``Fraction``'s own error.
+    """
+    parts = _INTEGER_RATIO.fullmatch(text) if len(text) <= MAX_POLY_SIZE else None
+    if parts:
+        num, den = parts.groups()
+        value = int(num) if den is None else Fraction(int(num), int(den))
+    else:
+        _, e, exponent = text.lower().partition("e")
+        try:
+            shift = int(exponent) if e and len(text) <= MAX_POLY_SIZE else 0
+        except ValueError:
+            shift = 0  # not an exponent: Fraction reports the bad literal
+        if len(text) > MAX_POLY_SIZE or abs(shift) > 2 * MAX_POLY_SIZE:
+            raise _oversized(text, name, f"{MAX_POLY_SIZE} characters and exponent"
+                                         f" {2 * MAX_POLY_SIZE}")
+        try:
+            # ``Fraction`` also reads other scripts' digits; a literal is 0-9
+            if not text.isascii():
+                raise ValueError(f"Invalid literal for Fraction: {text!r}")
+            value = Fraction(text)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+    if max(abs(value.numerator), value.denominator).bit_length() > MAX_POLY_SIZE:
+        raise _oversized(text, name, f"{MAX_POLY_SIZE} bits")
+    return as_coeff(value)
+
+
+def parse_natural(text: str, name: str) -> int:
+    """The natural number written in the digits ``text``.
+
+    A literal of more than ``MAX_POLY_SIZE`` digits passes every bound here, so
+    it is refused by its length, before ``int`` reads it (``int`` itself stops
+    at 4,300 digits, with a message that names no token).
+    """
+    if len(text) > MAX_POLY_SIZE:
+        raise _oversized(text, name, f"{MAX_POLY_SIZE} digits")
+    return int(text)
+
+
+def _oversized(text: str, name: str, bound: str) -> ValueError:
+    shown = text[:20] + "..." * (len(text) > 20)
+    return ValueError(f"{name} {shown}: above the size bound of {bound}")
+
+
+# ---------------------------------------------------------------------------
+# immutability and records
+# ---------------------------------------------------------------------------
+
+class _Frozen:
+    """Slotted and immutable: ``__init__`` sets the fields (with
+    ``object.__setattr__`` or the slots' own setters), nothing else can."""
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Record:
+    """A plain record: its ``__slots__`` are its fields, in order, and give
+    its ``repr`` and its ``==``, as a dataclass's would; like a mutable
+    dataclass it is unhashable.  A class costs no ``dataclasses`` import and
+    no generated methods."""
+    __slots__ = ()
+    __hash__ = None
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({body})"
+
+
+class FrozenRecord(Record, _Frozen):
+    """A ``Record`` that refuses assignment and hashes by its fields, as a
+    frozen dataclass does."""
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+# ---------------------------------------------------------------------------
 # normalized terms
 # ---------------------------------------------------------------------------
 
@@ -53,17 +174,6 @@ class InputError(Exception):
 # tuple, so a node reads its children's stored hashes and no dict lookup walks
 # a subtree.  Equality checks identity, then the stored hashes, then the fields
 # (a node's children on an explicit stack).
-
-class _Frozen:
-    """Slotted and immutable: ``__init__`` sets the fields, nothing else can."""
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}: terms are immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}: terms are immutable")
-
 
 class Leaf(_Frozen):
     """A generator occurrence ``name`` with twist exponent ``exp``."""

@@ -319,7 +319,7 @@ def test_zero_denominator_exits_2_without_traceback(argv):
 
 
 # a decimal exponent is checked before Fraction builds 10 ** exponent, and a
-# numerator or denominator above poly.MAX_POLY_SIZE bits is refused
+# numerator or denominator above terms.MAX_POLY_SIZE bits is refused
 @pytest.mark.parametrize("argv,name", [
     (("verify", "twist", "--lambda", "1e100000"), "--lambda"),
     (("verify", "twist", "--lambda", "1e5000"), "--lambda"),
@@ -359,7 +359,7 @@ HUGE = "9" * 5000  # above Python's 4,300-digit limit on int conversion
 
 
 # a number literal in a term or a descriptor polynomial is read by the bounded
-# poly.parse_rational, which refuses it before any int conversion
+# terms.parse_rational, which refuses it before any int conversion
 @pytest.mark.parametrize("argv,name", [
     (("reduce", f"{HUGE} * x"), "coefficient"),
     (("check", "algebra", "huge.alg"), "number"),
@@ -440,9 +440,12 @@ def test_other_scripts_digits_are_refused(tmp_path, argv, shown):
     (("verify", "envelope"), "names e1 e2\nalpha e1 = e1\nalpha e2 =   \u0663*e2\n",
      "error: bad polynomial syntax: unexpected character '\u0663' at column 14 of"
      " '\u0663*e2' (line 3)"),
+    (("verify", "envelope"), "names e1 e2\nbracket e1 e2 = \u0662*e2\n",
+     "error: bad polynomial syntax: unexpected character '\u0662' at column 17 of"
+     " '\u0662*e2' (line 2)"),
     (("verify", "m-coassoc", "--file"), BIALG + "delta a = (a' * a'')\ndelta  b = (b' * \u0662)\n",
      "parse error: unexpected character '\u0662' (line 4, column 18)"),
-], ids=["twist", "phi_H", "alpha", "delta"])
+], ids=["twist", "phi_H", "alpha", "bracket", "delta"])
 def test_descriptor_image_errors_count_columns_from_the_line_start(tmp_path, command, text,
                                                                   shown):
     f = tmp_path / "descriptor"
@@ -480,7 +483,7 @@ def test_oversized_dim_exits_2_naming_its_line(tmp_path):
     assert "Traceback" not in out.stderr
 
 
-# a leaf exponent, a twist weight and a power are read by poly.parse_natural,
+# a leaf exponent, a twist weight and a power are read by terms.parse_natural,
 # which refuses a token by its length before any int conversion
 @pytest.mark.parametrize("argv,shown", [
     (("reduce", f"x@{HUGE}"), "parse error: exponent 99999"),

@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 
 from homalgebra.grammar import (MAX_TERM_DEPTH, TermSyntaxError,
                                 format_lincomb, format_term, parse_lincomb)
-from homalgebra.poly import parse_natural, parse_rational
-from homalgebra.terms import (NAME, Leaf, LinComb, Node, Term, arity,
-                              make_leaf, random_lincomb)
+from homalgebra.terms import (NAME, Leaf, LinComb, Node, Term, arity, make_leaf,
+                              parse_natural, parse_rational, random_lincomb)
 
 
 def test_parse_leaf_forms():
@@ -116,7 +115,7 @@ def test_nesting_depth_guard():
 _TOKEN_RE = re.compile(
     rf"""
     (?P<ws>\s+)
-  | (?P<rat>-?\d+(?:/\d+)?)
+  | (?P<rat>-?[0-9]+(?:/[0-9]+)?)
   | (?P<name>{NAME.pattern})
   | (?P<sym>[()*+@])
     """,
@@ -317,6 +316,10 @@ def texts(draw):
 @example("(A x)")
 @example(f"x@{BIG}")
 @example(f"(A {BIG} x)")
+# another script's digits are no number, where the term grammar reads one
+@example("x@\u0663")
+@example("(A \u0663 x)")
+@example("\u0663 * x")
 # a delta image as the free-bialgebra loader pads it onto its line
 @example("\n\n" + " " * 10 + "(a' * a'') + (b'@ * c'')")
 def test_parser_matches_reference(text):

@@ -10,14 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homalgebra.algebras import (Poly, UnitFlavor, free_algebra, matrix_algebra,
-                                 poly_algebra, q_poly_algebra, rational_algebra)
+from homalgebra.algebras import (UnitFlavor, free_algebra, matrix_algebra, poly_algebra,
+                                 q_poly_algebra, rational_algebra)
 from homalgebra.congruence import (Bound, SaturationConfig, enumerate_terms,
                                    hom_associator, saturate)
 from homalgebra.morphisms import (AssignmentError, MorphismAssignment,
                                   NamingError, UnitMismatchError, evaluate,
                                   matrix_of_morphism, morphism_from_matrix,
                                   rename_embed)
+from homalgebra.poly import Poly
 from homalgebra.terms import Leaf, LinComb, make_leaf, random_lincomb, rename, shift_term
 
 T = Poly.var("t")

@@ -61,12 +61,49 @@ def test_importing_the_command_line_runs_no_other_module():
     assert fresh(registered).strip() == repr(sorted(f"homalgebra.{m}" for m in MODULES))
 
 
-def test_reduce_runs_only_the_modules_it_needs():
-    code = ("import contextlib, io, homalgebra.cli\n"
+def executed_by(argv: list, exit_code: int = 0) -> tuple[set, bool]:
+    """The package modules a command runs in a fresh interpreter, and whether
+    it imported ``dataclasses``."""
+    code = ("import contextlib, io, sys, homalgebra.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert homalgebra.cli.main(['reduce', '((x * y) * (A 1 z))']) == 0\n")
-    assert json.loads(fresh(code + EXECUTED)) == [
-        "cli", "congruence", "grammar", "poly", "reports", "terms"]
+            f"    assert homalgebra.cli.main({argv!r}) == {exit_code}\n"
+            "print('dataclasses' in sys.modules)\n")
+    dataclasses, modules = fresh(code + EXECUTED).split("\n", 1)
+    return set(json.loads(modules)), dataclasses == "True"
+
+
+def test_reduce_runs_only_the_modules_it_needs():
+    # the term grammar reads its literals through ``terms``, and the window's
+    # records are plain classes, so neither ``poly`` nor ``dataclasses`` loads
+    modules, dataclasses = executed_by(["reduce", "((x * y) * (A 1 z))"])
+    assert modules == {"cli", "congruence", "grammar", "reports", "terms"}
+    assert not dataclasses
+
+
+def test_check_algebra_runs_only_the_modules_it_needs(tmp_path):
+    f = tmp_path / "twisted.alg"
+    f.write_text("kind poly\nvars t\ntwist t = 2*t\n")
+    # a twisted carrier's unit is only weak, so unitality fails: exit code 1
+    modules, _ = executed_by(["check", "algebra", str(f), "--samples", "5"], 1)
+    assert modules == {"cli", "algebras", "poly", "reports", "terms"}
+
+
+# the carriers decided by the oracle never build a polynomial, and those
+# decided exactly never saturate a window or parse a term
+@pytest.mark.parametrize("argv,absent", [
+    (["verify", "m-coassoc"], {"poly", "homlie"}),
+    (["verify", "affine-comodule"], {"poly", "homlie"}),
+    (["verify", "envelope", "--max-arity", "2"], {"poly"}),
+    (["verify", "m2-representability", "--pairs", "2"], {"congruence", "grammar", "homlie"}),
+    (["verify", "m2-representability", "--carrier", "q-poly", "--pairs", "2"],
+     {"congruence", "grammar", "homlie"}),
+    (["verify", "twist"], {"congruence", "grammar", "homlie"}),
+], ids=["m-coassoc", "affine-comodule", "envelope", "m2-representability",
+        "m2-representability-q-poly", "twist"])
+def test_a_verify_command_skips_the_modules_its_carriers_do_not_use(argv, absent):
+    modules, _ = executed_by(argv)
+    assert {"cli", "bialgebras", "reports", "terms"} <= modules
+    assert not modules & absent
 
 
 def test_exported_names_are_the_eager_packages_and_the_version():

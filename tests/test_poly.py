@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homalgebra.algebras import q_poly_algebra
-from homalgebra.poly import (MAX_POLY_SIZE, Poly, PolyEndo, _mono_mul, monomials_up_to,
-                             parse_natural, parse_poly, parse_rational, random_poly,
-                             read_directives)
-from homalgebra.terms import as_coeff
+from homalgebra.poly import (Poly, PolyEndo, _mono_mul, monomials_up_to, parse_poly,
+                             random_poly, read_directives)
+from homalgebra.terms import MAX_POLY_SIZE, as_coeff, parse_natural, parse_rational
 
 t = Poly.var("t")
 x = Poly.var("x")

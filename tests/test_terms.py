@@ -1,12 +1,17 @@
 """Term algebra: leaves, grafting, twist action, normalization, grading."""
 
+import copy
 import random
 from collections import namedtuple
 from fractions import Fraction
 
 import pytest
 
+from homalgebra.algebras import CheckReport, free_algebra
+from homalgebra.congruence import Bound, EqualityResult, SaturationConfig, Verdict
 from homalgebra.grammar import format_term, parse_lincomb
+from homalgebra.morphisms import MorphismAssignment
+from homalgebra.reports import LawItem, LawReport
 from homalgebra.terms import (Leaf, LinComb, Node, grading, make_leaf,
                               random_lincomb, rename, weight)
 
@@ -314,3 +319,81 @@ def test_deep_terms_compare_without_recursion():
     assert {one: 1}.get(two) == 1
     # the spines differ only at the deepest leaf
     assert one != other and {one: 1}.get(other) is None
+
+
+# ---------------------------------------------------------------------------
+# plain records (``terms.Record``): what the package and its callers used of
+# the dataclasses they replace
+# ---------------------------------------------------------------------------
+
+FREE = free_algebra(["x"])
+FROZEN_RECORDS = {
+    "Bound": lambda: Bound(3, 1),
+    "SaturationConfig": lambda: SaturationConfig(unit_instances=False),
+    "EqualityResult": lambda: EqualityResult(Verdict.PROVEN_EQUAL, 2 * make_leaf("x")),
+    "MorphismAssignment": lambda: MorphismAssignment(FREE, {"x": make_leaf("x")}),
+}
+
+
+@pytest.mark.parametrize("args", [(0,), (1, -1)])
+def test_bound_refuses_an_empty_window(args):
+    with pytest.raises(ValueError):
+        Bound(*args)
+
+
+@pytest.mark.parametrize("make", FROZEN_RECORDS.values(), ids=FROZEN_RECORDS)
+def test_frozen_records_refuse_assignment_and_compare_by_their_fields(make):
+    record, twin = make(), make()
+    assert record is not twin and record == twin and not record != twin
+    field = type(record).__slots__[0]
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert record == twin and copy.copy(record) == record
+
+
+def test_frozen_records_hash_by_their_fields():
+    assert hash(Bound(3, 1)) == hash(Bound(3, 1)) == hash((3, 1))
+    assert {Bound(3, 1), Bound(3, 1), Bound(3), Bound(3, 0)} == {Bound(3, 1), Bound(3, 0)}
+    assert hash(SaturationConfig()) == hash(SaturationConfig(unit_instances=True))
+    assert Bound(3, 1) != Bound(3, 0) and Bound(3, 1) != (3, 1)
+    assert SaturationConfig() != SaturationConfig(False)
+    # a record holding a dict hashes as a frozen dataclass holding it would not
+    with pytest.raises(TypeError):
+        hash(FROZEN_RECORDS["MorphismAssignment"]())
+
+
+def test_records_print_as_dataclasses_do():
+    assert repr(Bound(3, 1)) == "Bound(max_arity=3, max_exp=1)"
+    assert str(Bound(2)) == "Bound(max_arity=2, max_exp=0)"
+    assert repr(SaturationConfig()) == "SaturationConfig(unit_instances=True)"
+    assert repr(LawItem("l", "x", "y", "PASS")) == (
+        "LawItem(label='l', lhs='x', rhs='y', verdict='PASS', residue=None)")
+    assert repr(LawReport("x")) == "LawReport(law='x', items=[], context={})"
+
+
+def test_each_law_report_gets_its_own_items_and_context():
+    first, second = LawReport("x"), LawReport("x")
+    first.items.append(LawItem("l", "x", "y", "PASS"))
+    first.context["carrier"] = "free"
+    assert second.items == [] and second.context == {}
+    assert first != second and LawReport("x") == second
+
+
+def test_mutable_records_keep_their_keyword_names():
+    item = LawItem(label="l", lhs="x", rhs="y", verdict="NOT_EQUAL", residue="x - y")
+    assert (item.label, item.lhs, item.rhs, item.verdict, item.residue) == (
+        "l", "x", "y", "NOT_EQUAL", "x - y")
+    report = CheckReport(law="unitality", samples_run=2, counterexamples=["1 * x = 0"],
+                         seed=5)
+    assert report.to_dict() == {"law": "unitality", "samples_run": 2, "seed": 5,
+                                "counterexamples": ["1 * x = 0"], "passed": False}
+    assert CheckReport("unitality", 0, []).seed is None
+    # the law checkers' callers rename a report's law after the fact
+    report.law = "renamed"
+    assert report == CheckReport("renamed", 2, ["1 * x = 0"], 5)
+    with pytest.raises(TypeError):
+        hash(report)
