@@ -121,6 +121,8 @@ def run_reduce(args):
     if not gens:
         raise ValueError("no generators: pass --gens for constant inputs")
     for k, g in enumerate(gens):
+        if not terms.NAME.fullmatch(g):
+            raise ValueError(f"generator name {g!r} must match {terms.NAME.pattern}")
         if g in gens[:k]:
             raise ValueError(f"--gens: name {g!r} given twice")
     outside = v.generators() - set(gens)

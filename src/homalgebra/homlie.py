@@ -355,7 +355,9 @@ def load_hom_lie(text: str) -> HomLieAlgebra:
                              + ("brackets" if head == "bracket" else "alpha"))
         elif head == "bracket":
             # the image is read in its place on the line, as an alpha image is
-            key, _, image, offset = poly.split_keyed(lines[lineno - 1], head)
+            key, eq, image, offset = poly.split_keyed(lines[lineno - 1], head)
+            if not eq:
+                raise ValueError(f"line {lineno}: expected bracket NAME NAME = IMAGE")
             pair = key.split()
             if len(pair) != 2 or pair[0] not in names or pair[1] not in names:
                 raise ValueError(f"line {lineno}: bracket needs two basis names")

@@ -149,7 +149,7 @@ def test_resource_cap_error_is_clean():
 
 # each would be read back by the term grammar as another name, or none
 @pytest.mark.parametrize("gens,shown", [
-    ("x,y@1", "'y@1'"), ("x, y", "' y'"), ("x,(y", "'(y'"), ("x,", "''")])
+    ("x,y@1", "'y@1'"), ("x, y", "' y'"), ("x,(y", "'(y'"), ("x,", "''"), (",", "''")])
 def test_bad_generator_name_exits_2_without_traceback(gens, shown):
     out = run_cli("reduce", "(x * x)", "--gens", gens)
     assert out.returncode == 2
@@ -451,6 +451,20 @@ def test_descriptor_image_errors_count_columns_from_the_line_start(tmp_path, com
     f = tmp_path / "descriptor"
     f.write_text(text, encoding="utf-8")
     out = run_cli(*command, str(f))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == shown + "\n"
+
+
+# a keyed line without its "=" names the directive's form, for brackets as for alpha
+@pytest.mark.parametrize("text,shown", [
+    ("names e1 e2\nalpha e1\n", "error: line 2: expected alpha NAME = IMAGE"),
+    ("names e1 e2\nbracket e1 e2\n", "error: line 2: expected bracket NAME NAME = IMAGE"),
+], ids=["alpha", "bracket"])
+def test_hom_lie_lines_without_equals_are_refused(tmp_path, text, shown):
+    f = tmp_path / "descriptor.homlie"
+    f.write_text(text, encoding="utf-8")
+    out = run_cli("verify", "envelope", str(f))
     assert out.returncode == 2
     assert out.stdout == ""
     assert out.stderr == shown + "\n"

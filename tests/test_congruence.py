@@ -338,6 +338,7 @@ def test_column_arithmetic_matches_the_trees(gens, bound):
             if want is not None:
                 assert cols.factors(want) == (i, j)
         twisted = index.get(shift_term(t_i, 1))
+        assert cols.twist(i) == twisted, i
         assert worker._alpha_col(i) == (None if twisted is None else {twisted: 1}), i
         assert worker._graft(0, i) == worker._graft(i, 0) == i
     assert worker._graft(0, 0) == 0 and worker._alpha_col(0) == {0: 1}
@@ -581,6 +582,10 @@ ROW_DIGESTS = [
     ("xyz-3-1", False, 54, "bedb10754df5450121011e88c391c117f5fd705ebd0c80b1943f7da0b8f1a1e0"),
     ("xy-4-2", True, 6924, "0ca9e4bc80ee616563b9dc109d21dd241e096c74ec76559af6b4943985527a1a"),
     ("xy-4-2", False, 2528, "c8ea6879f5656727eeec930b31067b0e9379e78df25bc3082666329170bb8478"),
+    # deeper non-unital windows, where the echelon reference is too slow
+    ("x-6-2", False, 18765, "838dafb7f1ccbfc2440b5496b8106246eb673d451a7d94da835665dc16842439"),
+    ("x-5-4", False, 31681, "89c95945b4e7c0aef0615c1633cb484062d882499f57bd8eb72ca53da3b9b18f"),
+    ("xy-5-2", False, 54720, "5ab853316a3117609d6ab164e3c3bdc9c81fa203882a6c8a01f1ee2a1a5c25ec"),
     # the three envelope windows of ``verify envelope`` on the affine-line fixture
     ("envelope", True, 4, "d3d4dbff022554eca04785e6e10e5f126e3ac09367f1a525483a2ba31f8dbf9c"),
     ("envelope", False, 1, "f00a42300fad48f6e5263c0a4c579055e2cca23e032959b4949db636e08c78cc"),
@@ -603,6 +608,9 @@ def test_pinned_row_digests(window, unital, rows_count, digest):
     basis = {
         "xyz-3-1": lambda: saturate(["x", "y", "z"], Bound(3, 1), config),
         "xy-4-2": lambda: saturate(["x", "y"], Bound(4, 2), config),
+        "x-6-2": lambda: saturate(["x"], Bound(6, 2), config),
+        "x-5-4": lambda: saturate(["x"], Bound(5, 4), config),
+        "xy-5-2": lambda: saturate(["x", "y"], Bound(5, 2), config),
         "envelope": lambda: envelope_basis(1, 2, unital),
         "envelope-doubled": lambda: envelope_basis(2, 3, unital),
         "envelope-tripled": lambda: envelope_basis(3, 3, unital),
