@@ -51,11 +51,13 @@ claimed: without the unit no collapse links a term to its twist, and at
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, product, starmap
 from math import comb
+from operator import ne
 from typing import Iterable, Optional, Sequence
 
 from .grammar import format_lincomb, format_term
@@ -218,7 +220,8 @@ class _Columns:
                 self.split[first[n] + s] = (gi, gj)
         leaves = [Leaf(g, e) for g in self.gens for e in range(bound.max_exp + 1)]
         self._leaf_col = {(lf.name, lf.exp): col for col, lf in enumerate(leaves, 1)}
-        self._built: dict[int, Term] = dict(enumerate(leaves, 1))
+        self._built: list[Optional[Term]] = [None] * self.starts[-1]
+        self._built[1:len(leaves) + 1] = leaves
 
     def graft(self, i: int, j: int) -> Optional[int]:
         """Column of the product of columns i, j (unit-aware), or None."""
@@ -250,8 +253,10 @@ class _Columns:
         return None if i is None or j is None else self.graft(i, j)
 
     def term(self, col: int) -> Term:
-        """The term of non-unit column ``col``, the same object on every call."""
-        t = self._built.get(col)
+        """The term of non-unit column ``col``, the same object on every call:
+        ``_built[col]``, a list entry per column that stays None until the
+        column's term is first asked for, and then holds it."""
+        t = self._built[col]
         if t is None:
             i, j = self.factors(col)
             t = self._built[col] = Node(self.term(i), self.term(j))
@@ -321,7 +326,13 @@ class _EchelonRows:
 
     def __init__(self, rows: dict[int, Vec]):
         self.rows = rows
-        self.pivots = rows  # a dict iterates its keys, the pivot columns
+
+    @property
+    def rows_count(self) -> int:
+        return len(self.rows)
+
+    def pivots(self) -> Iterable[int]:
+        return iter(self.rows)
 
     def pivot_rows(self) -> Iterable[tuple[int, Vec]]:
         return ((p, self.rows[p]) for p in sorted(self.rows))
@@ -333,15 +344,21 @@ class _EchelonRows:
 class _ColumnClasses:
     """Binomial rows as a partition of the columns: ``root[p]`` is the
     smallest column of ``p``'s class, and each other column ``p`` of a class
-    is the pivot of the row ``p - root[p]``."""
+    is the pivot of the row ``p - root[p]``.
+
+    Only ``root`` is kept, as an array of one C int per column (a window has
+    at most ``DEFAULT_TERM_CAP`` columns): ``rows_count`` is counted from it
+    once, and ``pivots`` and ``pivot_rows`` walk it when called."""
 
     def __init__(self, root: list[int]):
-        self.root = root
-        self.pivots = [p for p, r in enumerate(root) if p != r]
+        self.root = array("i", root)
+        self.rows_count = sum(map(ne, range(len(root)), root))
+
+    def pivots(self) -> Iterable[int]:
+        return (p for p, r in enumerate(self.root) if p != r)
 
     def pivot_rows(self) -> Iterable[tuple[int, Vec]]:
-        root = self.root
-        return ((p, {root[p]: -1, p: 1}) for p in self.pivots)
+        return ((p, {r: -1, p: 1}) for p, r in enumerate(self.root) if p != r)
 
     def reduce(self, vec: Vec) -> Vec:
         root = self.root
@@ -379,7 +396,7 @@ class RelationBasis:
 
     @property
     def rows_count(self) -> int:
-        return len(self._store.pivots)
+        return self._store.rows_count
 
     @property
     def basis_size(self) -> int:
@@ -394,7 +411,7 @@ class RelationBasis:
         starts = self._cols.starts
         counts = {a: [starts[a + 1] - starts[a], 0]
                   for a in range(1, self.bound.max_arity + 1)}
-        for p in self._store.pivots:
+        for p in self._store.pivots():
             counts.setdefault(_arity_of(starts, p), [0, 0])[1] += 1
         return {a: (t, p) for a, (t, p) in sorted(counts.items())}
 

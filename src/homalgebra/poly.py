@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from math import comb
+from types import MappingProxyType
 from typing import Iterator
 
 from .terms import MAX_POLY_SIZE, NAME, Coeff, as_coeff, parse_natural, parse_rational
@@ -218,15 +219,57 @@ def _product(a: dict[Mono, Coeff], b: dict[Mono, Coeff]) -> dict[Mono, Coeff]:
     return out
 
 
+# Bound on the image terms one PolyEndo's table stores, summed over its
+# entries.  A twisted carrier's checks meet few monomials: ``check algebra``
+# on ``twist t = 1/3 + 2/5*t + 7/11*t^2 + 13/17*t^3`` stores 532 terms for 19
+# monomials, and the scaling twists one term per monomial.  Past the bound a
+# new monomial's image is computed on every call instead of stored.
+IMAGE_TABLE_TERMS = 1 << 14
+
+
 class PolyEndo:
     """Algebra endomorphism given by images of variables, extended by
-    substitution (hence automatically multiplicative and unital)."""
+    substitution (hence automatically multiplicative and unital).
+
+    ``images`` is read-only.  Each monomial's image is computed once, by
+    ``Poly.substitute``, and kept in a table of at most ``IMAGE_TABLE_TERMS``
+    image terms, so a call is one lookup and one scaled sum per monomial.
+    """
+
+    __slots__ = ("_images", "_table", "_stored")
 
     def __init__(self, images: dict[str, Poly]):
-        self.images = {v: p for v, p in images.items()}
+        self._images = MappingProxyType(dict(images))
+        self._table: dict[Mono, dict[Mono, Coeff]] = {}
+        self._stored = 0
+
+    @property
+    def images(self) -> MappingProxyType:
+        return self._images
+
+    def _image(self, m: Mono) -> dict[Mono, Coeff]:
+        image = _make({m: 1}).substitute(self._images).coeffs
+        if self._stored + len(image) <= IMAGE_TABLE_TERMS:
+            self._table[m] = image
+            self._stored += len(image)
+        return image
 
     def __call__(self, p: Poly) -> Poly:
-        return p.substitute(self.images)
+        table = self._table
+        out: dict[Mono, Coeff] = {}
+        for m, c in p.coeffs.items():
+            image = table.get(m)
+            if image is None:
+                image = self._image(m)
+            for m2, c2 in image.items():
+                s = out.get(m2, 0) + c * c2
+                if type(s) is not int:
+                    s = as_coeff(s)
+                if s:
+                    out[m2] = s
+                else:
+                    del out[m2]
+        return _make(out)
 
     def is_identity_on(self, names) -> bool:
         return all(self.images.get(v, Poly.var(v)) == Poly.var(v) for v in names)

@@ -606,6 +606,9 @@ GOLDEN_FILES = {
     "sl2tw.homlie": ("names h e f\nbracket h e = 4*e\nbracket h f = -f\nbracket e f = h\n"
                      "alpha e = 2*e\nalpha f = 1/2*f\n"),
     "heis.homlie": "names x y z\nbracket x y = z\nalpha x = x + y\n",
+    # twisted carriers, whose products go through the twist's image table
+    "cubic.alg": "kind poly\nvars t\ntwist t = 1/3 + 2/5*t + 7/11*t^2 + 13/17*t^3\n",
+    "shear.alg": "kind poly\nvars s t\ntwist t = 2*t\ntwist s = s + t\n",
 }
 
 # sha256 of the ``--json`` stdout bytes, and the exit code
@@ -638,6 +641,10 @@ GOLDEN = [
      "f64019a0d1d776b4aa120edbbb82f60060f7f13f6e9dc6b63a04eae134fbee91"),
     (("verify", "envelope", "heis.homlie", "--non-unital"), 0,
      "9f2e0ce0365d0a84d7a01aebfb1cce9e096f80ac182bbfbf1587f9557ed9153e"),
+    (("check", "algebra", "cubic.alg"), 1,
+     "ee445987975e805abffa9557151dcad7e3892584acee3b01006e9ff2519ba796"),
+    (("check", "algebra", "shear.alg"), 1,
+     "27b946e2dd5cf7c7353a8b02a190960dae1ee295c72ed63833d4585936be69b1"),
 ]
 
 

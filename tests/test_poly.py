@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homalgebra import poly
 from homalgebra.algebras import q_poly_algebra
 from homalgebra.poly import (Poly, PolyEndo, _mono_mul, monomials_up_to, parse_poly,
                              random_poly, read_directives)
@@ -278,3 +279,62 @@ def test_monomial_product_cache_is_bounded_and_canonical():
             assert got == ref_mono_mul(a, b)
             assert list(got) == sorted(got) and all(e > 0 for _, e in got)
     assert 0 < _mono_mul.cache_info().currsize <= _mono_mul.cache_info().maxsize
+
+
+# -- the image table of PolyEndo ---------------------------------------------
+
+z = Poly.var("z")
+half, third = Fraction(1, 2), Fraction(1, 3)
+# one endomorphism of each kind, kept across the whole draw: its table fills
+# on the first examples and serves the later ones
+KEPT = [
+    PolyEndo({"x": 2 * x, "y": -third * y}),                      # scalings
+    PolyEndo({"x": y, "y": z, "z": x}),                           # a rename
+    PolyEndo({"x": x + y, "y": half * (x * y) - Poly.one()}),     # non-monomial
+    # fractional images whose sums cancel: x*y -> x^2 - y^2, x - z -> 0
+    PolyEndo({"x": half * x + half * y, "y": 2 * x - 2 * y, "z": half * x + half * y}),
+]
+
+
+def image_of(v):
+    return st.one_of(coeffs.map(lambda c: c * Poly.var(v)),
+                     st.sampled_from("xyz").map(Poly.var),
+                     small_polys)
+
+
+endos = st.one_of(st.sampled_from(KEPT), st.fixed_dictionaries(
+    {}, optional={v: image_of(v) for v in "xyz"}).map(PolyEndo))
+
+
+@EXAMPLES
+@given(endos, st.lists(polys, min_size=1, max_size=4))
+def test_image_table_matches_the_reference(phi, ps):
+    for p in ps + ps:
+        got = phi(p)
+        assert got == ref_substitute(p, phi.images)
+        assert_clean(got)
+    assert phi._stored == sum(map(len, phi._table.values())) <= poly.IMAGE_TABLE_TERMS
+
+
+def test_image_table_stops_at_its_bound(monkeypatch):
+    # the image of x^k has k + 1 terms: 1, x, x^2 and x^3 fill 10 exactly
+    monkeypatch.setattr(poly, "IMAGE_TABLE_TERMS", 10)
+    images = {"x": x + y}
+    phi = PolyEndo(images)
+    ps = [third * x ** k - x ** (k + 1) for k in range(8)]
+    first = [phi(p) for p in ps]
+    assert phi._stored == 10 and len(phi._table) == 4
+    again = [phi(p) for p in reversed(ps)][::-1]
+    assert phi._stored == 10 and len(phi._table) == 4
+    assert first == again == [ref_substitute(p, images) for p in ps]
+
+
+def test_endomorphism_images_are_read_only():
+    images = {"x": 2 * x}
+    phi = PolyEndo(images)
+    with pytest.raises(TypeError):
+        phi.images["x"] = y
+    with pytest.raises(AttributeError):
+        phi.images = {"x": y}
+    images["x"] = y
+    assert phi(x * x) == 4 * (x * x) and phi.images == {"x": 2 * x}
