@@ -42,10 +42,10 @@ _EXPORTS = {
     "morphisms": ("AssignmentError", "MorphismAssignment", "NamingError",
                   "UnitMismatchError", "evaluate", "matrix_of_morphism",
                   "morphism_from_matrix", "rename_embed"),
-    "algebras": ("CheckReport", "HomAlgebraDescriptor", "PreconditionError",
-                 "UnitFlavor", "check_hom_associative", "check_multiplicative",
-                 "check_unital", "free_algebra", "matrix_algebra", "poly_algebra",
-                 "q_poly_algebra", "rational_algebra", "yau_twist_algebra"),
+    "algebras": ("HomAlgebraDescriptor", "PreconditionError", "UnitFlavor",
+                 "check_hom_associative", "check_multiplicative", "check_unital",
+                 "free_algebra", "matrix_algebra", "poly_algebra", "q_poly_algebra",
+                 "rational_algebra", "yau_twist_algebra"),
     "poly": ("Poly", "PolyEndo", "monomials_up_to", "parse_poly", "random_poly"),
     "bialgebras": ("FreeComoduleAlgebra", "FreeHomBialgebra", "PolyComoduleAlgebra",
                    "PolyHomBialgebra", "check_comodule", "check_comodule_homalgebra",
@@ -59,7 +59,8 @@ _EXPORTS = {
                "check_envelope_bialgebra", "check_hom_lie", "commutator_checks",
                "dimension_report", "direct_sum", "envelope", "hom_lie_algebra",
                "load_hom_lie", "twist_hom_lie"),
-    "reports": ("LawItem", "LawReport", "dump_json", "render_text", "report_document"),
+    "reports": ("CheckReport", "LawItem", "LawReport", "dump_json", "render_text",
+                "report_document"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted([*_EXPORTS, *_HOME, "__version__"])

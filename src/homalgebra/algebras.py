@@ -19,7 +19,8 @@ from itertools import product
 from typing import Callable, Optional
 
 from . import poly
-from .terms import InputError, LinComb, Record, as_coeff, make_leaf, random_lincomb
+from .reports import CheckReport
+from .terms import InputError, LinComb, as_coeff, make_leaf, random_lincomb
 
 
 class UnitFlavor(Enum):
@@ -61,32 +62,6 @@ class HomAlgebraDescriptor:
         for _ in range(k):
             x = self.alpha(x)
         return x
-
-
-# ---------------------------------------------------------------------------
-# check reports
-# ---------------------------------------------------------------------------
-
-class CheckReport(Record):
-    __slots__ = ("law", "samples_run", "counterexamples", "seed")
-
-    def __init__(self, law: str, samples_run: int, counterexamples: list[str],
-                 seed: Optional[int] = None):
-        self.law, self.samples_run = law, samples_run
-        self.counterexamples, self.seed = counterexamples, seed
-
-    @property
-    def passed(self) -> bool:
-        return not self.counterexamples
-
-    def to_dict(self) -> dict:
-        return {
-            "law": self.law,
-            "samples_run": self.samples_run,
-            "counterexamples": list(self.counterexamples),
-            "seed": self.seed,
-            "passed": self.passed,
-        }
 
 
 _TRIPLE_SWEEP_CAP = 1000

@@ -155,7 +155,8 @@ def _load_free_bialgebra(path: str) -> bialgebras.FreeHomBialgebra:
                                                   images)
             # the image is parsed in its place in the file, so a syntax error
             # names the file's line and column
-            images[name] = grammar.parse_lincomb("\n" * (lineno - 1) + " " * offset + image)
+            images[name] = poly.on_line(lineno, grammar.parse_lincomb,
+                                        "\n" * (lineno - 1) + " " * offset + image)
             outside = images[name].generators() - {g + t for g in gens for t in ("'", "''")}
             if outside:
                 raise ValueError(f"line {lineno}: delta {name} names {min(outside)!r},"

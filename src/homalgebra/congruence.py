@@ -13,7 +13,8 @@ alpha(u) (v w)`` on windowed terms, in the unital reading (the paper's ideal
 over the whole unital algebra; both readings are first-class) also on the
 unit.  Both kinds of window are generated by the associators on non-unit
 terms and, unital, the collapses ``assoc(u, 1, 1) = u - alpha(u)`` alone,
-as the other unit instances and the twist follow.  The free window, under
+as the other unit instances and the twist follow; the envelope window needs
+only the generators' collapses (``_Saturator``).  The free window, under
 the default twist, keeps its rows as column classes; the envelope window,
 under a client twist and seeded with its bracket relations, keeps echelon
 rows (``_Saturator``).  The saturated row space is a sound
@@ -457,18 +458,20 @@ class _Saturator:
     escapes the window), and a product's image is the product of its two
     factors' images.
 
-    It generates what ``_close_classes`` links, the associators on non-unit
-    columns and, unital, the collapses ``u - alpha(u)``, closed under
-    windowed products: the identities there need only ``alpha(1) = 1`` and
-    multiplicativity, so the span, and with it the reduced echelon form, is
-    the literal ideal's.  That span is twist-closed, so there is no twist
-    step: in an exponent-free window with a client twist, ``alpha(assoc(u,
-    v, w)) = assoc(alpha u, alpha v, alpha w)`` expands into windowed
-    associators, ``alpha(u - alpha u)`` is a combination of collapses,
-    ``alpha(r_ij) = sum a_ki a_lj r_kl`` for the bracket relations, as a
-    checked Hom-Lie twist (or a ``direct_sum`` of them) is multiplicative,
-    ``alpha(m r) = alpha(m) alpha(r)``, and the twist keeps arity, so
-    nothing escapes.
+    It generates the associators on non-unit columns and, unital, the
+    generators' collapses ``g - alpha(g)``, closed under windowed products.
+    Every other collapse lies in that span, arity by arity: ``uv - alpha(u)
+    alpha(v) = (u - alpha(u)) v + alpha(u) (v - alpha(v))``, products of
+    narrower collapses by columns.  The other unit instances are products of
+    collapses (``_close_classes``; they need only ``alpha(1) = 1`` and
+    multiplicativity), so the span, which has one reduced echelon form, is the
+    literal ideal's.  That span is twist-closed, so there is no twist step:
+    in an exponent-free window with a client twist, ``alpha(assoc(u, v, w))
+    = assoc(alpha u, alpha v, alpha w)`` expands into windowed associators,
+    ``alpha(u - alpha u)`` is a combination of collapses, ``alpha(r_ij) =
+    sum a_ki a_lj r_kl`` for the bracket relations, as a checked Hom-Lie
+    twist (or a ``direct_sum`` of them) is multiplicative, ``alpha(m r) =
+    alpha(m) alpha(r)``, and the twist keeps arity, so nothing escapes.
     """
 
     def __init__(self, cols: _Columns, config, leaf_twist: list[Optional[Vec]]):
@@ -525,14 +528,14 @@ class _Saturator:
 
     def initial_instances(self):
         """Deterministically ordered instances that fit the window: unital,
-        the collapses ``u - alpha(u)``, then the associators on non-unit
-        columns."""
+        the generators' collapses ``g - alpha(g)``, then the associators on
+        non-unit columns."""
         n_max, starts = self.bound.max_arity, self.cols.starts
         if self.config.unit_instances:
-            for u in range(1, starts[-1]):
-                au = self._alpha_col(u)
-                if au is not None:
-                    yield _subtract({u: 1}, au)
+            for g in range(1, starts[2]):
+                ag = self._alpha_col(g)
+                if ag is not None:
+                    yield _subtract({g: 1}, ag)
         for a1 in range(1, n_max + 1):
             for a2 in range(1, n_max - a1 + 1):
                 for a3 in range(1, n_max - a1 - a2 + 1):

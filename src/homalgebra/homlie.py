@@ -24,13 +24,12 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import poly
-from .algebras import (CheckReport, HomAlgebraDescriptor, PreconditionError,
-                       _tuples)
+from .algebras import HomAlgebraDescriptor, PreconditionError, _tuples
 from .bialgebras import (_FreeCarrier, _window, check_comultiplicative,
                          check_delta_is_morphism, check_hom_coassoc,
                          coassoc_composites, exact)
 from .congruence import Bound, RelationBasis, SaturationConfig, saturate
-from .reports import LawReport, law_report
+from .reports import CheckReport, LawReport, law_report
 from .terms import Leaf, LinComb, make_leaf, parse_natural, rename, weight
 
 

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from types import MappingProxyType
 from typing import Iterator
 
-from .terms import MAX_POLY_SIZE, NAME, Coeff, as_coeff, parse_natural, parse_rational
+from .terms import (MAX_POLY_SIZE, NAME, Coeff, InputError, as_coeff, parse_natural,
+                    parse_rational)
 
 Mono = tuple[tuple[str, int], ...]
 
@@ -105,7 +106,16 @@ class Poly:
         return h
 
     def __add__(self, other: "Poly") -> "Poly":
-        return _make(_accumulate(dict(self.coeffs), other.coeffs))
+        out = dict(self.coeffs)
+        for m, c in other.coeffs.items():
+            s = out.get(m, 0) + c
+            if type(s) is not int:
+                s = as_coeff(s)
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+        return _make(out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-1) * other
@@ -142,22 +152,8 @@ class Poly:
 
     def substitute(self, images: dict[str, "Poly"]) -> "Poly":
         """Algebra-morphism extension of a variable assignment (missing
-        variables map to themselves)."""
-        out: dict[Mono, Coeff] = {}
-        # powers[v][e] holds the coefficients of the image of v to the e,
-        # each built once
-        powers: dict[str, list[dict[Mono, Coeff]]] = {}
-        for m, c in self.coeffs.items():
-            part = {_ONE: c}
-            for v, e in m:
-                pw = powers.get(v)
-                if pw is None:
-                    pw = powers[v] = [{_ONE: 1}, images.get(v, Poly.var(v)).coeffs]
-                while len(pw) <= e:
-                    pw.append(_product(pw[-1], pw[1]))
-                part = _product(part, pw[e])
-            _accumulate(out, part)
-        return _make(out)
+        variables map to themselves): ``PolyEndo(images)(self)``."""
+        return PolyEndo(images)(self)
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -190,19 +186,6 @@ def _make(coeffs: dict[Mono, Coeff]) -> Poly:
     return p
 
 
-def _accumulate(out: dict[Mono, Coeff], coeffs: dict[Mono, Coeff]) -> dict[Mono, Coeff]:
-    """Add the clean ``coeffs`` into the clean ``out`` in place."""
-    for m, c in coeffs.items():
-        s = out.get(m, 0) + c
-        if type(s) is not int:
-            s = as_coeff(s)
-        if s:
-            out[m] = s
-        else:
-            del out[m]
-    return out
-
-
 def _product(a: dict[Mono, Coeff], b: dict[Mono, Coeff]) -> dict[Mono, Coeff]:
     """The clean coefficients of the product of two clean polynomials."""
     out: dict[Mono, Coeff] = {}
@@ -229,29 +212,41 @@ IMAGE_TABLE_TERMS = 1 << 14
 
 class PolyEndo:
     """Algebra endomorphism given by images of variables, extended by
-    substitution (hence automatically multiplicative and unital).
+    substitution (hence automatically multiplicative and unital): the one
+    substitution, which ``Poly.substitute`` applies.
 
-    ``images`` is read-only.  Each monomial's image is computed once, by
-    ``Poly.substitute``, and kept in a table of at most ``IMAGE_TABLE_TERMS``
-    image terms, so a call is one lookup and one scaled sum per monomial.
+    ``images`` is read-only.  A monomial's image is that of the monomial with
+    one power less of its last variable, times that variable's image, so a
+    miss is built from its longest such prefix in the table, one product a
+    power.  Each image built is kept while the table holds at most
+    ``IMAGE_TABLE_TERMS`` image terms, and a call is one lookup and one
+    scaled sum per monomial.
     """
 
     __slots__ = ("_images", "_table", "_stored")
 
     def __init__(self, images: dict[str, Poly]):
         self._images = MappingProxyType(dict(images))
-        self._table: dict[Mono, dict[Mono, Coeff]] = {}
-        self._stored = 0
+        self._table: dict[Mono, dict[Mono, Coeff]] = {_ONE: {_ONE: 1}}
+        self._stored = 1
 
     @property
     def images(self) -> MappingProxyType:
         return self._images
 
     def _image(self, m: Mono) -> dict[Mono, Coeff]:
-        image = _make({m: 1}).substitute(self._images).coeffs
-        if self._stored + len(image) <= IMAGE_TABLE_TERMS:
-            self._table[m] = image
-            self._stored += len(image)
+        table, missing = self._table, []
+        while m not in table:
+            missing.append(m)
+            *rest, (v, e) = m
+            m = (*rest, (v, e - 1)) if e > 1 else tuple(rest)
+        image = table[m]
+        for m in reversed(missing):
+            v = m[-1][0]
+            image = _product(image, self._images.get(v, Poly.var(v)).coeffs)
+            if self._stored + len(image) <= IMAGE_TABLE_TERMS:
+                table[m] = image
+                self._stored += len(image)
         return image
 
     def __call__(self, p: Poly) -> Poly:
@@ -327,9 +322,10 @@ _POLY_TOKEN = re.compile(
     rf"\s*(?:(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<name>{NAME.pattern})|(?P<sym>[-+*^()]))")
 
 
-def _require_bounded(*factors: tuple[Poly, int], size: int = MAX_POLY_SIZE):
+def _require_bounded(*factors: tuple[Poly, int], size: int = MAX_POLY_SIZE) -> tuple[int, int]:
     """Refuse the product of the powers ``p ** k`` if an upper estimate of
-    its degree, term count or coefficient bits passes ``size``."""
+    its degree, term count or coefficient bits (numerators over each ``p``'s
+    common denominator) passes ``size``; else return its terms and bits."""
     degree, names, terms, bits = 0, set(), 1, 0
     for p, k in factors:
         if k > size:
@@ -337,27 +333,35 @@ def _require_bounded(*factors: tuple[Poly, int], size: int = MAX_POLY_SIZE):
         degree += k * max(map(_mono_degree, p.coeffs), default=0)
         names |= {v for m in p.coeffs for v, _ in m}
         terms *= len(p.coeffs) ** k
-        bits += k * (max((max(abs(c.numerator), c.denominator).bit_length() - 1
+        d = lcm(*(c.denominator for c in p.coeffs.values()))
+        bits += k * (max((max(abs(c.numerator) * (d // c.denominator), d).bit_length() - 1
                           for c in p.coeffs.values()), default=0)
                      + (len(p.coeffs) - 1).bit_length())
-    if max(degree, bits) > size or min(
-            terms, comb(len(names) + degree, degree)) > size:
+    terms = min(terms, comb(len(names) + degree, degree))
+    if max(degree, bits, terms) > size:
         raise ValueError(f"polynomial above the size bound {size} "
                          "(degree, terms or coefficient bits)")
+    return terms, bits
 
 
 def require_bounded_twist(phi: PolyEndo, size: int):
-    """Refuse ``phi`` if a composite that the twisted carrier's checks build
-    may pass ``size``, before any check runs.
+    """Refuse ``phi`` before any check runs if a composite that the twisted
+    carrier's checks build may pass ``size``, or building it may take more
+    than ``size ** 2`` products of 30-bit digits (CPython's int digits).
 
     The checks apply phi twice over products of samples of degree <= 2, as in
-    ``phi(phi(x y) phi(z))``: phi of a polynomial of degree ``6 * deg(phi)``,
-    so each of its monomials becomes a product of that many images.
+    ``phi(phi(x y) phi(z))``: phi of a polynomial of degree ``k = 6 *
+    deg(phi)``, whose monomials' images the table builds a power at a time,
+    each of ``k`` products pairing at most ``terms`` terms with the image's
+    ``n``, on coefficients of at most ``bits`` bits.
     """
-    degree = max((_mono_degree(m) for p in phi.images.values() for m in p.coeffs), default=0)
+    k = 6 * max((_mono_degree(m) for p in phi.images.values() for m in p.coeffs), default=0)
     for name, p in sorted(phi.images.items()):
         try:
-            _require_bounded((p, 6 * degree), size=size)
+            terms, bits = _require_bounded((p, k), size=size)
+            if (work := k * terms * len(p.coeffs) * (bits // 30 + 1)) > size * size:
+                raise ValueError(f"work estimate {work} above the budget {size * size}"
+                                 " (digit products)")
         except ValueError as exc:
             raise ValueError(f"twist {name} = {p}: its composites in the checks"
                              f" are out of bounds: {exc}") from None
@@ -435,9 +439,12 @@ def read_keyed(line: str, lineno: int, head: str, keys, done) -> tuple[str, str,
 
 
 def on_line(lineno: int, parse, *args):
-    """``parse(*args)``, with the line appended to a ``ValueError`` it raises."""
+    """``parse(*args)``, with the line appended to a ``ValueError`` it raises
+    that does not give its place already, as an ``InputError`` does."""
     try:
         return parse(*args)
+    except InputError:
+        raise
     except ValueError as exc:
         raise ValueError(f"{exc} (line {lineno})") from None
 

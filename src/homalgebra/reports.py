@@ -17,7 +17,21 @@ from .terms import Record
 SCHEMA_VERSION = "1"
 
 
-class LawItem(Record):
+class _Report(Record):
+    """A report record: its dict is its fields and ``passed``, with each
+    record in a list field as its own dict."""
+    __slots__ = ()
+
+    def to_dict(self) -> dict:
+        out = {f: getattr(self, f) for f in self.__slots__}
+        for f, v in out.items():
+            if isinstance(v, list):
+                out[f] = [x.to_dict() if isinstance(x, _Report) else x for x in v]
+        out["passed"] = self.passed
+        return out
+
+
+class LawItem(_Report):
     __slots__ = ("label", "lhs", "rhs", "verdict", "residue")
 
     def __init__(self, label: str, lhs: str, rhs: str, verdict: str,
@@ -29,18 +43,8 @@ class LawItem(Record):
     def passed(self) -> bool:
         return self.verdict in ("PROVEN_EQUAL", "EQUAL", "PASS")
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "verdict": self.verdict,
-            "residue": self.residue,
-            "passed": self.passed,
-        }
 
-
-class LawReport(Record):
+class LawReport(_Report):
     __slots__ = ("law", "items", "context")
 
     def __init__(self, law: str, items: Optional[list[LawItem]] = None,
@@ -59,13 +63,20 @@ class LawReport(Record):
                 return item
         return None
 
-    def to_dict(self) -> dict:
-        return {
-            "law": self.law,
-            "context": self.context,
-            "items": [i.to_dict() for i in self.items],
-            "passed": self.passed,
-        }
+
+class CheckReport(_Report):
+    """A sampled axiom check: the law, the samples run, a line per
+    counterexample, and the seed of the samples."""
+    __slots__ = ("law", "samples_run", "counterexamples", "seed")
+
+    def __init__(self, law: str, samples_run: int, counterexamples: list[str],
+                 seed: Optional[int] = None):
+        self.law, self.samples_run = law, samples_run
+        self.counterexamples, self.seed = counterexamples, seed
+
+    @property
+    def passed(self) -> bool:
+        return not self.counterexamples
 
 
 def law_report(law: str, context: dict, fmt, cases) -> LawReport:

@@ -60,7 +60,7 @@ class InputError(Exception):
 MAX_POLY_SIZE = 1000
 
 # an integer, or a ratio of an integer to digits
-_INTEGER_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_INTEGER_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
 
 
 def parse_rational(text: str, name: str) -> Coeff:
@@ -71,9 +71,9 @@ def parse_rational(text: str, name: str) -> Coeff:
     ``Fraction`` builds ``10 ** exponent`` eagerly, so the exponent is checked
     first: beside at most ``MAX_POLY_SIZE`` characters, one above twice that
     leaves more than ``MAX_POLY_SIZE`` digits in the numerator or denominator.
-    An integer, or a ratio of integers, is read by ``int`` (and one exact
-    division), which is several times faster than ``Fraction``'s regular
-    expression; a zero denominator raises ``Fraction``'s own error.
+    An integer, or a ratio of integers with a nonzero denominator, is read by
+    ``int`` (and one exact division), several times faster than ``Fraction``'s
+    regular expression; a zero denominator is refused, naming the literal.
     """
     parts = _INTEGER_RATIO.fullmatch(text) if len(text) <= MAX_POLY_SIZE else None
     if parts:
@@ -86,8 +86,8 @@ def parse_rational(text: str, name: str) -> Coeff:
         except ValueError:
             shift = 0  # not an exponent: Fraction reports the bad literal
         if len(text) > MAX_POLY_SIZE or abs(shift) > 2 * MAX_POLY_SIZE:
-            raise _oversized(text, name, f"{MAX_POLY_SIZE} characters and exponent"
-                                         f" {2 * MAX_POLY_SIZE}")
+            raise _refused(text, name, f"above the size bound of {MAX_POLY_SIZE} characters"
+                                       f" and exponent {2 * MAX_POLY_SIZE}")
         try:
             # ``Fraction`` also reads other scripts' digits; a literal is 0-9
             if not text.isascii():
@@ -95,8 +95,10 @@ def parse_rational(text: str, name: str) -> Coeff:
             value = Fraction(text)
         except ValueError as exc:
             raise ValueError(f"{name}: {exc}") from None
+        except ZeroDivisionError:
+            raise _refused(text, name, "zero denominator") from None
     if max(abs(value.numerator), value.denominator).bit_length() > MAX_POLY_SIZE:
-        raise _oversized(text, name, f"{MAX_POLY_SIZE} bits")
+        raise _refused(text, name, f"above the size bound of {MAX_POLY_SIZE} bits")
     return as_coeff(value)
 
 
@@ -108,13 +110,13 @@ def parse_natural(text: str, name: str) -> int:
     at 4,300 digits, with a message that names no token).
     """
     if len(text) > MAX_POLY_SIZE:
-        raise _oversized(text, name, f"{MAX_POLY_SIZE} digits")
+        raise _refused(text, name, f"above the size bound of {MAX_POLY_SIZE} digits")
     return int(text)
 
 
-def _oversized(text: str, name: str, bound: str) -> ValueError:
+def _refused(text: str, name: str, why: str) -> ValueError:
     shown = text[:20] + "..." * (len(text) > 20)
-    return ValueError(f"{name} {shown}: above the size bound of {bound}")
+    return ValueError(f"{name} {shown}: {why}")
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,33 @@ def test_zero_denominator_exits_2_without_traceback(argv):
     assert "Traceback" not in out.stderr
 
 
+# a zero denominator is refused by the number reader, naming the literal, and
+# a descriptor's refusal names its line: a delta image's line too, where an
+# oversized coefficient named none either
+@pytest.mark.parametrize("command,text,shown", [
+    (("check", "algebra"), ALG + "twist t = 1/0*t\n", "number 1/0: zero denominator (line 3)"),
+    (("verify", "twist", "--file"), "kind twist\nphi_H a = 2/00*a\n",
+     "number 2/00: zero denominator (line 2)"),
+    (("verify", "twist", "--file"), "kind twist\nlambda 3/0\n",
+     "line 2: lambda 3/0: zero denominator"),
+    (("verify", "twist", "--file"), "kind twist\nlambda +3/0\n",
+     "line 2: lambda +3/0: zero denominator"),
+    (("verify", "envelope"), "names e1 e2\nalpha e1 = 1/0*e1\n",
+     "number 1/0: zero denominator (line 2)"),
+    (("verify", "m-coassoc", "--file"), BIALG + "delta a = 1/0 * (a' * a'')\n",
+     "coefficient 1/0: zero denominator (line 3)"),
+    (("verify", "m-coassoc", "--file"), BIALG + f"delta a = {'9' * 1001} * (a' * a'')\n",
+     "exponent 2000 (line 3)"),
+], ids=["twist", "phi_H", "lambda", "lambda-signed", "alpha", "delta", "delta-oversized"])
+def test_number_refused_in_a_descriptor_names_its_line(tmp_path, command, text, shown):
+    f = tmp_path / "descriptor"
+    f.write_text(text)
+    out = run_cli(*command, str(f))
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: ") and out.stderr.rstrip("\n").endswith(shown)
+    assert out.stderr.count("\n") == 1
+
+
 # a decimal exponent is checked before Fraction builds 10 ** exponent, and a
 # numerator or denominator above terms.MAX_POLY_SIZE bits is refused
 @pytest.mark.parametrize("argv,name", [
@@ -542,8 +569,17 @@ def run_check_algebra_twist(tmp_path, twist, timeout, kind="poly"):
 
 
 # each is inside MAX_POLY_SIZE, but the checks compose it with itself over
-# products of samples: phi(phi(x y) phi(z)) has degree 6 * deg(phi)**2
-@pytest.mark.parametrize("twist", ["1 + t^20", "t^1000", "1 + t^40", "t^31 + t"])
+# products of samples: phi(phi(x y) phi(z)) has degree 6 * deg(phi)**2.  The
+# last two have moderate degree, terms and coefficients one by one, but mixed
+# denominators: t2's composites are over the work budget, and t3's
+# coefficients over a common denominator are over the bit bound
+TWIST_T2 = "1/3 + 2/5*t + 7/11*t^2 + 13/17*t^3 + 5/7*t^4 + 3/13*t^5 + 11/19*t^6"
+TWIST_T3 = ("255/253 + 251/241*t + 239/233*t^2 + 229/227*t^3 + 223/211*t^4 + 199/197*t^5"
+            " + 193/191*t^6 + 181/179*t^7 + 173/167*t^8 + 163/157*t^9 + 151/149*t^10")
+
+
+@pytest.mark.parametrize("twist", ["1 + t^20", "t^1000", "1 + t^40", "t^31 + t",
+                                   TWIST_T2, TWIST_T3])
 def test_twist_with_oversized_composites_exits_2_without_traceback(tmp_path, twist):
     out = run_check_algebra_twist(tmp_path, twist, timeout=2)
     assert out.returncode == 2

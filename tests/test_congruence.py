@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from homalgebra.congruence import (DEFAULT_TERM_CAP, Bound, OutOfWindowError,
                                    RelationBasis, ResourceCapError,
                                    SaturationConfig, Verdict, _Columns,
-                                   _EchelonRows, _Saturator, _vectorize,
+                                   _EchelonRows, _Saturator, _subtract, _vectorize,
                                    enumerate_terms, hom_associator, saturate)
 from homalgebra.grammar import format_lincomb, format_term, parse_lincomb
 from homalgebra.homlie import (LEG_TAGS2, LEG_TAGS3, EnvelopeBialgebra,
@@ -463,9 +463,12 @@ def dense_abelian():
 
 
 # the envelope windows of the benchmark, and a dense rational twist
-@pytest.mark.parametrize("L,gens,bound", [
+ENVELOPE_WINDOWS = pytest.mark.parametrize("L,gens,bound", [
     (fixture_copies(k), gens, bound) for k, (gens, bound) in enumerate(BENCHMARK_WINDOWS[:3], 1)
 ] + [(dense_abelian(), ["u", "v", "w"], Bound(3, 0))], ids=["1", "2", "3", "dense"])
+
+
+@ENVELOPE_WINDOWS
 def test_column_twist_matches_the_matrix_twist(L, gens, bound):
     assert sorted(L.names) == sorted(gens)
     cols = _Columns(gens, bound, DEFAULT_TERM_CAP)
@@ -477,6 +480,24 @@ def test_column_twist_matches_the_matrix_twist(L, gens, bound):
         assert exact(worker._alpha_col(i)) == exact(want), format_term(t)
     with pytest.raises(ValueError, match="envelope leaves carry no exponents"):
         EnvelopeBialgebra(L).alpha(make_leaf(gens[0], 1))
+
+
+@ENVELOPE_WINDOWS
+def test_generator_collapses_span_every_columns_collapse(L, gens, bound):
+    cols = _Columns(gens, bound, DEFAULT_TERM_CAP)
+    leaf_twist = [_vectorize(cols, L.twist[g]) for g in cols.gens]
+    seeds = [_vectorize(cols, rel) for rel in bracket_relations(L)]
+    worker = _Saturator(cols, UNITAL, leaf_twist)
+    # the instances of arity 1 are one collapse per generator; the
+    # associators have arity 3 or more
+    leaves = range(1, cols.starts[2])
+    narrow = [vec for vec in worker.initial_instances() if max(vec, default=0) in leaves]
+    assert narrow == [_subtract({g: 1}, worker._alpha_col(g)) for g in leaves]
+    # every column's collapse, seeded too, adds no row and changes none
+    collapses = [_subtract({u: 1}, worker._alpha_col(u)) for u in range(1, cols.starts[-1])]
+    rows = worker.run(seeds)
+    seeded = _Saturator(cols, UNITAL, leaf_twist).run(seeds + collapses)
+    assert exact_rows(seeded) == exact_rows(rows)
 
 
 def test_client_twist_needs_generator_images_and_an_exponent_free_window():

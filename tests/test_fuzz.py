@@ -1,0 +1,166 @@
+"""A fuzz gate for the descriptor files: files built from each kind's
+directives, and byte mutations of the shipped examples, run through
+``cli.main`` in process.  Every run exits 0, 1 or 2 and raises nothing, and an
+exit of 2 prints one message line."""
+
+import contextlib
+import io
+import re
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from homalgebra import cli
+from test_cli import GOLDEN_FILES
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# the command that reads each kind of file, at small windows and sample counts
+COMMANDS = {
+    "alg": lambda f: ["check", "algebra", f, "--samples", "5"],
+    "twist": lambda f: ["verify", "twist", "--file", f],
+    "bialg": lambda f: ["verify", "m-coassoc", "--file", f, "--max-arity", "2"],
+    "homlie": lambda f: ["verify", "envelope", f, "--max-arity", "2"],
+}
+
+
+def readme_examples() -> list[tuple[str, str]]:
+    """The README's descriptor examples, one per ``# name.kind — ...`` header."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("Descriptor file formats", 1)[1].split("```", 2)[1]
+    parts = re.split(r"^# \S+\.(alg|twist|bialg|homlie) —.*\n", block, flags=re.M)
+    return list(zip(parts[1::2], parts[2::2]))
+
+
+SEEDS = [(name.rsplit(".", 1)[1], text) for name, text in GOLDEN_FILES.items()] + [
+    ("alg", (ROOT / "perfbench" / "data" / "twisted_matrix.alg").read_text())
+] + readme_examples()
+
+
+def run(kind: str, data: bytes) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of the kind's command on a file of ``data``."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"fuzz.{kind}"
+        path.write_bytes(data)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(COMMANDS[kind](str(path)))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_clean_exit(kind: str, data: bytes):
+    code, out, err = run(kind, data)
+    assert code in (0, 1, 2), (code, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert not out and err.endswith("\n") and err.count("\n") == 1, err
+
+
+# -- files built from the directives -----------------------------------------
+#
+# Each file is well formed: the mutations below break them, and the shipped
+# examples, byte by byte.
+
+numbers = st.sampled_from(["1", "2", "3", "0", "1/2", "2/3", "7/11", "-5/3", "0/4"])
+
+
+def poly_text(variables):
+    """A sum of up to three terms ``c*v^e`` of degree at most 2."""
+    term = st.tuples(numbers, st.sampled_from(variables), st.integers(0, 2)).map(
+        lambda t: t[0] + ("" if t[2] == 0 else f"*{t[1]}" + (f"^{t[2]}" if t[2] > 1 else "")))
+    return st.lists(term, min_size=1, max_size=3).map(" + ".join)
+
+
+@st.composite
+def alg_files(draw):
+    names = draw(st.sampled_from([["t"], ["s", "t"]]))
+    out = [draw(st.sampled_from(["kind poly", "kind matrix"])), "vars " + " ".join(names)]
+    for name in draw(st.lists(st.sampled_from(names), max_size=2, unique=True)):
+        out.append(f"twist {name} = {draw(poly_text(names))}")
+    return "\n".join(out)
+
+
+@st.composite
+def twist_files(draw):
+    out = ["kind twist"]
+    if draw(st.booleans()):
+        return "\n".join(out + [f"lambda {draw(numbers)}"])
+    for head, keys in (("phi_H", ["a", "b", "c", "d"]), ("phi_A", ["x", "y"])):
+        for name in draw(st.lists(st.sampled_from(keys), max_size=2, unique=True)):
+            out.append(f"{head} {name} = {draw(poly_text(keys))}")
+    return "\n".join(out)
+
+
+@st.composite
+def bialg_files(draw):
+    gens = draw(st.sampled_from([["a"], ["a", "b"]]))
+    out = ["kind free-bialgebra", "gens " + " ".join(gens)]
+    legs = st.sampled_from([g + tag for g in gens for tag in ("'", "''")])
+    part = st.tuples(numbers, legs, legs).map(lambda t: f"{t[0]} * ({t[1]} * {t[2]})")
+    for g in gens:
+        out.append(f"delta {g} = {' + '.join(draw(st.lists(part, min_size=1, max_size=2)))}")
+    return "\n".join(out)
+
+
+@st.composite
+def homlie_files(draw):
+    names = draw(st.sampled_from([["e1", "e2"], ["e1", "e2", "h"]]))
+    out = [f"dim {len(names)}"] if draw(st.booleans()) else []
+    out.append("names " + " ".join(names))
+    linear = st.lists(st.tuples(numbers, st.sampled_from(names)).map("*".join),
+                      min_size=1, max_size=2).map(" + ".join)
+    pairs = [(a, b) for k, a in enumerate(names) for b in names[k + 1:]]
+    for a, b in draw(st.lists(st.sampled_from(pairs), max_size=2, unique=True)):
+        out.append(f"bracket {a} {b} = {draw(linear)}")
+    for name in draw(st.lists(st.sampled_from(names), max_size=len(names), unique=True)):
+        out.append(f"alpha {name} = {draw(linear)}")
+    return "\n".join(out)
+
+
+built = st.one_of(*(st.tuples(st.just(kind), files) for kind, files in (
+    ("alg", alg_files()), ("twist", twist_files()), ("bialg", bialg_files()),
+    ("homlie", homlie_files()))))
+
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+@FUZZ
+@given(built)
+def test_files_built_from_the_directives_exit_cleanly(case):
+    kind, text = case
+    assert_clean_exit(kind, text.encode())
+
+
+# -- byte mutations of the shipped examples ----------------------------------
+
+ALPHABET = b"0123456789/+-*^()@=' \n#tabcdxyze_"
+edits = st.lists(st.tuples(st.sampled_from(["delete", "insert", "replace"]),
+                           st.integers(0, 1 << 16),
+                           st.one_of(st.sampled_from(ALPHABET), st.integers(0, 255))),
+                 min_size=1, max_size=4)
+
+
+def mutate(data: bytes, ops) -> bytes:
+    out = bytearray(data)
+    for op, pos, byte in ops:
+        pos %= len(out) + 1
+        if op == "insert":
+            out[pos:pos] = bytes([byte])
+        elif pos < len(out):
+            out[pos:pos + 1] = b"" if op == "delete" else bytes([byte])
+    return bytes(out)
+
+
+@FUZZ
+@given(st.one_of(st.sampled_from(SEEDS), built), edits)
+def test_mutated_files_exit_cleanly(seed, ops):
+    kind, text = seed
+    assert_clean_exit(kind, mutate(text.encode(), ops))
+
+
+def test_the_seeds_cover_every_kind_and_the_readme():
+    assert {kind for kind, _ in SEEDS} == set(COMMANDS)
+    assert [kind for kind, _ in readme_examples()] == ["alg", "homlie", "bialg", "twist"]

@@ -155,6 +155,8 @@ def fraction_reading(text: str):
         value = Fraction(text)
     except ValueError as exc:
         raise ValueError(f"coefficient: {exc}") from None
+    except ZeroDivisionError:
+        raise ValueError(f"coefficient {shown}: zero denominator") from None
     if max(abs(value.numerator), value.denominator).bit_length() > MAX_POLY_SIZE:
         raise ValueError(f"coefficient {shown}: above the size bound of {MAX_POLY_SIZE} bits")
     return as_coeff(value)
@@ -311,9 +313,27 @@ endos = st.one_of(st.sampled_from(KEPT), st.fixed_dictionaries(
 def test_image_table_matches_the_reference(phi, ps):
     for p in ps + ps:
         got = phi(p)
-        assert got == ref_substitute(p, phi.images)
+        assert got == ref_substitute(p, phi.images) == p.substitute(phi.images)
         assert_clean(got)
     assert phi._stored == sum(map(len, phi._table.values())) <= poly.IMAGE_TABLE_TERMS
+
+
+def test_a_miss_is_built_from_its_longest_stored_prefix(monkeypatch):
+    s = Poly.var("s")
+    monos = [t ** k for k in range(1, 8)] + [s * t, s * t ** 3]
+    products = []
+    product = poly._product
+    monkeypatch.setattr(poly, "_product", lambda a, b: products.append(1) or product(a, b))
+    phi = PolyEndo({"t": Poly.const(third) + 2 * t, "s": s - t})
+    # t^5 from the empty monomial: one product per power, each image kept
+    assert phi(monos[4]) == ref_substitute(monos[4], phi.images) and len(products) == 5
+    for k in (5, 6):
+        products.clear()
+        assert phi(monos[k]) == ref_substitute(monos[k], phi.images) and len(products) == 1
+    # s t^3 from s t, then s t itself found
+    for p, built in ((monos[7], 2), (monos[8], 2), (monos[7], 0)):
+        products.clear()
+        assert phi(p) == ref_substitute(p, phi.images) and len(products) == built
 
 
 def test_image_table_stops_at_its_bound(monkeypatch):

@@ -383,6 +383,24 @@ def test_each_law_report_gets_its_own_items_and_context():
     assert first != second and LawReport("x") == second
 
 
+def test_report_dicts_are_their_fields_and_passed():
+    import homalgebra
+    from homalgebra import reports
+    # one class, named by the package, by the algebras and by the reports
+    assert homalgebra.CheckReport is CheckReport is reports.CheckReport
+    item = LawItem("l", "x", "y", "PASS")
+    assert item.to_dict() == {"label": "l", "lhs": "x", "rhs": "y", "verdict": "PASS",
+                              "residue": None, "passed": True}
+    # a list of records becomes the list of their dicts
+    report = LawReport("law", [item], {"carrier": "free"})
+    assert report.to_dict() == {"law": "law", "items": [item.to_dict()],
+                                "context": {"carrier": "free"}, "passed": True}
+    # and a list of strings a copy of it
+    check = CheckReport("unitality", 1, ["1 * x = 0"])
+    check.to_dict()["counterexamples"].append("2 * x = 0")
+    assert check.counterexamples == ["1 * x = 0"]
+
+
 def test_mutable_records_keep_their_keyword_names():
     item = LawItem(label="l", lhs="x", rhs="y", verdict="NOT_EQUAL", residue="x - y")
     assert (item.label, item.lhs, item.rhs, item.verdict, item.residue) == (
