@@ -139,28 +139,42 @@ def run_reduce(args):
                       "reduces_to_zero": residue.is_zero()}
 
 
+def _read(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _kind(*words):  # the reader of a kind line that says one of words
+    def read(rest):
+        if rest not in words:
+            raise ValueError(f"expected kind {' or '.join(words)}")
+        return rest
+    return read
+
+
+def _poly_image(name, image, at, names):
+    return poly.parse_poly(image, names, at[1])
+
+
+def _delta_image(name, image, at, gens):
+    # the image is parsed in its place in the file, so a syntax error
+    # names the file's line and column
+    line, offset = at
+    v = grammar.parse_lincomb("\n" * (line - 1) + " " * offset + image)
+    outside = v.generators() - {g + t for g in gens for t in ("'", "''")}
+    if outside:
+        raise ValueError(f"delta {name} names {min(outside)!r},"
+                         " not a leg g' or g'' of a generator g")
+    return v
+
+
 def _load_free_bialgebra(path: str) -> bialgebras.FreeHomBialgebra:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    gens, images = (), {}
-    for lineno, head, rest in poly.read_directives(lines, ("kind", "gens", "delta"),
-                                              once=("kind", "gens")):
-        if head == "kind":
-            if rest != "free-bialgebra":
-                raise ValueError(f"line {lineno}: expected kind free-bialgebra")
-        elif head == "gens":
-            gens = poly.read_leg_names(rest, lineno)
-        else:
-            name, image, offset = poly.read_keyed(lines[lineno - 1], lineno, "delta", gens,
-                                                  images)
-            # the image is parsed in its place in the file, so a syntax error
-            # names the file's line and column
-            images[name] = poly.on_line(lineno, grammar.parse_lincomb,
-                                        "\n" * (lineno - 1) + " " * offset + image)
-            outside = images[name].generators() - {g + t for g in gens for t in ("'", "''")}
-            if outside:
-                raise ValueError(f"line {lineno}: delta {name} names {min(outside)!r},"
-                                 " not a leg g' or g'' of a generator g")
+    got, _ = terms.read_descriptor(_read(path), {
+        "kind": _kind("free-bialgebra"),
+        "gens": lambda rest: terms.read_names(rest, legs=True),
+        "delta": (1, "gens", _delta_image),
+    })
+    gens, images = got.get("gens"), got["delta"]
     if not gens or set(images) != set(gens):
         raise ValueError("descriptor needs gens and a delta image per generator")
     # the report's generator order, and so its bytes, follow the sorted names
@@ -212,29 +226,21 @@ def run_m2_representability(args):
 
 
 def _load_twist_file(path: str):
-    lam = None
-    phis = {"phi_H": {}, "phi_A": {}}
     # the variables of the classical bialgebra and of the plane it coacts on
-    keys = {"phi_H": tuple(g for row in bialgebras.MATRIX_LAYOUT for g in row),
-            "phi_A": bialgebras.PLANE_GENS}
-    with open(path) as fh:
-        lines = fh.readlines()
-    for lineno, head, rest in poly.read_directives(lines, ("kind", "lambda", "phi_H", "phi_A"),
-                                              once=("kind", "lambda")):
-        if head == "kind":
-            if rest != "twist":
-                raise ValueError(f"line {lineno}: expected kind twist")
-        elif head == "lambda":
-            lam = terms.parse_rational(rest, f"line {lineno}: lambda")
-        else:
-            name, image, offset = poly.read_keyed(lines[lineno - 1], lineno, head, keys[head],
-                                                  phis[head])
-            phis[head][name] = poly.on_line(lineno, poly.parse_poly, image, keys[head], offset)
-        if lam is not None and (phis["phi_H"] or phis["phi_A"]):
-            raise ValueError(f"line {lineno}: lambda and phi lines exclude each other")
-    if lam is not None:
-        return bialgebras.lambda_scaling_pair(lam)
-    return poly.PolyEndo(phis["phi_H"]), poly.PolyEndo(phis["phi_A"])
+    got, lines = terms.read_descriptor(_read(path), {
+        "kind": _kind("twist"),
+        "lambda": lambda rest: terms.parse_rational(rest, "lambda"),
+        "phi_H": (1, tuple(g for row in bialgebras.MATRIX_LAYOUT for g in row), _poly_image),
+        "phi_A": (1, bialgebras.PLANE_GENS, _poly_image),
+    })
+    if "lambda" not in got:
+        return poly.PolyEndo(got["phi_H"]), poly.PolyEndo(got["phi_A"])
+    if got["phi_H"] or got["phi_A"]:
+        # named at the first line by which both have been given
+        phi = min([*lines["phi_H"].values(), *lines["phi_A"].values()])
+        raise ValueError(f"line {max(lines['lambda'], phi)}: lambda and phi lines exclude"
+                         " each other")
+    return bialgebras.lambda_scaling_pair(got["lambda"])
 
 
 def run_twist(args):
@@ -256,8 +262,7 @@ def run_twist(args):
 
 def run_envelope(args):
     if args.file:
-        with open(args.file) as fh:
-            L = homlie.load_hom_lie(fh.read())
+        L = homlie.load_hom_lie(_read(args.file))
     else:
         L = homlie.affine_line_twisted()
     laws = [homlie.check_hom_lie(L)]
@@ -276,30 +281,24 @@ def run_envelope(args):
 
 
 def _load_algebra_file(path: str):
-    kind, names, twist = None, (), {}
-    with open(path) as fh:
-        lines = fh.readlines()
-    for lineno, head, rest in poly.read_directives(lines, ("kind", "vars", "twist"),
-                                              once=("kind", "vars")):
-        if head == "kind":
-            kind = rest
-        elif head == "vars":
-            names = poly.read_names(rest, lineno)
-        else:
-            name, image, offset = poly.read_keyed(lines[lineno - 1], lineno, "twist", names,
-                                                  twist)
-            twist[name] = poly.on_line(lineno, poly.parse_poly, image, names, offset)
-    if kind not in ("poly", "matrix"):
+    got, lines = terms.read_descriptor(_read(path), {
+        "kind": _kind("poly", "matrix"),
+        "vars": terms.read_names,
+        "twist": (1, "vars", _poly_image),
+    })
+    if "kind" not in got:
         raise ValueError("descriptor kind must be poly or matrix")
+    names = got.get("vars")
     if not names:
         raise ValueError("descriptor needs a vars line")
-    phi = poly.PolyEndo(twist)
+    phi = poly.PolyEndo(got["twist"])
     # a 2x2 matrix product is eight entry products of entry sums, so the
     # same twist costs the matrix checks many times the poly checks' work
     size = terms.MAX_POLY_SIZE
-    poly.require_bounded_twist(phi, size if kind == "poly" else size // 32)
+    poly.require_bounded_twist(phi, size if got["kind"] == "poly" else size // 32,
+                               lines["twist"])
     A = algebras.yau_twist_algebra(names, phi)
-    if kind == "matrix":
+    if got["kind"] == "matrix":
         A = algebras.matrix_algebra(A)
     return A
 

@@ -30,7 +30,8 @@ from .bialgebras import (_FreeCarrier, _window, check_comultiplicative,
                          coassoc_composites, exact)
 from .congruence import Bound, RelationBasis, SaturationConfig, saturate
 from .reports import CheckReport, LawReport, law_report
-from .terms import Leaf, LinComb, make_leaf, parse_natural, rename, weight
+from .terms import (Leaf, LinComb, make_leaf, parse_natural, read_descriptor, read_names,
+                    rename, weight)
 
 
 @dataclass(frozen=True)
@@ -313,10 +314,11 @@ def check_envelope_bialgebra(L: HomLieAlgebra, max_arity: int = 3,
 # declarative text format
 # ---------------------------------------------------------------------------
 
-def _linear_coords(text: str, names, offset: int = 0) -> dict:
-    """Parse a linear combination of basis names into a coordinate dict;
-    ``offset`` is the column before ``text`` on its line (``parse_poly``)."""
-    p = poly.parse_poly(text, allowed=set(names), offset=offset)
+def _linear_coords(key, text: str, at, names) -> dict:
+    """The coordinates of the linear combination of the basis ``names``
+    that ``text`` writes, an image that ``at`` places in its file (see
+    ``read_descriptor``)."""
+    p = poly.parse_poly(text, allowed=set(names), offset=at[1])
     out = {}
     for mono, c in p.coeffs.items():
         if mono == ():
@@ -327,8 +329,21 @@ def _linear_coords(text: str, names, offset: int = 0) -> dict:
     return out
 
 
-def load_hom_lie(text: str) -> HomLieAlgebra:
-    """Parse the declarative format::
+def _bracket_coords(pair, text: str, at, names) -> dict:
+    coords = _linear_coords(pair, text, at, names)
+    if pair[0] == pair[1] and coords:
+        raise ValueError(f"bracket of {pair[0]} with itself must vanish")
+    return coords
+
+
+def _read_dim(rest: str) -> int:
+    if not (rest.isascii() and rest.isdigit()):
+        raise ValueError("dim must be written in the digits 0-9")
+    return parse_natural(rest, "dim")
+
+
+def load_hom_lie(text: str | bytes) -> HomLieAlgebra:
+    """Parse the declarative format (text, or bytes read as UTF-8)::
 
         dim 2
         names e1 e2
@@ -336,44 +351,16 @@ def load_hom_lie(text: str) -> HomLieAlgebra:
         alpha e1 = e1 + e2
         alpha e2 = 2*e2
     """
-    names = None
-    dim = None
-    brackets = {}
-    alpha = {}
-    directives = ("dim", "names", "bracket", "alpha")
-    lines = text.splitlines()
-    for lineno, head, rest in poly.read_directives(lines, directives, once=("dim", "names")):
-        if head == "dim":
-            if not (rest.isascii() and rest.isdigit()):
-                raise ValueError(f"line {lineno}: dim must be written in the digits 0-9")
-            dim = lineno, parse_natural(rest, f"line {lineno}: dim")
-        elif head == "names":
-            names, names_line = poly.read_leg_names(rest, lineno), lineno
-        elif names is None:
-            raise ValueError(f"line {lineno}: names must come before "
-                             + ("brackets" if head == "bracket" else "alpha"))
-        elif head == "bracket":
-            # the image is read in its place on the line, as an alpha image is
-            key, eq, image, offset = poly.split_keyed(lines[lineno - 1], head)
-            if not eq:
-                raise ValueError(f"line {lineno}: expected bracket NAME NAME = IMAGE")
-            pair = key.split()
-            if len(pair) != 2 or pair[0] not in names or pair[1] not in names:
-                raise ValueError(f"line {lineno}: bracket needs two basis names")
-            # skew symmetry fills in the reversed pair, so it is the same bracket
-            if (pair[0], pair[1]) in brackets or (pair[1], pair[0]) in brackets:
-                raise ValueError(f"line {lineno}: second bracket of {pair[0]} and {pair[1]}")
-            coords = poly.on_line(lineno, _linear_coords, image, names, offset)
-            if pair[0] == pair[1] and coords:
-                raise ValueError(f"line {lineno}: bracket of {pair[0]} with itself must vanish")
-            brackets[(pair[0], pair[1])] = coords
-        else:
-            name, image, offset = poly.read_keyed(lines[lineno - 1], lineno, "alpha", names,
-                                                  alpha)
-            alpha[name] = poly.on_line(lineno, _linear_coords, image, names, offset)
-    if names is None:
+    got, lines = read_descriptor(text, {
+        "dim": _read_dim,
+        "names": lambda rest: read_names(rest, legs=True),
+        "bracket": (2, "names", _bracket_coords),
+        "alpha": (1, "names", _linear_coords),
+    })
+    if "names" not in got:
         raise ValueError("missing 'names' line")
-    if dim is not None and dim[1] != len(names):
-        raise ValueError(f"line {dim[0]}: dim {dim[1]} does not match the {len(names)} names"
-                         f" of line {names_line}")
-    return hom_lie_algebra(names, brackets, alpha)
+    names = got["names"]
+    if got.get("dim", len(names)) != len(names):
+        raise ValueError(f"line {lines['dim']}: dim {got['dim']} does not match the"
+                         f" {len(names)} names of line {lines['names']}")
+    return hom_lie_algebra(names, got["bracket"], got["alpha"])

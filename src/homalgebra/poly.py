@@ -13,10 +13,8 @@ import re
 from functools import lru_cache
 from math import comb, lcm
 from types import MappingProxyType
-from typing import Iterator
 
-from .terms import (MAX_POLY_SIZE, NAME, Coeff, InputError, as_coeff, parse_natural,
-                    parse_rational)
+from .terms import MAX_POLY_SIZE, NAME, Coeff, as_coeff, parse_natural, parse_rational
 
 Mono = tuple[tuple[str, int], ...]
 
@@ -344,10 +342,11 @@ def _require_bounded(*factors: tuple[Poly, int], size: int = MAX_POLY_SIZE) -> t
     return terms, bits
 
 
-def require_bounded_twist(phi: PolyEndo, size: int):
+def require_bounded_twist(phi: PolyEndo, size: int, lines: dict):
     """Refuse ``phi`` before any check runs if a composite that the twisted
     carrier's checks build may pass ``size``, or building it may take more
-    than ``size ** 2`` products of 30-bit digits (CPython's int digits).
+    than ``size ** 2`` products of 30-bit digits (CPython's int digits); the
+    refusal names the line ``lines[v]`` of the image of the variable ``v``.
 
     The checks apply phi twice over products of samples of degree <= 2, as in
     ``phi(phi(x y) phi(z))``: phi of a polynomial of degree ``k = 6 *
@@ -364,89 +363,7 @@ def require_bounded_twist(phi: PolyEndo, size: int):
                                  " (digit products)")
         except ValueError as exc:
             raise ValueError(f"twist {name} = {p}: its composites in the checks"
-                             f" are out of bounds: {exc}") from None
-
-
-def read_directives(lines, known, once=()) -> Iterator[tuple[int, str, str]]:
-    """``(line number, head, rest)`` per directive line of a descriptor file.
-
-    ``#`` starts a comment, blank lines are skipped, the head is the first
-    word; a head outside ``known``, or a second line of a head in ``once``,
-    is an error naming its line.
-    """
-    seen = set()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        if head not in known:
-            raise ValueError(f"line {lineno}: unknown directive {head!r}")
-        if head in seen:
-            raise ValueError(f"line {lineno}: second {head} line")
-        if head in once:
-            seen.add(head)
-        yield lineno, head, rest.strip()
-
-
-def read_names(rest: str, lineno: int) -> tuple[str, ...]:
-    """The words of a ``gens``, ``vars`` or ``names`` line, each a ``NAME``
-    given once."""
-    names = tuple(rest.split())
-    for k, n in enumerate(names):
-        if not NAME.fullmatch(n):
-            raise ValueError(f"line {lineno}: name {n!r} must match {NAME.pattern}")
-        if n in names[:k]:
-            raise ValueError(f"line {lineno}: name {n!r} given twice")
-    return names
-
-
-def read_leg_names(rest: str, lineno: int) -> tuple[str, ...]:
-    """``read_names``, refusing a name that is also another name's tensor
-    leg: the laws tag each generator g into the legs g', g'' and g'''."""
-    names = read_names(rest, lineno)
-    legs = {}
-    for g in names:
-        for leg in (g + "'", g + "''", g + "'''"):
-            if legs.setdefault(leg, g) != g:
-                raise ValueError(f"line {lineno}: leg {leg!r} of {g!r} is"
-                                 f" also a leg of {legs[leg]!r}")
-    return names
-
-
-def split_keyed(line: str, head: str) -> tuple[str, str, str, int]:
-    """``(key, eq, image, offset)`` of the directive ``line``, ``head KEY =
-    IMAGE`` (``read_directives`` has checked its head): key and image
-    stripped, ``eq`` the ``=`` or empty if there is none, and the image
-    starting ``offset`` characters into the line, so that a parser can give
-    an error's column in the line."""
-    text = line.split("#", 1)[0]
-    before, eq, image = text.partition("=")
-    return before.strip()[len(head):].strip(), eq, image.strip(), len(text) - len(image.lstrip())
-
-
-def read_keyed(line: str, lineno: int, head: str, keys, done) -> tuple[str, str, int]:
-    """``(key, image, offset)`` of ``split_keyed``, where the key is one of
-    ``keys`` and not yet in ``done``."""
-    key, eq, image, offset = split_keyed(line, head)
-    if not eq:
-        raise ValueError(f"line {lineno}: expected {head} NAME = IMAGE")
-    if key not in keys:
-        raise ValueError(f"line {lineno}: {head} of unknown name {key!r}")
-    if key in done:
-        raise ValueError(f"line {lineno}: second {head} of {key}")
-    return key, image, offset
-
-
-def on_line(lineno: int, parse, *args):
-    """``parse(*args)``, with the line appended to a ``ValueError`` it raises
-    that does not give its place already, as an ``InputError`` does."""
-    try:
-        return parse(*args)
-    except InputError:
-        raise
-    except ValueError as exc:
-        raise ValueError(f"{exc} (line {lineno})") from None
+                             f" are out of bounds: {exc} (line {lines[name]})") from None
 
 
 def parse_poly(text: str, allowed=None, offset: int = 0) -> Poly:

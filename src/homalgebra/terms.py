@@ -10,8 +10,9 @@ integral and a ``fractions.Fraction`` otherwise, never a float (``as_coeff``).
 All operations are pure functions.
 
 Every command runs this module, so it also holds what every layer shares:
-the readers of number literals (``parse_rational``, ``parse_natural``), the
-input error base class and the plain ``Record`` base of the package's records.
+the readers of number literals (``parse_rational``, ``parse_natural``) and of
+descriptor files (``read_descriptor``), the input error base class and the
+plain ``Record`` base of the package's records.
 """
 
 from __future__ import annotations
@@ -117,6 +118,93 @@ def parse_natural(text: str, name: str) -> int:
 def _refused(text: str, name: str, why: str) -> ValueError:
     shown = text[:20] + "..." * (len(text) > 20)
     return ValueError(f"{name} {shown}: {why}")
+
+
+# ---------------------------------------------------------------------------
+# descriptor files
+# ---------------------------------------------------------------------------
+
+def read_names(rest: str, legs: bool = False) -> tuple[str, ...]:
+    """The words of a ``vars``, ``gens`` or ``names`` line, each a ``NAME``
+    given once.  With ``legs``, a name that is also another name's tensor leg
+    is refused: the laws tag each generator g into the legs g', g'' and g'''."""
+    names = tuple(rest.split())
+    for k, n in enumerate(names):
+        if not NAME.fullmatch(n):
+            raise ValueError(f"name {n!r} must match {NAME.pattern}")
+        if n in names[:k]:
+            raise ValueError(f"name {n!r} given twice")
+    owner = {}
+    for g in names if legs else ():
+        for leg in (g + "'", g + "''", g + "'''"):
+            if owner.setdefault(leg, g) != g:
+                raise ValueError(f"leg {leg!r} of {g!r} is also a leg of {owner[leg]!r}")
+    return names
+
+
+def read_descriptor(data: bytes | str, form: dict) -> tuple[dict, dict]:
+    """What the descriptor file ``data`` (its bytes, read as UTF-8 whatever
+    the locale, or its text) gives for each head of ``form``, and the numbers
+    of the lines that give it.
+
+    A line ends at ``\\n``, ``\\r\\n`` or ``\\r``, ``#`` starts a comment, and a
+    line's first word is its head.  ``form`` maps a head given once to
+    ``read(rest)``, its value from the rest of its line, and the head of
+    lines ``HEAD KEY = IMAGE`` to ``(width, names, parse)``: a key is
+    ``width`` words from ``names`` (a tuple, or the head of a line above that
+    lists them), given once in either order, and its value is ``parse(key,
+    image, (line number, image's offset in it), names)``.  A keyed head gives
+    a dict from its keys (a word, or a tuple of words as written) to their
+    values, and its line numbers have that shape.  A refusal names its line:
+    ``line N: ...`` for the line's form, ``... (line N)`` for its image; an
+    ``InputError`` keeps its own place.
+    """
+    got = {head: {} for head, how in form.items() if type(how) is tuple}
+    lines = {head: {} for head in got}
+    seen = set()
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
+    for number, raw in enumerate(data.splitlines(), 1):
+        place = "line {}: {}"
+        try:
+            text = raw.decode().split("#", 1)[0]
+            words = text.split(None, 1)
+            if not words:
+                continue
+            head = words[0]
+            if head not in form:
+                raise ValueError(f"unknown directive {head!r}")
+            if type(form[head]) is not tuple:
+                if head in got:
+                    raise ValueError(f"second {head} line")
+                got[head] = form[head](words[1].rstrip() if len(words) > 1 else "")
+                lines[head] = number
+                continue
+            width, names, parse = form[head]
+            if type(names) is str:
+                if names not in got:
+                    raise ValueError(f"{names} must come before {head}")
+                names = got[names]
+            before, eq, image = text.partition("=")
+            key = before.split()[1:]
+            if not eq or len(key) != width:
+                raise ValueError(f"expected {head} {' '.join(['NAME'] * width)} = IMAGE")
+            for word in key:
+                if word not in names:
+                    raise ValueError(f"{head} of unknown name {word!r}")
+            if (head, *sorted(key)) in seen:
+                raise ValueError(f"second {head} of {' and '.join(key)}")
+            seen.add((head, *sorted(key)))
+            key = key[0] if width == 1 else tuple(key)
+            place = "{1} (line {0})"  # from here on, the image is at fault
+            got[head][key] = parse(key, image.strip(),
+                                   (number, len(text) - len(image.lstrip())), names)
+            lines[head][key] = number
+        except InputError:
+            raise
+        except ValueError as exc:  # a UnicodeDecodeError too
+            raise ValueError(place.format(number, exc)) from None
+    return got, lines
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
 """End-to-end command-line runs, exit codes, JSON schema conformance."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import pytest
+
+from homalgebra import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "schema" / "report.schema.json").read_text())
@@ -495,6 +500,248 @@ def test_hom_lie_lines_without_equals_are_refused(tmp_path, text, shown):
     assert out.returncode == 2
     assert out.stdout == ""
     assert out.stderr == shown + "\n"
+
+
+# the command that reads each kind of descriptor file, at small windows and
+# sample counts
+COMMANDS = {
+    "alg": lambda f: ["check", "algebra", f, "--samples", "5"],
+    "twist": lambda f: ["verify", "twist", "--file", f],
+    "bialg": lambda f: ["verify", "m-coassoc", "--file", f, "--max-arity", "2"],
+    "homlie": lambda f: ["verify", "envelope", f, "--max-arity", "2"],
+}
+
+
+def run_descriptor(kind: str, data: bytes) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of the kind's command, run in process on a
+    file of ``data``."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"descriptor.{kind}"
+        path.write_bytes(data)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(COMMANDS[kind](str(path)))
+    return code, out.getvalue(), err.getvalue()
+
+
+# One table of refusals over the four formats: the exit code and the whole
+# stderr.  The error of a line's form reads "line N: ...", that of its image
+# "... (line N)", and only a file that lacks a line is refused as a whole.
+REFUSALS = [
+    # .alg
+    ("alg", "kind-wrong", "kind lie\nvars t\n", 2,
+     "error: line 1: expected kind poly or matrix\n"),
+    ("alg", "kind-empty", "kind\nvars t\n", 2,
+     "error: line 1: expected kind poly or matrix\n"),
+    ("alg", "kind-missing", "vars t\ntwist t = 2*t\n", 2,
+     "error: descriptor kind must be poly or matrix\n"),
+    ("alg", "kind-twice", "kind poly\nkind matrix\nvars t\n", 2,
+     "error: line 2: second kind line\n"),
+    ("alg", "vars-missing", "kind poly\n", 2,
+     "error: descriptor needs a vars line\n"),
+    ("alg", "vars-twice", "kind poly\nvars t\nvars s\n", 2,
+     "error: line 3: second vars line\n"),
+    ("alg", "vars-repeated", "kind poly\nvars t t\n", 2,
+     "error: line 2: name 't' given twice\n"),
+    ("alg", "vars-bad-name", "kind poly\nvars t@1\n", 2,
+     "error: line 2: name 't@1' must match [A-Za-z_][A-Za-z0-9_]*'*\n"),
+    ("alg", "twist-before-vars", "kind poly\ntwist t = 2*t\nvars t\n", 2,
+     "error: line 2: vars must come before twist\n"),
+    ("alg", "twist-unknown", "kind poly\nvars t\ntwist s = 2*s\n", 2,
+     "error: line 3: twist of unknown name 's'\n"),
+    ("alg", "twist-no-key", "kind poly\nvars t\ntwist = 2*t\n", 2,
+     "error: line 3: expected twist NAME = IMAGE\n"),
+    ("alg", "twist-twice", "kind poly\nvars t\ntwist t = 2*t\ntwist t = t\n", 2,
+     "error: line 4: second twist of t\n"),
+    ("alg", "twist-no-equals", "kind poly\nvars t\ntwist t 2*t\n", 2,
+     "error: line 3: expected twist NAME = IMAGE\n"),
+    ("alg", "twist-unknown-variable", "kind poly\nvars t\ntwist t = u\n", 2,
+     "error: unknown variable 'u' (line 3)\n"),
+    ("alg", "twist-bad-syntax", "kind poly\nvars t\ntwist t = 2*\n", 2,
+     "error: bad polynomial syntax near '' (line 3)\n"),
+    ("alg", "twist-zero-denominator", "kind poly\nvars t\ntwist t = 1/0*t\n", 2,
+     "error: number 1/0: zero denominator (line 3)\n"),
+    ("alg", "twist-budget", "kind poly\nvars t\n\ntwist t = 1 + t^20\n", 2,
+     "error: twist t = 1 + t^20: its composites in the checks are out of bounds: polynomial "
+     "above the size bound 1000 (degree, terms or coefficient bits) (line 4)\n"),
+    ("alg", "twist-budget-matrix", "kind matrix\nvars s t\ntwist s = s\ntwist t = t^3\n", 2,
+     "error: twist t = t^3: its composites in the checks are out of bounds: polynomial above "
+     "the size bound 31 (degree, terms or coefficient bits) (line 4)\n"),
+    ("alg", "unknown-directive", "kind poly\nvars t\nfoo t\n", 2,
+     "error: line 3: unknown directive 'foo'\n"),
+    ("alg", "undecodable", b'kind poly\nvars t\xff\n', 2,
+     "error: line 2: 'utf-8' codec can't decode byte 0xff in position 6: invalid start byte\n"),
+    # .twist
+    ("twist", "kind-wrong", "kind bialgebra\nlambda 3\n", 2,
+     "error: line 1: expected kind twist\n"),
+    ("twist", "kind-twice", "kind twist\nkind twist\n", 2,
+     "error: line 2: second kind line\n"),
+    ("twist", "lambda-twice", "kind twist\nlambda 3\nlambda 2\n", 2,
+     "error: line 3: second lambda line\n"),
+    ("twist", "lambda-then-phi", "kind twist\nlambda 3\nphi_H b = 3*b\n", 2,
+     "error: line 3: lambda and phi lines exclude each other\n"),
+    ("twist", "phi-then-lambda", "kind twist\nphi_A y = 3*y\nlambda 3\n", 2,
+     "error: line 3: lambda and phi lines exclude each other\n"),
+    ("twist", "lambda-bad", "kind twist\nlambda abc\n", 2,
+     "error: line 2: lambda: Invalid literal for Fraction: 'abc'\n"),
+    ("twist", "lambda-empty", "kind twist\nlambda\n", 2,
+     "error: line 2: lambda: Invalid literal for Fraction: ''\n"),
+    ("twist", "lambda-zero-denominator", "kind twist\nlambda 1/0\n", 2,
+     "error: line 2: lambda 1/0: zero denominator\n"),
+    ("twist", "phi-unknown", "kind twist\nphi_H q = 2*q\n", 2,
+     "error: line 2: phi_H of unknown name 'q'\n"),
+    ("twist", "phi-twice", "kind twist\nphi_H a = a\nphi_H a = 2*a\n", 2,
+     "error: line 3: second phi_H of a\n"),
+    ("twist", "phi-no-equals", "kind twist\nphi_A x 2*x\n", 2,
+     "error: line 2: expected phi_A NAME = IMAGE\n"),
+    ("twist", "phi-unknown-variable", "kind twist\nphi_A x = 2*a\n", 2,
+     "error: unknown variable 'a' (line 2)\n"),
+    ("twist", "phi-bad-syntax", "kind twist\nphi_H a = (a\n", 2,
+     "error: missing ')' (line 2)\n"),
+    ("twist", "unknown-directive", "kind twist\nmu 3\n", 2,
+     "error: line 2: unknown directive 'mu'\n"),
+    ("twist", "undecodable", b'kind twist\nlambda 3 # \xe9\n', 2,
+     "error: line 2: 'utf-8' codec can't decode byte 0xe9 in position 11: unexpected end of "
+     "data\n"),
+    # .bialg
+    ("bialg", "kind-wrong", "kind bialgebra\ngens a\ndelta a = (a' * a'')\n", 2,
+     "error: line 1: expected kind free-bialgebra\n"),
+    ("bialg", "kind-twice", "kind free-bialgebra\nkind free-bialgebra\ngens a\n", 2,
+     "error: line 2: second kind line\n"),
+    ("bialg", "empty", "", 2,
+     "error: descriptor needs gens and a delta image per generator\n"),
+    ("bialg", "gens-twice", "kind free-bialgebra\ngens a\ngens a\n", 2,
+     "error: line 3: second gens line\n"),
+    ("bialg", "gens-repeated", "kind free-bialgebra\ngens a a\n", 2,
+     "error: line 2: name 'a' given twice\n"),
+    ("bialg", "gens-bad-name", "kind free-bialgebra\ngens a@1\n", 2,
+     "error: line 2: name 'a@1' must match [A-Za-z_][A-Za-z0-9_]*'*\n"),
+    ("bialg", "gens-leg-collision", "kind free-bialgebra\ngens a a'\n", 2,
+     'error: line 2: leg "a\'\'" of "a\'" is also a leg of \'a\'\n'),
+    ("bialg", "gens-leg-collision-third", "kind free-bialgebra\ngens b a a''\n", 2,
+     'error: line 2: leg "a\'\'\'" of "a\'\'" is also a leg of \'a\'\n'),
+    ("bialg", "delta-before-gens", "kind free-bialgebra\ndelta a = (a' * a'')\ngens a\n", 2,
+     "error: line 2: gens must come before delta\n"),
+    ("bialg", "delta-missing", "kind free-bialgebra\ngens a b\ndelta a = (a' * a'')\n", 2,
+     "error: descriptor needs gens and a delta image per generator\n"),
+    ("bialg", "delta-unknown", "kind free-bialgebra\ngens a\ndelta c = (a' * a'')\n", 2,
+     "error: line 3: delta of unknown name 'c'\n"),
+    ("bialg", "delta-twice",
+     "kind free-bialgebra\ngens a\ndelta a = (a' * a'')\ndelta a = a'\n", 2,
+     "error: line 4: second delta of a\n"),
+    ("bialg", "delta-no-equals", "kind free-bialgebra\ngens a\ndelta a (a' * a'')\n", 2,
+     "error: line 3: expected delta NAME = IMAGE\n"),
+    ("bialg", "delta-not-a-leg", "kind free-bialgebra\ngens a\ndelta a = (a' * zz'')\n", 2,
+     'error: delta a names "zz\'\'", not a leg g\' or g\'\' of a generator g (line 3)\n'),
+    ("bialg", "delta-bare-generator", "kind free-bialgebra\ngens a\ndelta a = a\n", 2,
+     "error: delta a names 'a', not a leg g' or g'' of a generator g (line 3)\n"),
+    ("bialg", "delta-bad-syntax", "kind free-bialgebra\ngens a\ndelta a = (a' * a''\n", 2,
+     "parse error: expected ), got 'end of input' (line 3, column 20)\n"),
+    ("bialg", "delta-zero-denominator",
+     "kind free-bialgebra\ngens a\ndelta a = 1/0 * (a' * a'')\n", 2,
+     "error: coefficient 1/0: zero denominator (line 3)\n"),
+    ("bialg", "unknown-directive", "kind free-bialgebra\ngens a\ncodelta a = a'\n", 2,
+     "error: line 3: unknown directive 'codelta'\n"),
+    ("bialg", "undecodable", b"kind free-bialgebra\ngens a\ndelta a = (a' * a'')\xc3\n", 2,
+     "error: line 3: 'utf-8' codec can't decode byte 0xc3 in position 20: unexpected end of "
+     "data\n"),
+    # .homlie
+    ("homlie", "names-missing", "dim 2\n", 2,
+     "error: missing 'names' line\n"),
+    ("homlie", "names-twice", "names e1 e2\nnames e1\n", 2,
+     "error: line 2: second names line\n"),
+    ("homlie", "names-repeated", "names e1 e1\n", 2,
+     "error: line 1: name 'e1' given twice\n"),
+    ("homlie", "names-leg-collision", "names e e'\n", 2,
+     'error: line 1: leg "e\'\'" of "e\'" is also a leg of \'e\'\n'),
+    ("homlie", "dim-twice", "dim 2\ndim 2\nnames e1 e2\n", 2,
+     "error: line 2: second dim line\n"),
+    ("homlie", "dim-not-digits", "dim x\nnames e1\n", 2,
+     "error: line 1: dim must be written in the digits 0-9\n"),
+    ("homlie", "dim-above-names", "dim 3\nnames e1 e2\n", 2,
+     "error: line 1: dim 3 does not match the 2 names of line 2\n"),
+    ("homlie", "dim-after-names", "names e1 e2\ndim 3\n", 2,
+     "error: line 2: dim 3 does not match the 2 names of line 1\n"),
+    ("homlie", "alpha-before-names", "alpha e1 = e1\nnames e1 e2\n", 2,
+     "error: line 1: names must come before alpha\n"),
+    ("homlie", "bracket-before-names", "bracket e1 e2 = e2\nnames e1 e2\n", 2,
+     "error: line 1: names must come before bracket\n"),
+    ("homlie", "bracket-twice", "names e1 e2\nbracket e1 e2 = e2\nbracket e1 e2 = e1\n", 2,
+     "error: line 3: second bracket of e1 and e2\n"),
+    ("homlie", "bracket-reversed", "names e1 e2\nbracket e1 e2 = e2\nbracket e2 e1 = e1\n", 2,
+     "error: line 3: second bracket of e2 and e1\n"),
+    ("homlie", "bracket-unknown", "names e1 e2\nbracket e1 e3 = e2\n", 2,
+     "error: line 2: bracket of unknown name 'e3'\n"),
+    ("homlie", "bracket-one-name", "names e1 e2\nbracket e1 = e2\n", 2,
+     "error: line 2: expected bracket NAME NAME = IMAGE\n"),
+    ("homlie", "bracket-three-names", "names e1 e2\nbracket e1 e2 e1 = e2\n", 2,
+     "error: line 2: expected bracket NAME NAME = IMAGE\n"),
+    ("homlie", "bracket-no-equals", "names e1 e2\nbracket e1 e2\n", 2,
+     "error: line 2: expected bracket NAME NAME = IMAGE\n"),
+    ("homlie", "bracket-self", "names e1 e2\nbracket e1 e1 = e2\n", 2,
+     "error: bracket of e1 with itself must vanish (line 2)\n"),
+    ("homlie", "alpha-unknown", "names e1 e2\nalpha e3 = e1\n", 2,
+     "error: line 2: alpha of unknown name 'e3'\n"),
+    ("homlie", "alpha-twice", "names e1 e2\nalpha e1 = e1\nalpha e1 = e2\n", 2,
+     "error: line 3: second alpha of e1\n"),
+    ("homlie", "alpha-no-equals", "names e1 e2\nalpha e1\n", 2,
+     "error: line 2: expected alpha NAME = IMAGE\n"),
+    ("homlie", "alpha-unknown-variable", "names e1 e2\nalpha e1 = x\n", 2,
+     "error: unknown variable 'x' (line 2)\n"),
+    ("homlie", "alpha-constant", "names e1 e2\nalpha e1 = 1 + e1\n", 2,
+     "error: constant term not allowed in '1 + e1' (line 2)\n"),
+    ("homlie", "alpha-not-linear", "names e1 e2\nalpha e1 = e1*e2\n", 2,
+     "error: expression must be linear in basis names: 'e1*e2' (line 2)\n"),
+    ("homlie", "alpha-bad-syntax", "names e1 e2\nalpha e1 = (e1\n", 2,
+     "error: missing ')' (line 2)\n"),
+    ("homlie", "unknown-directive", "names e1 e2\ntwist e1 = e1\n", 2,
+     "error: line 2: unknown directive 'twist'\n"),
+    ("homlie", "undecodable", b'names e1 e2\n\nalpha e1 = \x80e1\n', 2,
+     "error: line 3: 'utf-8' codec can't decode byte 0x80 in position 11: invalid start byte\n"),
+]
+
+
+@pytest.mark.parametrize("kind,name,data,code,stderr", REFUSALS,
+                         ids=[f"{kind}-{name}" for kind, name, *_ in REFUSALS])
+def test_refusal_table(kind, name, data, code, stderr):
+    data = data if isinstance(data, bytes) else data.encode()
+    assert run_descriptor(kind, data) == (code, "", stderr)
+
+
+# a line ends at \n, \r\n or \r in every format: a form feed, a vertical tab,
+# 0x1c-0x1e, NEL and the Unicode line separators are spaces inside a line
+@pytest.mark.parametrize("kind,text,stderr", [
+    ("alg", "kind poly\f\r\nvars t\x1c\rtwist t = u\n",
+     "error: unknown variable 'u' (line 3)\n"),
+    ("twist", "kind twist\x85\r\n\u2028\nphi_A x = 2*a\r",
+     "error: unknown variable 'a' (line 3)\n"),
+    ("bialg", "kind free-bialgebra\ngens a\f\ndelta a = (a' * zz'')\n",
+     "error: delta a names \"zz''\", not a leg g' or g'' of a generator g (line 3)\n"),
+    ("homlie", "names e1 e2\f\nalpha e1 = x\u2029\v\n",
+     "error: unknown variable 'x' (line 2)\n"),
+], ids=["alg", "twist", "bialg", "homlie"])
+def test_lines_end_at_newlines_only(kind, text, stderr):
+    assert run_descriptor(kind, text.encode()) == (2, "", stderr)
+
+
+# a descriptor is UTF-8 whatever the locale: under the C locale with UTF-8
+# mode off a command reads a file with a non-ASCII comment as it does here
+@pytest.mark.parametrize("kind", ["alg", "twist", "bialg", "homlie"])
+def test_descriptors_are_read_as_utf8_under_any_locale(tmp_path, kind):
+    text = {"alg": "kind poly  # a twisted carrier \u2014 t scales\nvars t\ntwist t = 2*t\n",
+            "twist": GOLDEN_FILES["lambda.twist"], "bialg": MATRIX_BIALGEBRA,
+            "homlie": GOLDEN_FILES["heis.homlie"]}[kind]
+    data = ("# \u00e9t\u00e9 \u2014 a comment\n" + text).encode()
+    f = tmp_path / f"descriptor.{kind}"
+    f.write_bytes(data)
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONUTF8="0", LC_ALL="C", PYTHONCOERCECLOCALE="0")
+    out = subprocess.run([sys.executable, "-m", "homalgebra.cli", *COMMANDS[kind](str(f))],
+                         capture_output=True, text=True, cwd=ROOT, env=env)
+    assert (out.returncode, out.stdout, out.stderr) == run_descriptor(kind, data)
+    # a twisted carrier's unit is only weak: unitality fails, the rest holds
+    if kind == "alg":
+        assert (out.returncode, out.stderr) == (1, "first failing law: unitality\n")
 
 
 def test_output_closed_early_exits_without_traceback():

@@ -1,29 +1,18 @@
 """A fuzz gate for the descriptor files: files built from each kind's
 directives, and byte mutations of the shipped examples, run through
 ``cli.main`` in process.  Every run exits 0, 1 or 2 and raises nothing, and an
-exit of 2 prints one message line."""
+exit of 2 prints one message line.  An input error names a line of the file,
+unless it refuses the whole file for a line it lacks."""
 
-import contextlib
-import io
 import re
-import tempfile
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from homalgebra import cli
-from test_cli import GOLDEN_FILES
+from test_cli import COMMANDS, GOLDEN_FILES, run_descriptor
 
 ROOT = Path(__file__).resolve().parent.parent
-
-# the command that reads each kind of file, at small windows and sample counts
-COMMANDS = {
-    "alg": lambda f: ["check", "algebra", f, "--samples", "5"],
-    "twist": lambda f: ["verify", "twist", "--file", f],
-    "bialg": lambda f: ["verify", "m-coassoc", "--file", f, "--max-arity", "2"],
-    "homlie": lambda f: ["verify", "envelope", f, "--max-arity", "2"],
-}
 
 
 def readme_examples() -> list[tuple[str, str]]:
@@ -39,23 +28,22 @@ SEEDS = [(name.rsplit(".", 1)[1], text) for name, text in GOLDEN_FILES.items()] 
 ] + readme_examples()
 
 
-def run(kind: str, data: bytes) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of the kind's command on a file of ``data``."""
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / f"fuzz.{kind}"
-        path.write_bytes(data)
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(COMMANDS[kind](str(path)))
-    return code, out.getvalue(), err.getvalue()
+# the refusals of a file that lacks a line, which have no line to name
+WHOLE_FILE = {f"error: {message}\n" for message in (
+    "descriptor kind must be poly or matrix", "descriptor needs a vars line",
+    "descriptor needs gens and a delta image per generator", "missing 'names' line")}
 
 
 def assert_clean_exit(kind: str, data: bytes):
-    code, out, err = run(kind, data)
+    code, out, err = run_descriptor(kind, data)
     assert code in (0, 1, 2), (code, err)
     assert "Traceback" not in err
     if code == 2:
         assert not out and err.endswith("\n") and err.count("\n") == 1, err
+    # a precondition failure is about the object the file describes, not a line
+    if code == 2 and err.startswith(("error:", "parse error:")) and err not in WHOLE_FILE:
+        named = [int(n) for n in re.findall(r"\bline (\d+)", err)]
+        assert any(1 <= n <= len(data.splitlines()) for n in named), err
 
 
 # -- files built from the directives -----------------------------------------

@@ -106,6 +106,15 @@ def test_a_verify_command_skips_the_modules_its_carriers_do_not_use(argv, absent
     assert not modules & absent
 
 
+def test_a_free_bialgebra_file_is_read_without_poly(tmp_path):
+    # descriptor files are read in ``terms``, and a delta image is a term; at
+    # arity 2 the window is too small to prove coassociativity: exit code 1
+    f = tmp_path / "free.bialg"
+    f.write_text("kind free-bialgebra\ngens a\ndelta a = (a' * a'')\n")
+    modules, _ = executed_by(["verify", "m-coassoc", "--file", str(f), "--max-arity", "2"], 1)
+    assert "poly" not in modules and {"terms", "grammar", "bialgebras"} <= modules
+
+
 def test_exported_names_are_the_eager_packages_and_the_version():
     code = ("import json, homalgebra\nns = {}\nexec('from homalgebra import *', ns)\n"
             "print(json.dumps([sorted(set(ns) - {'__builtins__'}), dir(homalgebra)]))")

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from homalgebra import poly
 from homalgebra.algebras import q_poly_algebra
-from homalgebra.poly import (Poly, PolyEndo, _mono_mul, monomials_up_to, parse_poly,
-                             random_poly, read_directives)
+from homalgebra.poly import Poly, PolyEndo, _mono_mul, monomials_up_to, parse_poly, random_poly
 from homalgebra.terms import MAX_POLY_SIZE, as_coeff, parse_natural, parse_rational
 
 t = Poly.var("t")
@@ -134,14 +133,6 @@ def test_parse_poly_size_bound_admits_moderate_input():
     for text in ("2*t", "1/2*c", "a*x + b*y", "1/3*c*x + 1/3*d*y", "3/2*x^2*y + t - 1",
                  "a'*a'' + b'*c''", "e1 + e2"):
         parse_poly(text)
-
-
-def test_read_directives_skips_comments_and_blank_lines():
-    lines = ["# header", "", "kind twist  # trailing", "   ", "lambda   3/2  "]
-    assert list(read_directives(lines, ("kind", "lambda"))) == [
-        (3, "kind", "twist"), (5, "lambda", "3/2")]
-    with pytest.raises(ValueError, match="line 2: unknown directive 'gens'"):
-        list(read_directives(["kind twist", "gens a b"], ("kind",)))
 
 
 def fraction_reading(text: str):

@@ -2,6 +2,7 @@
 
 import copy
 import random
+import re
 from collections import namedtuple
 from fractions import Fraction
 
@@ -12,8 +13,9 @@ from homalgebra.congruence import Bound, EqualityResult, SaturationConfig, Verdi
 from homalgebra.grammar import format_term, parse_lincomb
 from homalgebra.morphisms import MorphismAssignment
 from homalgebra.reports import LawItem, LawReport
-from homalgebra.terms import (Leaf, LinComb, Node, grading, make_leaf,
-                              random_lincomb, rename, weight)
+from homalgebra.grammar import TermSyntaxError
+from homalgebra.terms import (Leaf, LinComb, Node, grading, make_leaf, random_lincomb,
+                              read_descriptor, rename, weight)
 
 
 def test_make_leaf_basics():
@@ -415,3 +417,71 @@ def test_mutable_records_keep_their_keyword_names():
     assert report == CheckReport("renamed", 2, ["1 * x = 0"], 5)
     with pytest.raises(TypeError):
         hash(report)
+
+
+# -- the descriptor-file reader ----------------------------------------------
+
+ONCE = {"kind": str, "lambda": str}
+
+
+def test_read_descriptor_skips_comments_and_blank_lines():
+    text = "# header\n\nkind twist  # trailing\n   \nlambda   3/2  "
+    assert read_descriptor(text, ONCE) == ({"kind": "twist", "lambda": "3/2"},
+                                           {"kind": 3, "lambda": 5})
+    with pytest.raises(ValueError, match="^line 2: unknown directive 'gens'$"):
+        read_descriptor("kind twist\ngens a b", ONCE)
+    with pytest.raises(ValueError, match="^line 3: second kind line$"):
+        read_descriptor("kind twist\n\nkind twist", ONCE)
+
+
+# a line ends at \n, \r\n or \r, and nowhere else: a form feed, a vertical
+# tab, the separators 0x1c-0x1e, NEL and the Unicode separators are spaces
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("space", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                                   "\u2029"])
+def test_read_descriptor_lines_end_at_newlines_only(end, space):
+    text = end.join(["kind x" + space, "", space + "lambda 2"]) + end
+    assert read_descriptor(text, ONCE)[1] == {"kind": 1, "lambda": 3}
+    assert read_descriptor(text.encode(), ONCE)[1] == {"kind": 1, "lambda": 3}
+
+
+def pair_value(key, image, at, names):
+    """An image parser: the image and its place, after refusing an ``x``."""
+    if image == "x":
+        raise ValueError("no x")
+    if image == "(":
+        raise TermSyntaxError("unbalanced", at[0], at[1] + 1)
+    return image, at
+
+
+KEYED = {"names": str.split,
+         "pair": (2, "names", pair_value), "one": (1, ("a", "b"), pair_value)}
+
+
+def test_read_descriptor_reads_keyed_lines_in_place():
+    got, lines = read_descriptor("names a b\npair b a =  1 # c\none  a = 2\n", KEYED)
+    assert got == {"names": ["a", "b"], "pair": {("b", "a"): ("1", (2, 12))},
+                   "one": {"a": ("2", (3, 9))}}
+    assert lines == {"names": 1, "pair": {("b", "a"): 2}, "one": {"a": 3}}
+
+
+@pytest.mark.parametrize("text,message", [
+    ("pair a b = 1", "line 1: names must come before pair"),
+    ("names a b\npair a = 1", "line 2: expected pair NAME NAME = IMAGE"),
+    ("names a b\npair a b 1", "line 2: expected pair NAME NAME = IMAGE"),
+    ("names a b\none a b = 1", "line 2: expected one NAME = IMAGE"),
+    ("names a b\npair a c = 1", "line 2: pair of unknown name 'c'"),
+    ("one c = 1", "line 1: one of unknown name 'c'"),
+    ("names a b\npair a b = 1\npair b a = 2", "line 3: second pair of b and a"),
+    ("one a = 1\n\none a = 2", "line 3: second one of a"),
+    ("names a b\npair a a = x", "no x (line 2)"),
+    (b"names a b\none a = \xff", "line 2: 'utf-8' codec can't decode byte 0xff in position 8"),
+])
+def test_read_descriptor_refusals_name_their_line(text, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        read_descriptor(text, KEYED)
+
+
+def test_read_descriptor_leaves_an_input_error_its_own_place():
+    with pytest.raises(TermSyntaxError, match=r"^unbalanced \(line 2, column 9\)$"):
+        read_descriptor("\none a = (", KEYED)
