@@ -606,11 +606,12 @@ def _close_classes(cols: _Columns) -> list[int]:
     1) = (u - alpha(u)) v``, ``assoc(1, v, w) = v (alpha(w) - w)``,
     ``assoc(u, 1, w)`` goes through ``u w``, ``assoc(1, 1, w)`` is a collapse
     and ``assoc(1, v, 1) = 0``), and with them the classes are the words
-    (``_word_roots``); at ``max_exp = 0`` no collapse fits, and the links here
-    are the whole relation set.  No twist step is needed: the twist of an
-    associator or product link is one, but a chain may pass through terms
-    whose twists escape, so that is measured: no root differs from the
-    twist-closed classes on 180 windows of up to 150,000 columns.
+    (``_word_roots``); at ``max_exp = 0`` no twist fits, so there are no
+    links at all (``saturate`` writes such windows down).  No twist step is
+    needed: the twist of an associator or product link is one, but a chain
+    may pass through terms whose twists escape, so that is measured: no root
+    differs from the twist-closed classes on 180 windows of up to 150,000
+    columns.
 
     Built bottom-up as defined (congruence closure; Downey, Sethi & Tarjan,
     JACM 1980), by union-find with the larger root linked under the smaller:
@@ -673,12 +674,17 @@ def saturate(gens: Iterable[str], bound: Bound,
 
     Without ``twist`` this is the free window: the twist is the normal form's
     (leaf exponent shift), every relation is a binomial, and the rows are
-    kept as column classes.  With ``twist``, each generator's image, a
-    combination of generators, extended multiplicatively (an enveloping
-    algebra's structure-constant matrix), it is the envelope window: it must
-    carry no exponents, ``relations`` (the bracket relations) seed the
-    saturation and must fit the window, and the rows are kept as echelon
-    rows.  The output is a pure function of the inputs.
+    kept as column classes.  Those are written down, not closed, where the
+    module docstring finds them: the words in a unital window with exponents
+    (``_word_roots``), and without exponents, in either configuration, the
+    columns alone, since every twist escapes such a window and so no
+    associator or collapse fits in it (``_close_classes`` finds no link).
+    With ``twist``, each generator's image, a combination of generators,
+    extended multiplicatively (an enveloping algebra's structure-constant
+    matrix), it is the envelope window: it must carry no exponents,
+    ``relations`` (the bracket relations) seed the saturation and must fit
+    the window, and the rows are kept as echelon rows.  The output is a pure
+    function of the inputs.
 
     As no row is twisted, ``relations`` must span a twist-invariant space, as
     the bracket relations of a multiplicative Hom-Lie algebra do (see
@@ -689,9 +695,13 @@ def saturate(gens: Iterable[str], bound: Bound,
         raise ValueError("relations need a client twist")
     cols = _Columns(gens, bound, DEFAULT_TERM_CAP)
     if twist is None:
-        words = config.unit_instances and bound.max_exp
-        store = _ColumnClasses(_word_roots(cols) if words else _close_classes(cols))
-        return RelationBasis(cols, config, store)
+        if not bound.max_exp:  # every column is its own class
+            root = list(range(cols.starts[-1]))
+        elif config.unit_instances:
+            root = _word_roots(cols)
+        else:
+            root = _close_classes(cols)
+        return RelationBasis(cols, config, _ColumnClasses(root))
     if bound.max_exp:
         raise ValueError(f"a client twist needs a window without exponents, got {bound}")
     leaf_twist = [_vectorize(cols, twist[g], "twist term") for g in cols.gens]

@@ -10,7 +10,9 @@ so the parser reads it straight into the leaf exponents: every leaf of t gets
 k more.  Names match ``terms.NAME``: letters/digits/underscores with any
 number of trailing apostrophes (the tensor-leg tags).  Formatting is canonical:
 unit component first, then terms ascending in the term order, ``@0`` omitted.
-Parsed leaves are shared: two texts that spell a leaf alike get one object.
+A text is read as one list of plain-string tokens, from one ``findall``; only
+an error scans it again, for its place.  Parsed leaves are shared: two texts
+that spell a leaf alike get one object.
 """
 
 from __future__ import annotations
@@ -36,24 +38,39 @@ class TermSyntaxError(InputError, ValueError):
         self.col = col
 
 
-# A token is one match with its text in one of five groups: a leaf's name, "@"
-# and exponent (the last two maybe empty), a rational, or any other character,
-# a symbol.  Names and rationals start differently.  An exponent is read as a
-# rational, so that ``x@-1`` fails at ``-1``.
+# A token is one match, a plain string: a leaf, its name maybe followed by
+# "@" and an exponent (spaces around "@" and the exponent maybe missing), a
+# rational, or any other character, a symbol.  Its first character gives its
+# kind: a name start is a leaf, an ASCII digit or a "-" with more after it a
+# rational, anything else a symbol.  An exponent is read as a rational, so
+# that ``x@-1`` fails at ``-1``.  The end of input is a space, which no token
+# equals.
 _RATIONAL = r"-?[0-9]+(?:/[0-9]+)?"
-_LEAF = rf"({NAME.pattern})(?:\s*(@)\s*({_RATIONAL})?)?"
-_TOKEN = re.compile(rf"\s*(?:{_LEAF}|({_RATIONAL})|(\S))")
+_LEAF = rf"{NAME.pattern}(?:\s*@\s*(?:{_RATIONAL})?)?"
+_TOKEN = re.compile(rf"{_LEAF}|{_RATIONAL}|\S")
 _TOKENIZABLE = re.compile(rf"(?:\s|{_LEAF}|{_RATIONAL}|[()*+@])*")  # the symbols are ()*+@
-_END = ("",) * 5
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz")
+_RATIONAL_START = frozenset("-0123456789")
+_END = " "
 
 # leaves and coefficients by their spelling, up to these many
 _coeff = lru_cache(maxsize=256)(partial(parse_rational, name="coefficient"))
 
 
 @lru_cache(maxsize=4096)
-def _leaf(name: str, exp: str, shift: int) -> Leaf:
-    """``name@exp`` (``exp`` digits or empty) under twists of weight ``shift``."""
-    return Leaf(name, (parse_natural(exp, "exponent") if exp else 0) + shift)
+def _leaf(token: str, shift: int) -> Leaf:
+    """The leaf token ``token`` under twists of weight ``shift``; another
+    kind of token is no term."""
+    if token[0] not in _NAME_START:
+        raise ValueError("expected a term")
+    name, at, exp = token.partition("@")
+    if not at:
+        return Leaf(token, shift)
+    exp = exp.lstrip()
+    if not exp.isdigit():
+        raise ValueError("expected a nonnegative exponent after '@'"
+                         + (f", got {exp!r}" if exp else ""))
+    return Leaf(name.rstrip(), parse_natural(exp, "exponent") + shift)
 
 
 def _line_col(text: str, pos: int) -> tuple[int, int]:
@@ -61,19 +78,24 @@ def _line_col(text: str, pos: int) -> tuple[int, int]:
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
-def _error(text: str, message: str, index: int, group: int = 0) -> TermSyntaxError:
-    """The error at token ``index``, or at its ``group``: only errors need offsets."""
+def _error(text: str, message: str, index: int, offset: int = 0) -> TermSyntaxError:
+    """The error at token ``index``, ``offset`` characters into it: only
+    errors need offsets."""
     m = next(islice(_TOKEN.finditer(text), index, None), None)
-    if m is None:
-        pos = len(text)
-    else:  # a token's text starts after its spaces
-        pos = m.start(group) if group else m.end() - len(m.group().lstrip())
+    pos = len(text) if m is None else m.start() + offset
     return TermSyntaxError(message, *_line_col(text, pos))
 
 
 def _fail(text: str, tokens: list, index: int, message: str) -> TermSyntaxError:
-    shown = tokens[index][0] or tokens[index][3] or tokens[index][4] or "end of input"
+    token = tokens[index]
+    # a leaf shows its name alone
+    shown = "end of input" if token is _END else token.partition("@")[0].rstrip() or token
     return _error(text, f"{message}, got {shown!r}", index)
+
+
+def _is_rational(token: str) -> bool:
+    """Whether ``token`` is a rational, by its first character."""
+    return token[0] in _RATIONAL_START and token != "-"
 
 
 def _term(text: str, tokens: list, i: int) -> tuple[Term, int]:
@@ -87,16 +109,15 @@ def _term(text: str, tokens: list, i: int) -> tuple[Term, int]:
     stack: list = []
     shift = 0
     while True:
-        name, at, exp, _, symbol = tokens[i]
-        if symbol == "(":
+        token = tokens[i]
+        if token == "(":
             if len(stack) == MAX_TERM_DEPTH:
                 raise _error(text, f"term nested deeper than {MAX_TERM_DEPTH} parentheses", i)
-            after = tokens[i + 1]
-            rational = after[0] == "A" and not after[1] and tokens[i + 2][3]
-            if not rational:
+            if tokens[i + 1] != "A" or not _is_rational(tokens[i + 2]):
                 stack.append(None)
                 i += 1
                 continue
+            rational = tokens[i + 2]
             try:
                 weight = parse_natural(rational, "twist weight") if rational.isdigit() else 0
             except ValueError as exc:
@@ -107,23 +128,21 @@ def _term(text: str, tokens: list, i: int) -> tuple[Term, int]:
             shift += weight
             i += 3
             continue
-        if not name:
-            raise _fail(text, tokens, i, "expected a term")
-        if at and not exp.isdigit():
-            message = "expected a nonnegative exponent after '@'"
-            if not exp:
-                raise _fail(text, tokens, i + 1, message)
-            raise _error(text, f"{message}, got {exp!r}", i, 3)
         try:
-            t = _leaf(name, exp, shift)
-        except ValueError as exc:
-            raise _error(text, str(exc), i, 3) from None
+            t = _leaf(token, shift)
+        except ValueError as exc:  # no leaf, or its exponent missing, not a natural or too long
+            if token[0] not in _NAME_START:
+                raise _fail(text, tokens, i, str(exc)) from None
+            exp = token.partition("@")[2].lstrip()
+            if not exp:
+                raise _fail(text, tokens, i + 1, str(exc)) from None
+            raise _error(text, str(exc), i, len(token) - len(exp)) from None
         i += 1
         # close what the term ends: a twist, or a product after its right factor
         while stack:
             outer = stack.pop()
             want = "*" if outer is None else ")"
-            if tokens[i][4] != want:
+            if tokens[i] != want:
                 raise _fail(text, tokens, i, f"expected {want}")
             i += 1
             if outer is None:
@@ -145,9 +164,9 @@ def parse_lincomb(text: str) -> LinComb:
     unit, terms, i = 0, {}, 0
     try:
         while True:
-            rational = tokens[i][3]
-            coeff = _coeff(rational) if rational else 1
-            if rational and tokens[i + 1][4] != "*":  # a bare rational, the unit's part
+            rational = _is_rational(tokens[i])
+            coeff = _coeff(tokens[i]) if rational else 1
+            if rational and tokens[i + 1] != "*":  # a bare rational, the unit's part
                 unit, term, i = unit + coeff, None, i + 1
             else:
                 term, i = _term(text, tokens, i + 2 if rational else i)
@@ -157,7 +176,7 @@ def parse_lincomb(text: str) -> LinComb:
                     terms[term] = total
                 else:
                     del terms[term]
-            if tokens[i][4] != "+":
+            if tokens[i] != "+":
                 break
             i += 1
         if tokens[i] is not _END:

@@ -147,8 +147,9 @@ def read_descriptor(data: bytes | str, form: dict) -> tuple[dict, dict]:
     the locale, or its text) gives for each head of ``form``, and the numbers
     of the lines that give it.
 
-    A line ends at ``\\n``, ``\\r\\n`` or ``\\r``, ``#`` starts a comment, and a
-    line's first word is its head.  ``form`` maps a head given once to
+    One leading byte order mark is dropped.  A line ends at ``\\n``,
+    ``\\r\\n`` or ``\\r``, ``#`` starts a comment, and a line's first word
+    is its head.  ``form`` maps a head given once to
     ``read(rest)``, its value from the rest of its line, and the head of
     lines ``HEAD KEY = IMAGE`` to ``(width, names, parse)``: a key is
     ``width`` words from ``names`` (a tuple, or the head of a line above that
@@ -164,7 +165,7 @@ def read_descriptor(data: bytes | str, form: dict) -> tuple[dict, dict]:
     seen = set()
     if isinstance(data, str):
         data = data.encode("utf-8", "surrogatepass")
-    for number, raw in enumerate(data.splitlines(), 1):
+    for number, raw in enumerate(data.removeprefix(b"\xef\xbb\xbf").splitlines(), 1):
         place = "line {}: {}"
         try:
             text = raw.decode().split("#", 1)[0]

@@ -724,6 +724,25 @@ def test_lines_end_at_newlines_only(kind, text, stderr):
     assert run_descriptor(kind, text.encode()) == (2, "", stderr)
 
 
+# a descriptor saved with a UTF-8 byte order mark reads as the file without
+# it, in every format: a good file and one refused at a later line
+@pytest.mark.parametrize("kind,text", [
+    ("alg", "kind poly\nvars t\ntwist t = 2*t\n"),
+    ("alg", "kind poly\nvars t\ntwist t = u\n"),
+    ("twist", "kind twist\nlambda 5/2\n"),
+    ("twist", "kind twist\nphi_A x = 2*a\n"),
+    ("bialg", "kind free-bialgebra\ngens a\ndelta a = (a' * a'')\n"),
+    ("bialg", "kind free-bialgebra\ngens a\ndelta a = (a' * zz'')\n"),
+    ("homlie", "names x y z\nbracket x y = z\nalpha x = x + y\n"),
+    ("homlie", "names e1 e2\nalpha e1 = x\n"),
+], ids=["alg", "alg-refused", "twist", "twist-refused", "bialg", "bialg-refused",
+        "homlie", "homlie-refused"])
+def test_a_byte_order_mark_is_dropped(kind, text):
+    plain = run_descriptor(kind, text.encode())
+    assert run_descriptor(kind, b"\xef\xbb\xbf" + text.encode()) == plain
+    assert "line 1" not in plain[2]
+
+
 # a descriptor is UTF-8 whatever the locale: under the C locale with UTF-8
 # mode off a command reads a file with a non-ASCII comment as it does here
 @pytest.mark.parametrize("kind", ["alg", "twist", "bialg", "homlie"])

@@ -106,6 +106,25 @@ def test_nesting_depth_guard():
         parse_lincomb("(A 1 " * (MAX_TERM_DEPTH + 1) + "x" + ")" * (MAX_TERM_DEPTH + 1))
 
 
+def test_leaf_cache_is_bounded_and_builds_fresh_leaves():
+    # more distinct leaf spellings than the cache holds, some spaced around
+    # "@" and some under (A k ...): the cache stays within its bound, each
+    # parsed leaf equals the Leaf built afresh, and a spelling parsed again
+    # at once gives the same object
+    from homalgebra.grammar import _leaf
+    maxsize = _leaf.cache_info().maxsize
+    assert maxsize is not None
+    for k in range(maxsize + 1000):
+        name, exp, weight = f"g{k}", k % 3, k % 2 * (k % 5 + 1)
+        text = f"{name} @ {exp}" if k % 4 == 1 else f"{name}@{exp}"
+        if weight:
+            text = f"(A {weight} {text})"
+        [leaf] = parse_lincomb(text).terms
+        assert leaf == Leaf(name, exp + weight)
+        assert next(iter(parse_lincomb(text).terms)) is leaf
+    assert 0 < _leaf.cache_info().currsize <= maxsize
+
+
 # ---------------------------------------------------------------------------
 # differential test: the parser against a reference that tokenizes one match
 # at a time, keeps every token's offset and sums a LinComb per part
@@ -279,7 +298,7 @@ TERMS = st.recursive(LEAVES, lambda kids: st.one_of(
     st.builds("(A {} {})".format, WEIGHTS, kids)), max_leaves=8)
 PARTS = st.one_of(TERMS, COEFFS, st.builds("{} * {}".format, COEFFS, TERMS))
 SPACES = st.sampled_from([" ", " ", "", "\n", "\t", " \n\t "])
-STRAY = st.sampled_from(list("#-/'.,;*()+@ \n\t") + ["\u00e9", "\u0663", "\u00b2", "\x0b"])
+STRAY = st.sampled_from(list("#-/'.,;*()+@ \n\t") + ["\u00e9", "\u0663", "\u00b2", "\x0b", "\0"])
 
 
 @st.composite
@@ -316,6 +335,16 @@ def texts(draw):
 @example("(A x)")
 @example(f"x@{BIG}")
 @example(f"(A {BIG} x)")
+# spaces inside a leaf token, and tokens that end the input early
+@example("x @ 1")
+@example("x @1/2")
+@example("x@ -1")
+@example("(A 1 x @ 2)")
+@example("A @1")
+@example("(A 2")
+@example("(A")
+@example("(")
+@example("x\0y")
 # another script's digits are no number, where the term grammar reads one
 @example("x@\u0663")
 @example("(A \u0663 x)")

@@ -445,6 +445,16 @@ def test_read_descriptor_lines_end_at_newlines_only(end, space):
     assert read_descriptor(text.encode(), ONCE)[1] == {"kind": 1, "lambda": 3}
 
 
+# one leading byte order mark, in bytes or in text, is no part of the first
+# line; a second one is
+def test_read_descriptor_drops_one_byte_order_mark():
+    text = "kind twist\nlambda 2\n"
+    for data in ["\ufeff" + text, b"\xef\xbb\xbf" + text.encode()]:
+        assert read_descriptor(data, ONCE) == read_descriptor(text, ONCE)
+    with pytest.raises(ValueError, match=r"^line 1: unknown directive '\\ufeffkind'$"):
+        read_descriptor("\ufeff\ufeff" + text, ONCE)
+
+
 def pair_value(key, image, at, names):
     """An image parser: the image and its place, after refusing an ``x``."""
     if image == "x":
