@@ -11,6 +11,7 @@ asserted instead of pretending.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -34,26 +35,32 @@ class PreconditionError(InputError, ValueError):
     prefix = "precondition failed"
 
 
+def _identity(x):
+    return x
+
+
 @dataclass(frozen=True)
 class HomAlgebraDescriptor:
     """A carrier with exact operations, a distinguished twist map, and a sampler.
 
-    Carrier elements are hashable, and ``==`` between two of them implies
-    their equality in the carrier (``eq`` may be coarser, never finer):
-    ``morphisms.evaluate`` numbers values through ``hash`` and ``==``.
+    The operations default to Python's operators, the twist map to the
+    identity and ``fmt`` to ``str``.  Carrier elements are hashable, and
+    ``==`` between two of them implies their equality in the carrier (``eq``
+    may be coarser, never finer): ``morphisms.evaluate`` numbers values
+    through ``hash`` and ``==``.
     """
     name: str
     zero: object
-    add: Callable
-    scale: Callable           # (coefficient, elem) -> elem
-    mul: Callable
-    alpha: Callable
-    eq: Callable
+    add: Callable = operator.add
+    scale: Callable = operator.mul    # (coefficient, elem) -> elem
+    mul: Callable = operator.mul
+    alpha: Callable = _identity
+    eq: Callable = operator.eq
     unit: object = None
     unit_flavor: UnitFlavor = UnitFlavor.NON_UNITAL
     sweep: tuple = ()
     rand: Optional[Callable] = None       # rng -> elem
-    fmt: Callable = repr
+    fmt: Callable = str
 
     def sub(self, x, y):
         return self.add(x, self.scale(-1, y))
@@ -134,16 +141,11 @@ def free_algebra(gens=()) -> HomAlgebraDescriptor:
     return HomAlgebraDescriptor(
         name="F<" + ",".join(gens) + ">",
         zero=LinComb.zero(),
-        add=lambda u, v: u + v,
-        scale=lambda c, u: u.scale(c),
-        mul=lambda u, v: u * v,
-        alpha=lambda u: u.alpha(),
-        eq=lambda u, v: u == v,
+        alpha=LinComb.alpha,
         unit=LinComb.one(),
         unit_flavor=UnitFlavor.STRICT_UNITAL,
         sweep=tuple(make_leaf(g) for g in gens),
         rand=lambda rng: random_lincomb(rng, gens),
-        fmt=str,
     )
 
 
@@ -152,16 +154,10 @@ def rational_algebra() -> HomAlgebraDescriptor:
     return HomAlgebraDescriptor(
         name="Q",
         zero=Fraction(0),
-        add=lambda x, y: x + y,
-        scale=lambda c, x: c * x,
-        mul=lambda x, y: x * y,
-        alpha=lambda x: x,
-        eq=lambda x, y: x == y,
         unit=Fraction(1),
         unit_flavor=UnitFlavor.STRICT_UNITAL,
         sweep=(Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)),
         rand=lambda rng: Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3])),
-        fmt=str,
     )
 
 
@@ -174,16 +170,10 @@ def poly_algebra(names) -> HomAlgebraDescriptor:
     return HomAlgebraDescriptor(
         name="Q[" + ",".join(names) + "]",
         zero=poly.Poly.zero(),
-        add=lambda p, q: p + q,
-        scale=lambda c, p: as_coeff(c) * p,
-        mul=lambda p, q: p * q,
-        alpha=lambda p: p,
-        eq=lambda p, q: p == q,
         unit=poly.Poly.one(),
         unit_flavor=UnitFlavor.STRICT_UNITAL,
         sweep=tuple(poly.monomials_up_to(names, 2)),
         rand=lambda rng: poly.random_poly(rng, names),
-        fmt=str,
     )
 
 
@@ -254,7 +244,6 @@ def matrix_algebra(A: HomAlgebraDescriptor) -> HomAlgebraDescriptor:
         eq=lambda X, Y: all(A.eq(X[i][j], Y[i][j]) for i in range(2) for j in range(2)),
         unit=unit,
         unit_flavor=A.unit_flavor if unit is not None else UnitFlavor.NON_UNITAL,
-        sweep=(),
         rand=(lambda rng: mat(lambda i, j: A.rand(rng))) if A.rand else None,
         fmt=fmt,
     )

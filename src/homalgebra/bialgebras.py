@@ -24,6 +24,7 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import cached_property, partial
 from typing import Optional
 
@@ -31,7 +32,7 @@ from . import congruence, grammar, morphisms, poly
 from .algebras import (HomAlgebraDescriptor, PreconditionError, free_algebra,
                        matrix_algebra, poly_algebra, yau_twist_algebra)
 from .reports import LawReport, law_report
-from .terms import LinComb, make_leaf, random_lincomb, rename
+from .terms import LinComb, as_coeff, make_leaf, random_lincomb, rename
 
 MATRIX_LAYOUT = (("a", "b"), ("c", "d"))
 PLANE_GENS = ("x", "y")
@@ -512,11 +513,12 @@ def twist_comodule(H: PolyHomBialgebra, C: PolyComoduleAlgebra,
 
 def lambda_scaling_pair(lam) -> tuple[poly.PolyEndo, poly.PolyEndo]:
     """The scaling fixtures: b and the second plane variable scale by lam
-    and 1/lam in the compatible pattern; lam must be invertible."""
-    from fractions import Fraction
-    lam = Fraction(lam)
+    and 1/lam in the compatible pattern; lam must be an exact rational (see
+    ``terms.as_coeff``) and invertible."""
+    lam = as_coeff(lam)
     if lam == 0:
         raise PreconditionError("scaling parameter must be invertible (nonzero)")
-    scale = {"a": 1, "b": lam, "c": 1 / lam, "d": 1, "x": 1, "y": 1 / lam}
+    inverse = Fraction(1, lam)
+    scale = {"a": 1, "b": lam, "c": inverse, "d": 1, "x": 1, "y": inverse}
     phi = lambda names: poly.PolyEndo({v: scale[v] * poly.Poly.var(v) for v in names})
     return phi("abcd"), phi(PLANE_GENS)

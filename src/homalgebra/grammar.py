@@ -21,8 +21,8 @@ import re
 from functools import lru_cache, partial
 from itertools import islice
 
-from .terms import (NAME, InputError, Leaf, LinComb, Node, Term, as_coeff, parse_natural,
-                    parse_rational, trusted_lincomb)
+from .terms import (NAME, NAME_START, InputError, Leaf, LinComb, Node, Term, as_coeff,
+                    parse_natural, parse_rational, trusted_lincomb)
 
 # later traversals of a parsed term recurse: deeper input would pass their limit
 MAX_TERM_DEPTH = 300
@@ -49,7 +49,6 @@ _RATIONAL = r"-?[0-9]+(?:/[0-9]+)?"
 _LEAF = rf"{NAME.pattern}(?:\s*@\s*(?:{_RATIONAL})?)?"
 _TOKEN = re.compile(rf"{_LEAF}|{_RATIONAL}|\S")
 _TOKENIZABLE = re.compile(rf"(?:\s|{_LEAF}|{_RATIONAL}|[()*+@])*")  # the symbols are ()*+@
-_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz")
 _RATIONAL_START = frozenset("-0123456789")
 _END = " "
 
@@ -61,7 +60,7 @@ _coeff = lru_cache(maxsize=256)(partial(parse_rational, name="coefficient"))
 def _leaf(token: str, shift: int) -> Leaf:
     """The leaf token ``token`` under twists of weight ``shift``; another
     kind of token is no term."""
-    if token[0] not in _NAME_START:
+    if token[0] not in NAME_START:
         raise ValueError("expected a term")
     name, at, exp = token.partition("@")
     if not at:
@@ -131,7 +130,7 @@ def _term(text: str, tokens: list, i: int) -> tuple[Term, int]:
         try:
             t = _leaf(token, shift)
         except ValueError as exc:  # no leaf, or its exponent missing, not a natural or too long
-            if token[0] not in _NAME_START:
+            if token[0] not in NAME_START:
                 raise _fail(text, tokens, i, str(exc)) from None
             exp = token.partition("@")[2].lstrip()
             if not exp:

@@ -10,11 +10,14 @@ are immutable and hashable.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import comb, lcm
 from types import MappingProxyType
 
-from .terms import MAX_POLY_SIZE, NAME, Coeff, as_coeff, parse_natural, parse_rational
+from .terms import (MAX_POLY_SIZE, NAME, NAME_START, Coeff, as_coeff, parse_natural,
+                    parse_rational)
 
 Mono = tuple[tuple[str, int], ...]
 
@@ -274,24 +277,9 @@ class PolyEndo:
 
 def monomials_up_to(names, degree: int) -> list[Poly]:
     """All monomials of total degree <= degree, ascending (includes 1)."""
-    names = sorted(names)
-    level: list[Mono] = [_ONE]
-    out: list[Mono] = [_ONE]
-    for _ in range(degree):
-        nxt = []
-        for m in level:
-            for v in names:
-                mm = _mono_mul(m, ((v, 1),))
-                nxt.append(mm)
-        # distinct, order-stable
-        seen = set(out)
-        level = []
-        for m in nxt:
-            if m not in seen:
-                seen.add(m)
-                level.append(m)
-        out.extend(level)
-    return [Poly.monomial(m) for m in out]
+    names = sorted(set(names))
+    return [Poly.monomial(tuple(Counter(c).items()))
+            for d in range(degree + 1) for c in combinations_with_replacement(names, d)]
 
 
 def random_poly(rng, names, degree: int = 2, terms: int = 3) -> Poly:
@@ -316,8 +304,12 @@ def random_poly(rng, names, degree: int = 2, terms: int = 3) -> Poly:
 # nesting cap on parentheses and unary minus signs: the parser recurses on both
 MAX_POLY_DEPTH = 100
 
-_POLY_TOKEN = re.compile(
-    rf"\s*(?:(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<name>{NAME.pattern})|(?P<sym>[-+*^()]))")
+# A token is one match, a plain string: a number, a name, or any other
+# character.  A token that starts no number, name or symbol is refused before
+# the parse starts.  The parser keeps the tokens in reverse, so that ``pop()``
+# takes the next one, behind an empty string that ends the input.
+_POLY_TOKEN = re.compile(rf"[0-9]+(?:/[0-9]+)?|{NAME.pattern}|\S")
+_POLY_START = NAME_START | frozenset("0123456789-+*^()")
 
 
 def _require_bounded(*factors: tuple[Poly, int], size: int = MAX_POLY_SIZE) -> tuple[int, int]:
@@ -371,96 +363,64 @@ def parse_poly(text: str, allowed=None, offset: int = 0) -> Poly:
     ``offset`` characters come before ``text`` on its line, and the column of
     an unexpected character counts them."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _POLY_TOKEN.match(text, pos)
-        if not m:
-            bad = len(text) - len(text[pos:].lstrip())
-            if bad < len(text):
-                raise ValueError(f"bad polynomial syntax: unexpected character {text[bad]!r}"
-                                 f" at column {offset + bad + 1} of {text!r}")
-            break
-        if m.lastgroup:
-            tokens.append((m.lastgroup, m.group(m.lastgroup)))
-        pos = m.end()
-    tokens.append(("eof", ""))
+    for m in _POLY_TOKEN.finditer(text):
+        if m[0][0] not in _POLY_START:
+            raise ValueError(f"bad polynomial syntax: unexpected character {m[0]!r}"
+                             f" at column {offset + m.start() + 1} of {text!r}")
+        tokens.append(m[0])
+    tokens.append("")
+    tokens.reverse()
 
-    state = {"i": 0, "depth": 0}
-
-    def peek():
-        return tokens[state["i"]]
-
-    def advance():
-        tok = tokens[state["i"]]
-        state["i"] += 1
-        return tok
-
-    def nested(parse) -> Poly:
-        if state["depth"] == MAX_POLY_DEPTH:
-            raise ValueError(f"polynomial nested deeper than {MAX_POLY_DEPTH} levels")
-        state["depth"] += 1
-        out = parse()
-        state["depth"] -= 1
-        return out
-
-    def atom() -> Poly:
-        kind, value = peek()
-        if (kind, value) == ("sym", "-"):
-            advance()
-            return -nested(atom)
-        if kind == "num":
-            advance()
-            return Poly.const(parse_rational(value, "number"))
-        if kind == "name":
-            advance()
-            if allowed is not None and value not in allowed:
-                raise ValueError(f"unknown variable {value!r}")
-            return Poly.var(value)
-        if (kind, value) == ("sym", "("):
-            advance()
-            e = nested(expr)
-            if peek() != ("sym", ")"):
+    def atom(depth: int) -> Poly:
+        token = tokens.pop()
+        if token in ("-", "("):
+            if depth == MAX_POLY_DEPTH:
+                raise ValueError(f"polynomial nested deeper than {MAX_POLY_DEPTH} levels")
+            if token == "-":
+                return -atom(depth + 1)
+            out = expr(depth + 1)
+            if tokens.pop() != ")":
                 raise ValueError("missing ')'")
-            advance()
-            return e
-        raise ValueError(f"bad polynomial syntax near {value!r}")
+            return out
+        if token[:1].isdigit():
+            return Poly.const(parse_rational(token, "number"))
+        if token[:1] not in NAME_START:
+            raise ValueError(f"bad polynomial syntax near {token!r}")
+        if allowed is not None and token not in allowed:
+            raise ValueError(f"unknown variable {token!r}")
+        return Poly.var(token)
 
-    def factor() -> Poly:
-        base = atom()
-        if peek() == ("sym", "^"):
-            advance()
-            kind, value = advance()
-            if kind != "num" or "/" in value:
-                raise ValueError("power must be a nonnegative integer")
-            k = parse_natural(value, "power")
-            _require_bounded((base, k))
-            return base ** k
-        return base
+    def factor(depth: int) -> Poly:
+        base = atom(depth)
+        if tokens[-1] != "^":
+            return base
+        tokens.pop()
+        power = tokens.pop()
+        if not power.isdigit():
+            raise ValueError("power must be a nonnegative integer")
+        k = parse_natural(power, "power")
+        _require_bounded((base, k))
+        return base ** k
 
-    def term() -> Poly:
-        out = factor()
-        while peek() == ("sym", "*"):
-            advance()
-            nxt = factor()
+    def term(depth: int) -> Poly:
+        out = factor(depth)
+        while tokens[-1] == "*":
+            tokens.pop()
+            nxt = factor(depth)
             _require_bounded((out, 1), (nxt, 1))
             out = out * nxt
         return out
 
-    def expr() -> Poly:
-        sign = 1
-        if peek() == ("sym", "-"):
-            advance()
-            sign = -1
-        elif peek() == ("sym", "+"):
-            advance()
-        out = sign * term()
-        while peek()[0] == "sym" and peek()[1] in "+-":
-            _, op = advance()
-            nxt = term()
-            out = out + (nxt if op == "+" else -nxt)
-        return out
+    def expr(depth: int) -> Poly:
+        out = Poly.zero()
+        sign = tokens.pop() if tokens[-1] in ("+", "-") else "+"
+        while True:
+            out = out + term(depth) if sign == "+" else out - term(depth)
+            if tokens[-1] not in ("+", "-"):
+                return out
+            sign = tokens.pop()
 
-    result = expr()
-    if peek()[0] != "eof":
-        raise ValueError(f"trailing polynomial input near {peek()[1]!r}")
-    return result
+    out = expr(0)
+    if tokens[-1]:
+        raise ValueError(f"trailing polynomial input near {tokens[-1]!r}")
+    return out

@@ -25,8 +25,10 @@ Coeff = Union[int, Fraction]
 
 # A generator name: letters, digits and underscores, then any number of
 # apostrophes (the tensor-leg tags).  The term and polynomial grammars read
-# names with this pattern, and descriptor files and windows check them with it.
+# names with this pattern and tell a name token by its first character, one of
+# ``NAME_START``; descriptor files and windows check names with the pattern.
 NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*'*")
+NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz")
 
 
 def as_coeff(c) -> Coeff:
@@ -125,10 +127,13 @@ def _refused(text: str, name: str, why: str) -> ValueError:
 # ---------------------------------------------------------------------------
 
 def read_names(rest: str, legs: bool = False) -> tuple[str, ...]:
-    """The words of a ``vars``, ``gens`` or ``names`` line, each a ``NAME``
-    given once.  With ``legs``, a name that is also another name's tensor leg
-    is refused: the laws tag each generator g into the legs g', g'' and g'''."""
+    """The words of a ``vars``, ``gens`` or ``names`` line, at least one, each
+    a ``NAME`` given once.  With ``legs``, a name that is also another name's
+    tensor leg is refused: the laws tag each generator g into the legs g', g''
+    and g'''."""
     names = tuple(rest.split())
+    if not names:
+        raise ValueError("expected at least one name")
     for k, n in enumerate(names):
         if not NAME.fullmatch(n):
             raise ValueError(f"name {n!r} must match {NAME.pattern}")

@@ -20,7 +20,7 @@ from homalgebra.congruence import Bound, SaturationConfig
 from homalgebra.grammar import parse_lincomb
 from homalgebra.morphisms import MorphismAssignment, NamingError, evaluate
 from homalgebra.poly import Poly, PolyEndo
-from homalgebra.terms import LinComb, make_leaf, random_lincomb
+from homalgebra.terms import LinComb, as_coeff, make_leaf, random_lincomb
 
 NON_UNITAL = SaturationConfig(unit_instances=False)
 UNITAL = SaturationConfig(unit_instances=True)
@@ -302,6 +302,20 @@ def test_lambda_three_twist_is_valid():
 def test_lambda_zero_rejected():
     with pytest.raises(PreconditionError):
         lambda_scaling_pair(0)
+
+
+@pytest.mark.parametrize("lam,inverse", [(2, Fraction(1, 2)), (Fraction(2, 3), Fraction(3, 2)),
+                                         (Fraction(4, 2), Fraction(1, 2)), (-1, -1)])
+def test_lambda_scaling_is_exact(lam, inverse):
+    phi_H, phi_A = lambda_scaling_pair(lam)
+    for phi, v, c in ((phi_H, "b", lam), (phi_H, "c", inverse), (phi_A, "y", inverse)):
+        (got,) = phi.images[v].coeffs.values()
+        assert got == c and type(got) is type(as_coeff(c))
+
+
+def test_lambda_scaling_refuses_a_float():
+    with pytest.raises(TypeError, match="not an exact rational: 0.1"):
+        lambda_scaling_pair(0.1)
 
 
 def test_mismatched_scaling_rejected_with_witness():

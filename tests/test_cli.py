@@ -541,6 +541,8 @@ REFUSALS = [
      "error: descriptor needs a vars line\n"),
     ("alg", "vars-twice", "kind poly\nvars t\nvars s\n", 2,
      "error: line 3: second vars line\n"),
+    ("alg", "vars-empty", "kind poly\nvars\ntwist t = 2*t\n", 2,
+     "error: line 2: expected at least one name\n"),
     ("alg", "vars-repeated", "kind poly\nvars t t\n", 2,
      "error: line 2: name 't' given twice\n"),
     ("alg", "vars-bad-name", "kind poly\nvars t@1\n", 2,
@@ -612,6 +614,8 @@ REFUSALS = [
      "error: descriptor needs gens and a delta image per generator\n"),
     ("bialg", "gens-twice", "kind free-bialgebra\ngens a\ngens a\n", 2,
      "error: line 3: second gens line\n"),
+    ("bialg", "gens-empty", "kind free-bialgebra\ngens # none\ndelta a = (a' * a'')\n", 2,
+     "error: line 2: expected at least one name\n"),
     ("bialg", "gens-repeated", "kind free-bialgebra\ngens a a\n", 2,
      "error: line 2: name 'a' given twice\n"),
     ("bialg", "gens-bad-name", "kind free-bialgebra\ngens a@1\n", 2,
@@ -650,6 +654,8 @@ REFUSALS = [
      "error: missing 'names' line\n"),
     ("homlie", "names-twice", "names e1 e2\nnames e1\n", 2,
      "error: line 2: second names line\n"),
+    ("homlie", "names-empty", "dim 0\nnames\n", 2,
+     "error: line 2: expected at least one name\n"),
     ("homlie", "names-repeated", "names e1 e1\n", 2,
      "error: line 1: name 'e1' given twice\n"),
     ("homlie", "names-leg-collision", "names e e'\n", 2,

@@ -1,16 +1,18 @@
 """Exact polynomial arithmetic, substitution, parsing."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homalgebra import poly
 from homalgebra.algebras import q_poly_algebra
-from homalgebra.poly import Poly, PolyEndo, _mono_mul, monomials_up_to, parse_poly, random_poly
-from homalgebra.terms import MAX_POLY_SIZE, as_coeff, parse_natural, parse_rational
+from homalgebra.poly import (MAX_POLY_DEPTH, Poly, PolyEndo, _mono_mul, monomials_up_to,
+                             parse_poly, random_poly)
+from homalgebra.terms import MAX_POLY_SIZE, NAME, as_coeff, parse_natural, parse_rational
 
 t = Poly.var("t")
 x = Poly.var("x")
@@ -349,3 +351,201 @@ def test_endomorphism_images_are_read_only():
         phi.images = {"x": y}
     images["x"] = y
     assert phi(x * x) == 4 * (x * x) and phi.images == {"x": 2 * x}
+
+
+# -- the reader against the recursive-descent reference ----------------------
+#
+# The reference is the reader as it was written with named-group tokens, a
+# mutable state and peek/advance closures; the reader must give the same
+# polynomial, or the same exception and message, on every text.
+
+REF_POLY_TOKEN = re.compile(
+    rf"\s*(?:(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<name>{NAME.pattern})|(?P<sym>[-+*^()]))")
+
+
+def reference_parse_poly(text: str, allowed=None, offset: int = 0) -> Poly:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = REF_POLY_TOKEN.match(text, pos)
+        if not m:
+            bad = len(text) - len(text[pos:].lstrip())
+            if bad < len(text):
+                raise ValueError(f"bad polynomial syntax: unexpected character {text[bad]!r}"
+                                 f" at column {offset + bad + 1} of {text!r}")
+            break
+        if m.lastgroup:
+            tokens.append((m.lastgroup, m.group(m.lastgroup)))
+        pos = m.end()
+    tokens.append(("eof", ""))
+
+    state = {"i": 0, "depth": 0}
+
+    def peek():
+        return tokens[state["i"]]
+
+    def advance():
+        tok = tokens[state["i"]]
+        state["i"] += 1
+        return tok
+
+    def nested(parse) -> Poly:
+        if state["depth"] == MAX_POLY_DEPTH:
+            raise ValueError(f"polynomial nested deeper than {MAX_POLY_DEPTH} levels")
+        state["depth"] += 1
+        out = parse()
+        state["depth"] -= 1
+        return out
+
+    def atom() -> Poly:
+        kind, value = peek()
+        if (kind, value) == ("sym", "-"):
+            advance()
+            return -nested(atom)
+        if kind == "num":
+            advance()
+            return Poly.const(parse_rational(value, "number"))
+        if kind == "name":
+            advance()
+            if allowed is not None and value not in allowed:
+                raise ValueError(f"unknown variable {value!r}")
+            return Poly.var(value)
+        if (kind, value) == ("sym", "("):
+            advance()
+            e = nested(expr)
+            if peek() != ("sym", ")"):
+                raise ValueError("missing ')'")
+            advance()
+            return e
+        raise ValueError(f"bad polynomial syntax near {value!r}")
+
+    def factor() -> Poly:
+        base = atom()
+        if peek() == ("sym", "^"):
+            advance()
+            kind, value = advance()
+            if kind != "num" or "/" in value:
+                raise ValueError("power must be a nonnegative integer")
+            k = parse_natural(value, "power")
+            poly._require_bounded((base, k))
+            return base ** k
+        return base
+
+    def term() -> Poly:
+        out = factor()
+        while peek() == ("sym", "*"):
+            advance()
+            nxt = factor()
+            poly._require_bounded((out, 1), (nxt, 1))
+            out = out * nxt
+        return out
+
+    def expr() -> Poly:
+        sign = 1
+        if peek() == ("sym", "-"):
+            advance()
+            sign = -1
+        elif peek() == ("sym", "+"):
+            advance()
+        out = sign * term()
+        while peek()[0] == "sym" and peek()[1] in "+-":
+            _, op = advance()
+            nxt = term()
+            out = out + (nxt if op == "+" else -nxt)
+        return out
+
+    result = expr()
+    if peek()[0] != "eof":
+        raise ValueError(f"trailing polynomial input near {peek()[1]!r}")
+    return result
+
+
+def parse_outcome(read, text, allowed, offset):
+    """The terms that ``read`` gives, in order and with their coefficients'
+    types, or its exception."""
+    try:
+        return [(m, type(c), c) for m, c in read(text, allowed, offset).coeffs.items()]
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def nest(depth: int, inner: str) -> str:
+    return "(" * depth + inner + ")" * depth
+
+
+# characters and words, strung together at random or as sums of well-formed
+# summands with a stray piece maybe put in
+POLY_PIECES = st.sampled_from(
+    list("0123456789/+-*^()'@.#=\t\n ") + ["é", "٢", "x", "y", "t", "q", "x1",
+                                           "_a", "a'", "12", "3/4", "1/0", " + ", " * "])
+SUMMANDS = st.sampled_from(["x", "2*y", "(x + 1)", "t^2", "-t", "3/4*x*y", "(x - y)^2",
+                            "-(t*-t)", "y^0", "1/2"])
+
+
+@st.composite
+def poly_texts(draw):
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(POLY_PIECES, max_size=24)))
+    ops = st.sampled_from([" + ", " - ", "*", "+-", " "])
+    text = draw(SUMMANDS)
+    for summand in draw(st.lists(SUMMANDS, max_size=4)):
+        text += draw(ops) + summand
+    pos = draw(st.integers(0, len(text)))
+    return text[:pos] + draw(st.one_of(st.just(""), POLY_PIECES)) + text[pos:]
+
+
+@settings(max_examples=800, deadline=None, derandomize=True)
+@given(poly_texts(),
+       st.sampled_from([None, {"x", "y"}, {"t"}]), st.integers(0, 5))
+@example(nest(99, "t"), None, 0)
+@example(nest(100, "t"), None, 0)
+@example(nest(101, "t"), None, 0)
+@example("-" * 99 + "t", None, 0)
+@example("-" * 100 + "t", None, 0)
+@example("-" * 101 + "t", None, 0)
+@example("- " * 150 + "t", None, 0)
+@example(nest(99, "-" * 2 + "t"), None, 0)
+@example(nest(50, "-" * 50 + "t"), {"t"}, 3)
+@example(nest(50, "-" * 51 + "t"), {"t"}, 3)
+@example("x^", None, 0)
+@example("x^-1", None, 0)
+@example("x^1/2", None, 0)
+@example("2 3", None, 0)
+@example("--x", None, 0)
+@example("x*-y^2", {"x", "y"}, 0)
+@example("٢*t", {"t"}, 4)
+@example("  \t", None, 2)
+@example("", None, 0)
+def test_parse_poly_matches_reference(text, allowed, offset):
+    assert parse_outcome(parse_poly, text, allowed, offset) == \
+        parse_outcome(reference_parse_poly, text, allowed, offset)
+
+
+# -- the monomial sweep against the breadth-first reference ------------------
+
+def reference_monomials_up_to(names, degree: int) -> list[Poly]:
+    names = sorted(names)
+    level = [()]
+    out = [()]
+    for _ in range(degree):
+        nxt = []
+        for m in level:
+            for v in names:
+                mm = _mono_mul(m, ((v, 1),))
+                nxt.append(mm)
+        seen = set(out)
+        level = []
+        for m in nxt:
+            if m not in seen:
+                seen.add(m)
+                level.append(m)
+        out.extend(level)
+    return [Poly.monomial(m) for m in out]
+
+
+@pytest.mark.parametrize("names", [
+    [], ["t"], ["y", "x"], ["x", "x"], ["a''", "a'", "a"], ["u", "v", "u", "w"],
+    ["x", "y", "z", "t", "s"], ["d", "c", "b", "a", "b'", "a'"]])
+@pytest.mark.parametrize("degree", range(5))
+def test_monomial_sweep_matches_reference(names, degree):
+    assert monomials_up_to(names, degree) == reference_monomials_up_to(names, degree)
