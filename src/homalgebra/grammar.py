@@ -10,19 +10,24 @@ so the parser reads it straight into the leaf exponents: every leaf of t gets
 k more.  Names match ``terms.NAME``: letters/digits/underscores with any
 number of trailing apostrophes (the tensor-leg tags).  Formatting is canonical:
 unit component first, then terms ascending in the term order, ``@0`` omitted.
-A text is read as one list of plain-string tokens, from one ``findall``; only
-an error scans it again, for its place.  Parsed leaves are shared: two texts
-that spell a leaf alike get one object.
+A text is read as one list of plain-string tokens: the text split at
+whitespace, with ``(``, ``)``, ``*`` and ``+`` spaced out first.  Each token
+the parse accepts is checked once per spelling (its leaf or coefficient is
+cached by spelling) against the pattern it stands for, so accepted split
+tokens are the tokens of the exact grammar.  A text those tokens do not parse
+(an error, or a spacing such as ``x @ 1``) is parsed again over the tokens of
+one ``findall``, which give every message its line and column.  Parsed leaves
+are shared: two texts that spell a leaf alike get one object.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import islice
 
-from .terms import (NAME, NAME_START, InputError, Leaf, LinComb, Node, Term, as_coeff,
-                    parse_natural, parse_rational, trusted_lincomb)
+from .terms import (NAME, NAME_START, Coeff, InputError, Leaf, LinComb, Node, Term,
+                    as_coeff, parse_natural, parse_rational, trusted_lincomb)
 
 # later traversals of a parsed term recurse: deeper input would pass their limit
 MAX_TERM_DEPTH = 300
@@ -52,8 +57,17 @@ _TOKENIZABLE = re.compile(rf"(?:\s|{_LEAF}|{_RATIONAL}|[()*+@])*")  # the symbol
 _RATIONAL_START = frozenset("-0123456789")
 _END = " "
 
+# a split token is a regex token when it fullmatches the alternative it stands for
+_is_leaf_token = re.compile(_LEAF).fullmatch
+_is_rational_token = re.compile(_RATIONAL).fullmatch
+
+
 # leaves and coefficients by their spelling, up to these many
-_coeff = lru_cache(maxsize=256)(partial(parse_rational, name="coefficient"))
+@lru_cache(maxsize=256)
+def _coeff(token: str) -> Coeff:
+    if not _is_rational_token(token):
+        raise ValueError("expected a coefficient")
+    return parse_rational(token, "coefficient")
 
 
 @lru_cache(maxsize=4096)
@@ -62,6 +76,8 @@ def _leaf(token: str, shift: int) -> Leaf:
     kind of token is no term."""
     if token[0] not in NAME_START:
         raise ValueError("expected a term")
+    if not _is_leaf_token(token):
+        raise ValueError("expected a leaf")
     name, at, exp = token.partition("@")
     if not at:
         return Leaf(token, shift)
@@ -77,15 +93,18 @@ def _line_col(text: str, pos: int) -> tuple[int, int]:
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
-def _error(text: str, message: str, index: int, offset: int = 0) -> TermSyntaxError:
+def _error(text: str | None, message: str, index: int, offset: int = 0) -> ValueError:
     """The error at token ``index``, ``offset`` characters into it: only
-    errors need offsets."""
+    errors need offsets.  Split tokens come with no text, and their error
+    gets no place: it only sends the text to the exact parse."""
+    if text is None:
+        return ValueError(message)
     m = next(islice(_TOKEN.finditer(text), index, None), None)
     pos = len(text) if m is None else m.start() + offset
     return TermSyntaxError(message, *_line_col(text, pos))
 
 
-def _fail(text: str, tokens: list, index: int, message: str) -> TermSyntaxError:
+def _fail(text: str | None, tokens: list, index: int, message: str) -> ValueError:
     token = tokens[index]
     # a leaf shows its name alone
     shown = "end of input" if token is _END else token.partition("@")[0].rstrip() or token
@@ -97,7 +116,7 @@ def _is_rational(token: str) -> bool:
     return token[0] in _RATIONAL_START and token != "-"
 
 
-def _term(text: str, tokens: list, i: int) -> tuple[Term, int]:
+def _term(text: str | None, tokens: list, i: int) -> tuple[Term, int]:
     """The term at token ``i``, and the index of the token after it.
 
     ``stack`` holds the open parentheses, innermost last: None until a
@@ -117,8 +136,9 @@ def _term(text: str, tokens: list, i: int) -> tuple[Term, int]:
                 i += 1
                 continue
             rational = tokens[i + 2]
-            try:
-                weight = parse_natural(rational, "twist weight") if rational.isdigit() else 0
+            try:  # ASCII digits: int would read another script's digits too
+                weight = (parse_natural(rational, "twist weight")
+                          if rational.isascii() and rational.isdigit() else 0)
             except ValueError as exc:
                 raise _error(text, str(exc), i + 2) from None
             if weight < 1:
@@ -155,31 +175,44 @@ def _term(text: str, tokens: list, i: int) -> tuple[Term, int]:
             return t, i
 
 
-def parse_lincomb(text: str) -> LinComb:
-    tokens = _TOKEN.findall(text)
+def _parse(text: str | None, tokens: list) -> LinComb:
+    """The combination that ``tokens``, the tokens of ``text``, spell
+    (``text`` is None for split tokens, see ``_error``)."""
     tokens.append(_END)
     # parts are summed in one dict: a term whose coefficients cancel leaves
     # it, as in a sum of LinCombs
     unit, terms, i = 0, {}, 0
-    try:
-        while True:
-            rational = _is_rational(tokens[i])
-            coeff = _coeff(tokens[i]) if rational else 1
-            if rational and tokens[i + 1] != "*":  # a bare rational, the unit's part
-                unit, term, i = unit + coeff, None, i + 1
+    while True:
+        rational = _is_rational(tokens[i])
+        coeff = _coeff(tokens[i]) if rational else 1
+        if rational and tokens[i + 1] != "*":  # a bare rational, the unit's part
+            unit, term, i = unit + coeff, None, i + 1
+        else:
+            term, i = _term(text, tokens, i + 2 if rational else i)
+        if term is not None and coeff:
+            total = as_coeff(terms[term] + coeff) if term in terms else coeff
+            if total:
+                terms[term] = total
             else:
-                term, i = _term(text, tokens, i + 2 if rational else i)
-            if term is not None and coeff:
-                total = as_coeff(terms[term] + coeff) if term in terms else coeff
-                if total:
-                    terms[term] = total
-                else:
-                    del terms[term]
-            if tokens[i] != "+":
-                break
-            i += 1
-        if tokens[i] is not _END:
-            raise _fail(text, tokens, i, "trailing input")
+                del terms[term]
+        if tokens[i] != "+":
+            break
+        i += 1
+    if tokens[i] is not _END:
+        raise _fail(text, tokens, i, "trailing input")
+    return trusted_lincomb(as_coeff(unit), terms)
+
+
+def parse_lincomb(text: str) -> LinComb:
+    try:
+        return _parse(None, text.replace("(", " ( ").replace(")", " ) ")
+                      .replace("*", " * ").replace("+", " + ").split())
+    except (ValueError, ZeroDivisionError):
+        pass
+    # the exact tokens: the same answer where the split ones parse, and the
+    # error with its place, or the spacings split tokens miss, where not
+    try:
+        return _parse(text, _TOKEN.findall(text))
     except (ValueError, ZeroDivisionError):
         # a character that starts no token is a symbol no rule reads, so it
         # fails the parse; as an unexpected character it wins over any error
@@ -188,7 +221,6 @@ def parse_lincomb(text: str) -> LinComb:
             raise TermSyntaxError(f"unexpected character {text[pos]!r}",
                                   *_line_col(text, pos)) from None
         raise
-    return trusted_lincomb(as_coeff(unit), terms)
 
 
 def format_term(t: Term) -> str:

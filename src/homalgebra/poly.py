@@ -244,7 +244,8 @@ class PolyEndo:
         image = table[m]
         for m in reversed(missing):
             v = m[-1][0]
-            image = _product(image, self._images.get(v, Poly.var(v)).coeffs)
+            p = self._images.get(v)
+            image = _product(image, {((v, 1),): 1} if p is None else p.coeffs)
             if self._stored + len(image) <= IMAGE_TABLE_TERMS:
                 table[m] = image
                 self._stored += len(image)
@@ -268,7 +269,8 @@ class PolyEndo:
         return _make(out)
 
     def is_identity_on(self, names) -> bool:
-        return all(self.images.get(v, Poly.var(v)) == Poly.var(v) for v in names)
+        images = self.images
+        return all(images[v] == Poly.var(v) for v in names if v in images)
 
     def __repr__(self):
         body = ", ".join(f"{v} -> {p}" for v, p in sorted(self.images.items()))
@@ -283,7 +285,9 @@ def monomials_up_to(names, degree: int) -> list[Poly]:
 
 
 def random_poly(rng, names, degree: int = 2, terms: int = 3) -> Poly:
-    """Seeded random polynomial with small integer coefficients."""
+    """Seeded random polynomial with small integer coefficients; on no names,
+    a constant (the degree is drawn all the same, so the draws on other names
+    stay as they were)."""
     names = sorted(names)
     out = Poly.zero()
     for _ in range(terms):
@@ -291,7 +295,8 @@ def random_poly(rng, names, degree: int = 2, terms: int = 3) -> Poly:
         if not c:
             continue
         m: Mono = _ONE
-        for _ in range(rng.randint(0, degree)):
+        d = rng.randint(0, degree)
+        for _ in range(d if names else 0):
             m = _mono_mul(m, ((rng.choice(names), 1),))
         out = out + Poly.monomial(m, c)
     return out

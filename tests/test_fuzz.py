@@ -111,7 +111,9 @@ built = st.one_of(*(st.tuples(st.just(kind), files) for kind, files in (
     ("alg", alg_files()), ("twist", twist_files()), ("bialg", bialg_files()),
     ("homlie", homlie_files()))))
 
-FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None,
+# a case bound about 11 times the slowest case seen (87 ms, 2 vCPU, Python
+# 3.11), so a refusal that scans its input pathologically fails the gate
+FUZZ = settings(max_examples=150, deadline=1000, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
 

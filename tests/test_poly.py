@@ -42,6 +42,45 @@ def test_substitution_is_morphism():
 def test_endo_identity():
     assert PolyEndo({"t": t}).is_identity_on(["t"])
     assert not PolyEndo({"t": 2 * t}).is_identity_on(["t"])
+    # a name without an image is fixed
+    assert PolyEndo({"s": 2 * t}).is_identity_on(["t", "x"])
+    assert not PolyEndo({"s": 2 * t}).is_identity_on(["t", "s"])
+    assert PolyEndo({"t": 2 * t})(x * t) == 2 * x * t
+
+
+def _reference_random_poly(rng, names, degree=2, terms=3):
+    """``random_poly`` as it draws on a nonempty name list."""
+    names = sorted(names)
+    out = Poly.zero()
+    for _ in range(terms):
+        c = rng.randint(-2, 2)
+        if not c:
+            continue
+        m = ()
+        for _ in range(rng.randint(0, degree)):
+            m = _mono_mul(m, ((rng.choice(names), 1),))
+        out = out + Poly.monomial(m, c)
+    return out
+
+
+def test_random_poly_on_no_names_is_a_constant():
+    # the same draws and the same polynomials on nonempty name lists, so
+    # sampled reports keep their bytes
+    for names in (["x"], ["y", "x"], ["a", "b", "c"]):
+        for seed in range(30):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert random_poly(rng, names, 3, 4) == _reference_random_poly(ref, names, 3, 4)
+            assert rng.getstate() == ref.getstate()
+    rng = random.Random(5)
+    constants = [random_poly(rng, []) for _ in range(50)]
+    assert all(set(p.coeffs) <= {()} for p in constants)
+    assert any(not p.is_zero() for p in constants)
+
+
+def test_the_carrier_on_no_variables_samples():
+    from homalgebra.algebras import check_hom_associative, poly_algebra, yau_twist_algebra
+    assert check_hom_associative(poly_algebra([]), 10).passed
+    assert check_hom_associative(yau_twist_algebra([], PolyEndo({})), 10).passed
 
 
 def test_monomials_up_to():
