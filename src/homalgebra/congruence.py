@@ -63,7 +63,7 @@ from typing import Iterable, Optional, Sequence
 
 from .grammar import format_lincomb, format_term
 from .terms import (NAME, Coeff, FrozenRecord, InputError, Leaf, LinComb, Node, Term,
-                    as_coeff)
+                    as_coeff, trusted_lincomb)
 
 DEFAULT_TERM_CAP = 200_000
 
@@ -257,10 +257,14 @@ class _Columns:
         """The term of non-unit column ``col``, the same object on every call:
         ``_built[col]``, a list entry per column that stays None until the
         column's term is first asked for, and then holds it."""
-        t = self._built[col]
+        built = self._built
+        t = built[col]
         if t is None:
+            # a factor already built is read, not recursed into
             i, j = self.factors(col)
-            t = self._built[col] = Node(self.term(i), self.term(j))
+            left, right = built[i], built[j]
+            t = built[col] = Node(self.term(i) if left is None else left,
+                                  self.term(j) if right is None else right)
         return t
 
 
@@ -349,7 +353,9 @@ class _ColumnClasses:
 
     Only ``root`` is kept, as an array of one C int per column (a window has
     at most ``DEFAULT_TERM_CAP`` columns): ``rows_count`` is counted from it
-    once, and ``pivots`` and ``pivot_rows`` walk it when called."""
+    once, ``pivots`` and ``pivot_rows`` walk it when called, and
+    ``RelationBasis.rows_as_lincombs`` lists the rows from it and the shared
+    column terms, with no vector per row."""
 
     def __init__(self, root: list[int]):
         self.root = array("i", root)
@@ -404,7 +410,16 @@ class RelationBasis:
         return self._cols.starts[-1] - 1
 
     def rows_as_lincombs(self) -> list[LinComb]:
-        return [self._devectorize(row) for _, row in self._store.pivot_rows()]
+        """The rows as combinations, ascending by pivot, each row's smallest
+        column first.  A class row ``p - root[p]`` is listed straight from
+        ``root`` and the shared column terms: a root is never the unit
+        column, as class members share an arity."""
+        store = self._store
+        if type(store) is _ColumnClasses:
+            term = self._cols.term
+            return [trusted_lincomb(0, {term(r): -1, term(p): 1})
+                    for p, r in enumerate(store.root) if p != r]
+        return [self._devectorize(row) for _, row in store.pivot_rows()]
 
     def arity_counts(self) -> dict[int, tuple[int, int]]:
         """``(terms, pivots)`` per arity, ascending; arity 0 is the unit

@@ -224,11 +224,32 @@ def parse_lincomb(text: str) -> LinComb:
 
 
 def format_term(t: Term) -> str:
-    if isinstance(t, Leaf):
-        return t.name if t.exp == 0 else f"{t.name}@{t.exp}"
-    if isinstance(t, Node):
-        return f"({format_term(t.left)} * {format_term(t.right)})"
-    raise TypeError(f"not a normalized term: {t!r}")
+    """``t`` as text, read left to right without recursion, so that deep
+    spines print too: a node opens its parenthesis and goes on into its left
+    factor, and stacks its right factor with the parentheses that close
+    after it, one more than close after the node."""
+    if t.__class__ is not Node:
+        if isinstance(t, Leaf):
+            return t.name if t.exp == 0 else f"{t.name}@{t.exp}"
+        raise TypeError(f"not a normalized term: {t!r}")
+    parts = []
+    stack = []
+    closes = 0
+    while True:
+        while t.__class__ is Node:
+            parts.append("(")
+            stack.append((t.right, closes + 1))
+            t = t.left
+            closes = 0
+        if not isinstance(t, Leaf):
+            raise TypeError(f"not a normalized term: {t!r}")
+        parts.append(t.name if t.exp == 0 else f"{t.name}@{t.exp}")
+        if closes:
+            parts.append(")" * closes)
+        if not stack:
+            return "".join(parts)
+        t, closes = stack.pop()
+        parts.append(" * ")
 
 
 def format_lincomb(v: LinComb) -> str:

@@ -378,25 +378,24 @@ def leaves(t: Term) -> Iterator[Leaf]:
         yield from leaves(t.right)
 
 
-def _leaf_depths(t: Term, depth: int = 0) -> Iterator[int]:
-    if isinstance(t, Leaf):
-        yield depth
-    else:
-        yield from _leaf_depths(t.left, depth + 1)
-        yield from _leaf_depths(t.right, depth + 1)
-
-
 def sort_key(t: Term):
     """Total, stable order: arity, then shape (leaf-depth sequence), then leaves.
 
     The leaf-depth sequence determines a planar binary tree uniquely, so the
-    key is injective on terms.  Small terms sort (and print) first.
+    key is injective on terms.  Small terms sort (and print) first.  The
+    leaves are read left to right in one pass, on an explicit stack, so that
+    deep spines sort without recursion.
     """
-    return (
-        arity(t),
-        tuple(_leaf_depths(t)),
-        tuple((lf.name, lf.exp) for lf in leaves(t)),
-    )
+    depths, labels = [], []
+    stack = [(t, 0)]
+    while stack:
+        t, d = stack.pop()
+        if isinstance(t, Leaf):
+            depths.append(d)
+            labels.append((t.name, t.exp))
+        else:
+            stack += ((t.right, d + 1), (t.left, d + 1))
+    return len(depths), tuple(depths), tuple(labels)
 
 
 def shift_term(t: Term, k: int) -> Term:

@@ -396,21 +396,74 @@ def test_class_counts_match_a_recount_of_the_partition(gens, bound, config):
         for n in range(1, bound.max_arity + 1)}
 
 
-def test_saturated_rows_are_held_in_bounded_memory():
-    # the retained bytes of a non-unital window listed as rows: its column
-    # numbering, its classes, the terms built for the rows and the rows
-    # themselves (6,233,164 bytes under Python 3.11, plus 10%)
+# the five windows of the soundness benchmark (acceptance criterion 9)
+SOUNDNESS_WINDOWS = [
+    (gens, Bound(3, 1), config)
+    for gens, configs in ((["x", "y", "z"], [NON_UNITAL]),
+                          ([g + t for g in "abcd" for t in TAGS], [NON_UNITAL, UNITAL]),
+                          ([g + t for g in "abcd" for t in TAGS[:2]] + ["x", "y"],
+                           [NON_UNITAL, UNITAL]))
+    for config in configs]
+CONFIG_IDS = {NON_UNITAL: "non-unital", UNITAL: "unital"}
+LISTED_WINDOWS = [(gens, bound, config) for gens, bound in BENCHMARK_WINDOWS
+                  for config in (NON_UNITAL, UNITAL)]
+LISTED_WINDOWS += [w for w in SOUNDNESS_WINDOWS if w not in LISTED_WINDOWS]
+
+
+@pytest.mark.parametrize("gens,bound,config", LISTED_WINDOWS,
+                         ids=[f"{len(g)}gen-{b.max_arity}-{b.max_exp}-{CONFIG_IDS[c]}"
+                              for g, b, c in LISTED_WINDOWS])
+def test_class_rows_list_as_their_vectors(gens, bound, config):
+    # rows listed from the roots are the rows devectorized from the store:
+    # the same order, unit, term keys in order, coefficient types and term
+    # objects, the column terms shared with every later result
+    basis = saturate(gens, bound, config)
+    root, term = basis._store.root, basis._cols.term
+    assert 0 not in root[1:]
+    rows = basis.rows_as_lincombs()
+    want = [basis._devectorize(row) for _, row in basis._store.pivot_rows()]
+    assert rows == want and len(rows) == basis.rows_count
+    pivots = [p for p, r in enumerate(root) if p != r]
+    for row, other, p in zip(rows, want, pivots):
+        assert type(row.unit) is int and row.unit == other.unit == 0
+        assert list(row.terms.items()) == list(other.terms.items())
+        assert [type(c) for c in row.terms.values()] == [int, int]
+        for t, u, col in zip(row.terms, other.terms, (root[p], p)):
+            assert t is u is term(col)
+
+
+def retained_rows(config):
+    """The rows of ``x, y, z`` at ``Bound(4, 2)``, and the bytes that their
+    listing retains: the window's column numbering, its classes, the terms
+    built for the rows and the rows themselves."""
     gc.collect()
     tracemalloc.start()
     try:
-        basis = saturate(["x", "y", "z"], Bound(4, 2), NON_UNITAL)
+        basis = saturate(["x", "y", "z"], Bound(4, 2), config)
         rows = basis.rows_as_lincombs()
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(rows) == basis.rows_count == 12636
+    assert len(rows) == basis.rows_count
+    return rows, retained
+
+
+def test_saturated_rows_are_held_in_bounded_memory():
+    # 6,233,164 bytes under Python 3.11, plus 10%
+    rows, retained = retained_rows(NON_UNITAL)
+    assert len(rows) == 12636
     assert retained <= 6_856_000
+
+
+def test_unital_saturated_rows_are_held_in_bounded_memory():
+    # 13,425,708 bytes under Python 3.11, plus 10%: a listing that keeps a
+    # vector per row, or sizes its dicts past two entries, passes it (every
+    # column has a row here, so the non-unital bound is the one that catches
+    # terms built for no row)
+    rows, retained = retained_rows(UNITAL)
+    assert len(rows) == 34233
+    assert retained <= 14_768_000
 
 
 def built_products(basis):

@@ -323,6 +323,65 @@ def test_deep_terms_compare_without_recursion():
     assert one != other and {one: 1}.get(other) is None
 
 
+def recursive_text(t) -> str:
+    if isinstance(t, Leaf):
+        return t.name if t.exp == 0 else f"{t.name}@{t.exp}"
+    return f"({recursive_text(t.left)} * {recursive_text(t.right)})"
+
+
+def recursive_key(t):
+    def walk(u, depth):
+        if isinstance(u, Leaf):
+            yield depth, (u.name, u.exp)
+        else:
+            yield from walk(u.left, depth + 1)
+            yield from walk(u.right, depth + 1)
+    depths, labels = zip(*walk(t, 0))
+    return len(depths), depths, labels
+
+
+def test_term_text_and_order_match_their_recursive_definitions():
+    from homalgebra.congruence import enumerate_terms
+    from homalgebra.terms import sort_key
+    rng = random.Random(32)
+    terms = enumerate_terms(["x", "y"], Bound(4, 2)) + [
+        t for _ in range(200)
+        for t in random_lincomb(rng, ["a", "b'", "c_1"], max_arity=9, max_exp=3).terms]
+    for t in terms:
+        assert format_term(t) == recursive_text(t)
+        assert sort_key(t) == recursive_key(t)
+    # the first factor that is no term is named, left to right
+    with pytest.raises(TypeError, match=r"^not a normalized term: AlphaNode\(weight=2"):
+        format_term(Node(Leaf("x"), Node(AlphaNode(2, Leaf("y")), AlphaNode(3, Leaf("z")))))
+
+
+def test_deep_terms_print_and_sort_without_recursion():
+    # a zigzag 5,000 nodes deep: the leaf added at step k sits at depth
+    # n - k, on the side it was added, outside every earlier one; the text
+    # is read off the steps as what each adds before and after the last
+    from homalgebra.terms import sort_key
+    n = 5_000
+    t, lefts, rights, before, after = Leaf("x"), [], [], [], []
+    for k in range(n):
+        leaf = Leaf("y", k % 3)
+        if k % 2:
+            t = Node(leaf, t)
+            lefts.append((k, leaf))
+            before.append(f"({format_term(leaf)} * ")
+            after.append(")")
+        else:
+            t = Node(t, leaf)
+            rights.append((k, leaf))
+            before.append("(")
+            after.append(f" * {format_term(leaf)})")
+    text = "".join(reversed(before)) + "x" + "".join(after)
+    order = [*reversed(lefts), (0, Leaf("x")), *rights]
+    depths = tuple(n - k for k, _ in order)
+    assert format_term(t) == text
+    assert sort_key(t) == (n + 1, depths, tuple((lf.name, lf.exp) for _, lf in order))
+    assert repr(LinComb(0, {t: 2})) == "2 * " + text
+
+
 # ---------------------------------------------------------------------------
 # plain records (``terms.Record``): what the package and its callers used of
 # the dataclasses they replace
