@@ -87,29 +87,29 @@ def _tuples(A: HomAlgebraDescriptor, width: int, count: int, seed: int):
     return out
 
 
+def _sampled_identity(A: HomAlgebraDescriptor, law: str, width: int, count: int, seed: int,
+                      sides: Callable) -> CheckReport:
+    """``lhs == rhs`` for ``lhs, rhs = sides(x, y[, z])`` on sampled tuples."""
+    bad = []
+    samples = _tuples(A, width, count, seed)
+    for xs in samples:
+        lhs, rhs = sides(*xs)
+        if not A.eq(lhs, rhs):
+            named = ", ".join(f"{n}={A.fmt(x)}" for n, x in zip("xyz", xs))
+            bad.append(f"{named}: {A.fmt(lhs)} != {A.fmt(rhs)}")
+    return CheckReport(law, len(samples), bad, seed)
+
+
 def check_hom_associative(A: HomAlgebraDescriptor, count: int = 100, seed: int = 0) -> CheckReport:
     """(x y) alpha(z) = alpha(x) (y z) on sampled triples."""
-    bad = []
-    triples = _tuples(A, 3, count, seed)
-    for x, y, z in triples:
-        lhs = A.mul(A.mul(x, y), A.alpha(z))
-        rhs = A.mul(A.alpha(x), A.mul(y, z))
-        if not A.eq(lhs, rhs):
-            bad.append(f"x={A.fmt(x)}, y={A.fmt(y)}, z={A.fmt(z)}: "
-                       f"{A.fmt(lhs)} != {A.fmt(rhs)}")
-    return CheckReport("hom_associativity", len(triples), bad, seed)
+    return _sampled_identity(A, "hom_associativity", 3, count, seed, lambda x, y, z: (
+        A.mul(A.mul(x, y), A.alpha(z)), A.mul(A.alpha(x), A.mul(y, z))))
 
 
 def check_multiplicative(A: HomAlgebraDescriptor, count: int = 100, seed: int = 0) -> CheckReport:
     """alpha(x y) = alpha(x) alpha(y) on sampled pairs."""
-    bad = []
-    pairs = _tuples(A, 2, count, seed)
-    for x, y in pairs:
-        lhs = A.alpha(A.mul(x, y))
-        rhs = A.mul(A.alpha(x), A.alpha(y))
-        if not A.eq(lhs, rhs):
-            bad.append(f"x={A.fmt(x)}, y={A.fmt(y)}: {A.fmt(lhs)} != {A.fmt(rhs)}")
-    return CheckReport("multiplicativity", len(pairs), bad, seed)
+    return _sampled_identity(A, "multiplicativity", 2, count, seed, lambda x, y: (
+        A.alpha(A.mul(x, y)), A.mul(A.alpha(x), A.alpha(y))))
 
 
 def check_unital(A: HomAlgebraDescriptor, count: int = 100, seed: int = 0) -> CheckReport:

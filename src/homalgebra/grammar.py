@@ -29,7 +29,7 @@ from itertools import islice
 from .terms import (NAME, NAME_START, Coeff, InputError, Leaf, LinComb, Node, Term,
                     as_coeff, parse_natural, parse_rational, trusted_lincomb)
 
-# later traversals of a parsed term recurse: deeper input would pass their limit
+# ``_Columns.column`` and ``evaluate`` recurse over a parsed term: deeper input passes their limit
 MAX_TERM_DEPTH = 300
 
 
@@ -189,7 +189,7 @@ def _parse(text: str | None, tokens: list) -> LinComb:
             unit, term, i = unit + coeff, None, i + 1
         else:
             term, i = _term(text, tokens, i + 2 if rational else i)
-        if term is not None and coeff:
+        if term is not None and coeff:  # one entry at a time, not an add_into vector
             total = as_coeff(terms[term] + coeff) if term in terms else coeff
             if total:
                 terms[term] = total

@@ -100,7 +100,7 @@ def evaluate(v: LinComb, m: MorphismAssignment, memo: dict | None = None):
         n = memo.get(t)
         if n is None:
             n = of_term(t)
-        coeffs[n] = coeffs.get(n, 0) + c
+        coeffs[n] = coeffs.get(n, 0) + c  # re-keyed, one entry at a time; zeros skipped below
     # the recursive closure refers to itself: emptying its cell frees it now,
     # where a cycle per call would wait for the garbage collector
     del of_term

@@ -357,25 +357,42 @@ Term = Union[Leaf, Node]
 
 def arity(t: Term) -> int:
     """Number of leaves of a term."""
-    if isinstance(t, Leaf):
-        return 1
-    return arity(t.left) + arity(t.right)
+    return 1 if isinstance(t, Leaf) else sum(1 for _ in leaves(t))
 
 
 def weight(t: Term) -> int:
     """Sum of the leaf exponents of a term."""
-    if isinstance(t, Leaf):
-        return t.exp
-    return weight(t.left) + weight(t.right)
+    return t.exp if isinstance(t, Leaf) else sum(lf.exp for lf in leaves(t))
 
 
 def leaves(t: Term) -> Iterator[Leaf]:
-    """Left-to-right leaf sequence."""
+    """Left-to-right leaf sequence, on an explicit stack (no recursion)."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Leaf):
+            yield t
+        else:
+            stack += (t.right, t.left)
+
+
+def map_leaves(t: Term, f) -> Term:
+    """``t`` with each leaf ``lf`` replaced by ``f(lf)``, rebuilt bottom-up on
+    an explicit stack (no recursion); a node of two leaves is rebuilt at once."""
     if isinstance(t, Leaf):
-        yield t
-    else:
-        yield from leaves(t.left)
-        yield from leaves(t.right)
+        return f(t)
+    built, stack = [], [t]
+    while stack:
+        t = stack.pop()
+        if t is None:  # both children of a node are built
+            built[-2:] = [Node(*built[-2:])]
+        elif isinstance(t, Leaf):
+            built.append(f(t))
+        elif isinstance(t.left, Leaf) and isinstance(t.right, Leaf):
+            built.append(Node(f(t.left), f(t.right)))
+        else:
+            stack += (None, t.right, t.left)
+    return built[0]
 
 
 def sort_key(t: Term):
@@ -400,16 +417,27 @@ def sort_key(t: Term):
 
 def shift_term(t: Term, k: int) -> Term:
     """Raise every leaf exponent by ``k`` (the normal-form twist action)."""
-    if k == 0:
-        return t
-    if isinstance(t, Leaf):
-        return Leaf(t.name, t.exp + k)
-    return Node(shift_term(t.left, k), shift_term(t.right, k))
+    return t if k == 0 else map_leaves(t, lambda lf: Leaf(lf.name, lf.exp + k))
 
 
 # ---------------------------------------------------------------------------
 # linear combinations
 # ---------------------------------------------------------------------------
+
+def add_into(out: dict, vec: Mapping, c: Coeff = 1) -> dict:
+    """``out + c * vec`` in place, returning ``out``: each entry normalized as it is
+    made (``as_coeff``), each zero sum deleted.  ``vec``'s entries and ``c`` are nonzero."""
+    for k, v in vec.items():
+        if c != 1:
+            v *= c
+        s = out.get(k)
+        v = v if s is None else s + v
+        if v:
+            out[k] = v if type(v) is int else as_coeff(v)
+        else:
+            del out[k]
+    return out
+
 
 class LinComb:
     """A finite rational combination of terms plus a unit component.
@@ -424,7 +452,7 @@ class LinComb:
     def __init__(self, unit=0, terms: Mapping[Term, Coeff] | None = None):
         object.__setattr__(self, "unit", as_coeff(unit))
         cleaned = {}
-        if terms:
+        if terms:  # a caller's input, not add_into: drop zeros, refuse floats
             for t, c in terms.items():
                 if type(c) is not int:
                     c = as_coeff(c)
@@ -473,17 +501,11 @@ class LinComb:
     def __add__(self, other: "LinComb") -> "LinComb":
         if not isinstance(other, LinComb):
             return NotImplemented
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            s = out.get(t, 0) + c
-            if s:
-                out[t] = s
-            else:
-                out.pop(t, None)
-        return LinComb(self.unit + other.unit, out)
+        return trusted_lincomb(as_coeff(self.unit + other.unit),
+                               add_into(dict(self.terms), other.terms))
 
     def __sub__(self, other: "LinComb") -> "LinComb":
-        # one pass, with the keys, order and cancellation of self + (-1) * other
+        # add_into(..., -1) inline: through the helper an oracle op took 2.7% longer
         if not isinstance(other, LinComb):
             return NotImplemented
         out = dict(self.terms)
@@ -508,7 +530,7 @@ class LinComb:
         c = as_coeff(c)
         if c == 0:
             return LinComb.zero()
-        return LinComb(c * self.unit, {t: c * v for t, v in self.terms.items()})
+        return trusted_lincomb(as_coeff(c * self.unit), add_into({}, self.terms, c))
 
     def scale(self, c) -> "LinComb":
         return as_coeff(c) * self
@@ -525,24 +547,14 @@ class LinComb:
         if not isinstance(other, LinComb):
             return NotImplemented
         out: dict[Term, Coeff] = {}
-
-        def acc(t, c):
-            s = out.get(t, 0) + c
-            if s:
-                out[t] = s
-            else:
-                out.pop(t, None)
-
         if self.unit:
-            for t, c in other.terms.items():
-                acc(t, self.unit * c)
+            add_into(out, other.terms, self.unit)
         if other.unit:
-            for t, c in self.terms.items():
-                acc(t, other.unit * c)
-        for t1, c1 in self.terms.items():
-            for t2, c2 in other.terms.items():
-                acc(Node(t1, t2), c1 * c2)
-        return LinComb(self.unit * other.unit, out)
+            add_into(out, self.terms, other.unit)
+        # distinct pairs graft to distinct trees, so the products are one vector
+        add_into(out, {Node(t1, t2): c1 * c2 for t1, c1 in self.terms.items()
+                       for t2, c2 in other.terms.items()})
+        return trusted_lincomb(as_coeff(self.unit * other.unit), out)
 
     def alpha(self) -> "LinComb":
         """Twist action in normal form: all leaf exponents up by one, unit fixed."""
@@ -593,15 +605,8 @@ def rename(v: LinComb, mapping) -> LinComb:
     images = {n: fn(n) for n in v.generators()}
     if len(set(images.values())) != len(images):
         raise ValueError(f"generator relabeling is not injective: {images}")
-    return LinComb(v.unit, {_relabel(t, images): c for t, c in v.terms.items()})
-
-
-def _relabel(t: Term, images: dict) -> Term:
-    # a module-level helper: a closure that called itself would leave a
-    # reference cycle per rename for the garbage collector
-    if isinstance(t, Leaf):
-        return Leaf(images[t.name], t.exp)
-    return Node(_relabel(t.left, images), _relabel(t.right, images))
+    relabel = lambda lf: Leaf(images[lf.name], lf.exp)
+    return LinComb(v.unit, {map_leaves(t, relabel): c for t, c in v.terms.items()})
 
 
 def random_lincomb(rng, gens: Iterable[str], max_arity: int = 3, max_exp: int = 1,

@@ -1,6 +1,7 @@
 """Concrete carriers: twists, matrices, tensors, and the axiom checkers."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -76,6 +77,16 @@ def test_corrupted_product_fails_with_witness():
         fmt=base.fmt)
     rep = check_hom_associative(broken, 10, seed=4)
     assert not rep.passed and rep.counterexamples
+
+
+def test_counterexample_lines_name_the_sample_and_both_sides():
+    base = poly_algebra(["t"])
+    broken_mul = replace(base, mul=lambda p, q: base.mul(p, q) + Poly.one())
+    broken_alpha = replace(base, alpha=lambda p: p + Poly.one())
+    assert check_hom_associative(broken_mul, 6, seed=4).counterexamples[:2] == [
+        "x=1, y=1, z=t: 1 + 2*t != 2 + t", "x=1, y=1, z=t^2: 1 + 2*t^2 != 2 + t^2"]
+    assert check_multiplicative(broken_alpha, 6, seed=4).counterexamples[:2] == [
+        "x=1, y=1: 2 != 4", "x=1, y=t: 1 + t != 2 + 2*t"]
 
 
 def test_matrix_algebra_recovers_classical_2x2():

@@ -18,14 +18,14 @@ from hypothesis import strategies as st
 from homalgebra.congruence import (DEFAULT_TERM_CAP, Bound, OutOfWindowError,
                                    RelationBasis, ResourceCapError,
                                    SaturationConfig, Verdict, _Columns,
-                                   _EchelonRows, _Saturator, _close_classes, _subtract,
+                                   _EchelonRows, _Saturator, _close_classes,
                                    _vectorize, enumerate_terms, hom_associator, saturate)
 from homalgebra.grammar import format_lincomb, format_term, parse_lincomb
 from homalgebra.homlie import (LEG_TAGS2, LEG_TAGS3, EnvelopeBialgebra,
                                abelian_hom_lie, affine_line_twisted,
                                bracket_relations, direct_sum, envelope,
                                load_hom_lie)
-from homalgebra.terms import (Leaf, LinComb, Node, arity, leaves, make_leaf,
+from homalgebra.terms import (Leaf, LinComb, Node, add_into, arity, leaves, make_leaf,
                               random_lincomb, rename, shift_term, sort_key)
 from test_cli import GOLDEN_FILES
 
@@ -545,9 +545,9 @@ def test_generator_collapses_span_every_columns_collapse(L, gens, bound):
     # associators have arity 3 or more
     leaves = range(1, cols.starts[2])
     narrow = [vec for vec in worker.initial_instances() if max(vec, default=0) in leaves]
-    assert narrow == [_subtract({g: 1}, worker._alpha_col(g)) for g in leaves]
+    assert narrow == [add_into({g: 1}, worker._alpha_col(g), -1) for g in leaves]
     # every column's collapse, seeded too, adds no row and changes none
-    collapses = [_subtract({u: 1}, worker._alpha_col(u)) for u in range(1, cols.starts[-1])]
+    collapses = [add_into({u: 1}, worker._alpha_col(u), -1) for u in range(1, cols.starts[-1])]
     rows = worker.run(seeds)
     seeded = _Saturator(cols, UNITAL, leaf_twist).run(seeds + collapses)
     assert exact_rows(seeded) == exact_rows(rows)

@@ -7,6 +7,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from homalgebra.algebras import CheckReport, free_algebra
 from homalgebra.congruence import Bound, EqualityResult, SaturationConfig, Verdict
@@ -14,8 +16,9 @@ from homalgebra.grammar import format_term, parse_lincomb
 from homalgebra.morphisms import MorphismAssignment
 from homalgebra.reports import LawItem, LawReport
 from homalgebra.grammar import TermSyntaxError
-from homalgebra.terms import (Leaf, LinComb, Node, grading, make_leaf, random_lincomb,
-                              read_descriptor, rename, weight)
+from homalgebra.terms import (Leaf, LinComb, Node, add_into, arity, grading,
+                              leaves, make_leaf, random_lincomb, read_descriptor, rename,
+                              shift_term, weight)
 
 
 def test_make_leaf_basics():
@@ -340,16 +343,37 @@ def recursive_key(t):
     return len(depths), depths, labels
 
 
+def recursive_leaves(t) -> list:
+    if isinstance(t, Leaf):
+        return [t]
+    return recursive_leaves(t.left) + recursive_leaves(t.right)
+
+
+def recursive_relabel(t, f):
+    if isinstance(t, Leaf):
+        return f(t)
+    return Node(recursive_relabel(t.left, f), recursive_relabel(t.right, f))
+
+
 def test_term_text_and_order_match_their_recursive_definitions():
     from homalgebra.congruence import enumerate_terms
     from homalgebra.terms import sort_key
     rng = random.Random(32)
     terms = enumerate_terms(["x", "y"], Bound(4, 2)) + [
         t for _ in range(200)
-        for t in random_lincomb(rng, ["a", "b'", "c_1"], max_arity=9, max_exp=3).terms]
+        for t in random_lincomb(rng, ["a", "b'", "c_1", "x"], max_arity=9, max_exp=3).terms]
+    swap = {"x": "y", "y": "x", "a": "c_1", "c_1": "a"}
     for t in terms:
         assert format_term(t) == recursive_text(t)
         assert sort_key(t) == recursive_key(t)
+        assert list(leaves(t)) == recursive_leaves(t)
+        assert arity(t) == len(recursive_leaves(t))
+        assert weight(t) == sum(lf.exp for lf in recursive_leaves(t))
+        assert shift_term(t, 0) is t
+        for k in (1, 3):
+            assert shift_term(t, k) == recursive_relabel(t, lambda lf: Leaf(lf.name, lf.exp + k))
+        assert rename(LinComb.of_term(t, 2), swap) == LinComb.of_term(
+            recursive_relabel(t, lambda lf: Leaf(swap.get(lf.name, lf.name), lf.exp)), 2)
     # the first factor that is no term is named, left to right
     with pytest.raises(TypeError, match=r"^not a normalized term: AlphaNode\(weight=2"):
         format_term(Node(Leaf("x"), Node(AlphaNode(2, Leaf("y")), AlphaNode(3, Leaf("z")))))
@@ -377,9 +401,118 @@ def test_deep_terms_print_and_sort_without_recursion():
     text = "".join(reversed(before)) + "x" + "".join(after)
     order = [*reversed(lefts), (0, Leaf("x")), *rights]
     depths = tuple(n - k for k, _ in order)
+    labels = tuple((lf.name, lf.exp) for _, lf in order)
     assert format_term(t) == text
-    assert sort_key(t) == (n + 1, depths, tuple((lf.name, lf.exp) for _, lf in order))
-    assert repr(LinComb(0, {t: 2})) == "2 * " + text
+    assert sort_key(t) == (n + 1, depths, labels)
+    v = LinComb(0, {t: 2})
+    assert repr(v) == "2 * " + text
+    # the leaf walks: generators, grading, renaming and the twist
+    assert list(leaves(t)) == [lf for _, lf in order]
+    assert v.generators() == {"x", "y"}
+    assert grading(v) == {(n + 1, sum(k % 3 for k in range(n)))}
+    (renamed,) = rename(v, {"y": "z"}).terms
+    assert sort_key(renamed) == (n + 1, depths, tuple(
+        ("z" if name == "y" else name, exp) for name, exp in labels))
+    (twisted,) = v.alpha().terms
+    assert sort_key(twisted) == (n + 1, depths, tuple((name, exp + 1) for name, exp in labels))
+    assert v.alpha().terms[twisted] == 2
+
+
+# ---------------------------------------------------------------------------
+# the exact sparse-vector update and LinComb arithmetic, against references
+# ---------------------------------------------------------------------------
+
+def clean(c):
+    """The normal form of an exact coefficient: an int when integral."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def reference_add_into(out, vec, c):
+    """``out + c * vec`` as a new dict: ``out``'s keys in order, then ``vec``'s
+    new keys in order, each sum normalized, and zero sums left out."""
+    keys = [*out, *(k for k in vec if k not in out)]
+    sums = {k: clean(out.get(k, 0) + c * vec.get(k, 0)) for k in keys}
+    return {k: s for k, s in sums.items() if s}
+
+
+# ints, and Fractions of small denominators, some of which cancel to integers
+nonzero_coeffs = st.one_of(st.integers(-6, 6), st.builds(
+    Fraction, st.integers(-6, 6), st.integers(1, 4))).filter(bool).map(clean)
+clean_vecs = st.dictionaries(st.integers(0, 9), nonzero_coeffs, max_size=7)
+
+
+@st.composite
+def updates(draw):
+    """A clean ``out``, a clean ``vec`` and a scale ``c``, where ``out``
+    cancels some of ``c * vec`` exactly."""
+    c = draw(st.one_of(st.sampled_from([1, -1]), nonzero_coeffs))
+    vec = draw(clean_vecs)
+    out = draw(clean_vecs)
+    for k in draw(st.lists(st.sampled_from(sorted(vec)), unique=True)) if vec else ():
+        out[k] = clean(-c * vec[k])
+    return out, vec, c
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(updates())
+@example(({0: 1, 1: Fraction(1, 2)}, {1: Fraction(1, 2), 0: -1, 2: 3}, -1))
+@example(({3: Fraction(1, 3)}, {3: Fraction(2, 3)}, 1))
+@example(({5: 2}, {5: 3, 4: 1}, Fraction(2, 3)))
+def test_add_into_matches_the_reference(update):
+    out, vec, c = update
+    want, vec_before = reference_add_into(out, vec, c), dict(vec)
+    got = add_into(out, vec, c)
+    assert got is out
+    assert list(got.items()) == list(want.items())
+    assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+    assert vec == vec_before
+
+
+# the slow reference: each result goes through the cleaning constructor
+
+def ref_add(u, v):
+    return LinComb(u.unit + v.unit, {t: u.terms.get(t, 0) + v.terms.get(t, 0)
+                                     for t in set(u.terms) | set(v.terms)})
+
+
+def ref_scale(c, u):
+    return LinComb(c * u.unit, {t: c * a for t, a in u.terms.items()})
+
+
+def ref_mul(u, v):
+    out = {}
+    for t1, c1 in [(None, u.unit), *u.terms.items()]:
+        for t2, c2 in [(None, v.unit), *v.terms.items()]:
+            t = t2 if t1 is None else t1 if t2 is None else Node(t1, t2)
+            if t is not None:
+                out[t] = out.get(t, 0) + c1 * c2
+    return LinComb(u.unit * v.unit, out)
+
+
+def assert_clean(u: LinComb):
+    for c in [u.unit, *u.terms.values()]:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+    assert all(u.terms.values())
+
+
+# a small pool of terms, where a product of two can equal a third
+POOL = [Leaf("x"), Leaf("y"), Leaf("x", 1), Node(Leaf("x"), Leaf("y")),
+        Node(Leaf("x"), Leaf("x")), Node(Node(Leaf("x"), Leaf("y")), Leaf("x"))]
+coeffs = st.one_of(st.integers(-6, 6), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+lincombs = st.builds(LinComb, coeffs, st.dictionaries(st.sampled_from(POOL), coeffs, max_size=5))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(lincombs, lincombs, coeffs)
+def test_lincomb_arithmetic_matches_the_reference(u, v, c):
+    for got, want in ((u + v, ref_add(u, v)),
+                      (u - v, ref_add(u, ref_scale(-1, v))),
+                      (u * v, ref_mul(u, v)),
+                      (c * u, ref_scale(c, u)),
+                      (-u, ref_scale(-1, u))):
+        assert got == want
+        assert_clean(got)
 
 
 # ---------------------------------------------------------------------------
