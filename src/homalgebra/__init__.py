@@ -35,17 +35,17 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "congruence": ("Bound", "EqualityResult", "OutOfWindowError", "RelationBasis",
                    "ResourceCapError", "SaturationConfig", "Verdict",
-                   "enumerate_terms", "hom_associator", "saturate"),
+                   "enumerate_terms", "saturate"),
     "grammar": ("TermSyntaxError", "format_lincomb", "format_term", "parse_lincomb"),
     "terms": ("Leaf", "LinComb", "Node", "arity", "grading", "make_leaf", "rename",
               "weight"),
     "morphisms": ("AssignmentError", "MorphismAssignment", "NamingError",
-                  "UnitMismatchError", "evaluate", "matrix_of_morphism",
-                  "morphism_from_matrix", "rename_embed"),
+                  "UnitMismatchError", "evaluate", "morphism_from_matrix",
+                  "rename_embed"),
     "algebras": ("HomAlgebraDescriptor", "PreconditionError", "UnitFlavor",
                  "check_hom_associative", "check_multiplicative", "check_unital",
                  "free_algebra", "matrix_algebra", "poly_algebra", "q_poly_algebra",
-                 "rational_algebra", "yau_twist_algebra"),
+                 "yau_twist_algebra"),
     "poly": ("Poly", "PolyEndo", "monomials_up_to", "parse_poly", "random_poly"),
     "bialgebras": ("FreeComoduleAlgebra", "FreeHomBialgebra", "PolyComoduleAlgebra",
                    "PolyHomBialgebra", "check_comodule", "check_comodule_homalgebra",
@@ -54,11 +54,10 @@ _EXPORTS = {
                    "classical_m2_bialgebra", "hom_affine_plane", "lambda_scaling_pair",
                    "m_bialgebra", "representability_check", "twist_comodule",
                    "yau_twist_bialgebra"),
-    "homlie": ("EnvelopeBialgebra", "HomLieAlgebra", "abelian_hom_lie",
-               "affine_line_twisted", "bracket_relations", "bracket_sides",
-               "check_envelope_bialgebra", "check_hom_lie", "commutator_checks",
-               "dimension_report", "direct_sum", "envelope", "hom_lie_algebra",
-               "load_hom_lie", "twist_hom_lie"),
+    "homlie": ("EnvelopeBialgebra", "HomLieAlgebra", "affine_line_twisted",
+               "bracket_relations", "bracket_sides", "check_envelope_bialgebra",
+               "check_hom_lie", "dimension_report", "direct_sum", "envelope",
+               "hom_lie_algebra", "load_hom_lie", "twist_hom_lie"),
     "reports": ("CheckReport", "LawItem", "LawReport", "dump_json", "render_text",
                 "report_document"),
 }

@@ -15,7 +15,6 @@ import operator
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
-from fractions import Fraction
 from itertools import product
 from typing import Callable, Optional
 
@@ -61,9 +60,6 @@ class HomAlgebraDescriptor:
     sweep: tuple = ()
     rand: Optional[Callable] = None       # rng -> elem
     fmt: Callable = str
-
-    def sub(self, x, y):
-        return self.add(x, self.scale(-1, y))
 
     def alpha_pow(self, x, k: int):
         for _ in range(k):
@@ -149,21 +145,9 @@ def free_algebra(gens=()) -> HomAlgebraDescriptor:
     )
 
 
-def rational_algebra() -> HomAlgebraDescriptor:
-    """The ground field as a carrier (alpha = id)."""
-    return HomAlgebraDescriptor(
-        name="Q",
-        zero=Fraction(0),
-        unit=Fraction(1),
-        unit_flavor=UnitFlavor.STRICT_UNITAL,
-        sweep=(Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)),
-        rand=lambda rng: Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3])),
-    )
-
-
 def poly_algebra(names) -> HomAlgebraDescriptor:
-    """Classical commutative polynomial carrier on the given variables; its
-    sweep is the monomials of degree at most 2."""
+    """Classical commutative polynomial carrier on the given variables (on
+    none, the rationals); its sweep is the monomials of degree at most 2."""
     names = tuple(sorted(names))
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate variable names: {names}")

@@ -356,8 +356,7 @@ def main(argv=None) -> int:
         return 0
     for rep in doc["reports"]:
         if not rep["passed"]:
-            name = rep.get("law", "report")
-            print(f"first failing law: {name}", file=sys.stderr)
+            print(f"first failing law: {rep['law']}", file=sys.stderr)
             break
     return 1
 

@@ -122,11 +122,6 @@ class EqualityResult(FrozenRecord):
         return self.verdict is Verdict.PROVEN_EQUAL
 
 
-def hom_associator(u: LinComb, v: LinComb, w: LinComb) -> LinComb:
-    """(u v) alpha(w) - alpha(u) (v w)."""
-    return (u * v) * w.alpha() - u.alpha() * (v * w)
-
-
 def _shapes(max_arity: int) -> list[list[tuple[int, int, int]]]:
     """Planar binary tree shapes per arity, ascending by leaf-depth sequence.
 
@@ -282,7 +277,10 @@ def _vectorize(cols: _Columns, v: LinComb, what: str = "term") -> Vec:
     """The column vector of ``v``; every term of ``v`` must have a column."""
     vec: Vec = {0: v.unit} if v.unit else {}
     for t, c in v.terms.items():
-        i = cols.column(t)
+        try:
+            i = cols.column(t)
+        except RecursionError:  # too deep to recurse is wider than any window (arity <= 12)
+            i = None
         if i is None:
             raise OutOfWindowError(f"{what} {format_term(t)} lies outside bound {cols.bound}")
         vec[i] = c
@@ -342,7 +340,7 @@ class _ColumnClasses:
 
     Only ``root`` is kept, as an array of one C int per column (a window has
     at most ``DEFAULT_TERM_CAP`` columns): ``rows_count`` is counted from it
-    once, ``pivots`` and ``pivot_rows`` walk it when called, and
+    once, ``pivots`` walks it when called, and
     ``RelationBasis.rows_as_lincombs`` lists the rows from it and the shared
     column terms, with no vector per row."""
 
@@ -352,9 +350,6 @@ class _ColumnClasses:
 
     def pivots(self) -> Iterable[int]:
         return (p for p, r in enumerate(self.root) if p != r)
-
-    def pivot_rows(self) -> Iterable[tuple[int, Vec]]:
-        return ((p, {r: -1, p: 1}) for p, r in enumerate(self.root) if p != r)
 
     def reduce(self, vec: Vec) -> Vec:
         root = self.root

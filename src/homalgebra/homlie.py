@@ -1,5 +1,4 @@
-"""Hom-Lie algebras on named bases, commutator checks, and bounded
-enveloping models.
+"""Hom-Lie algebras on named bases and bounded enveloping models.
 
 A Hom-Lie algebra is held as the images its envelope saturates: the bracket
 of two basis elements and the twist of one, each a combination of
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import poly
-from .algebras import HomAlgebraDescriptor, PreconditionError, _tuples
+from .algebras import PreconditionError
 from .bialgebras import (_FreeCarrier, _window, check_comultiplicative,
                          check_delta_is_morphism, check_hom_coassoc,
                          coassoc_composites, exact)
@@ -98,10 +97,6 @@ def hom_lie_algebra(names, brackets: dict, alpha: dict) -> HomLieAlgebra:
     return HomLieAlgebra(names, table, twist)
 
 
-def abelian_hom_lie(names, alpha: dict | None = None) -> HomLieAlgebra:
-    return hom_lie_algebra(names, {}, alpha or {})
-
-
 def _non_multiplicative(L: HomLieAlgebra) -> list[str]:
     """The basis pairs where alpha[x, y] = [alpha x, alpha y] fails."""
     e = {n: make_leaf(n) for n in L.names}
@@ -152,27 +147,6 @@ def _require_hom_lie(L: HomLieAlgebra):
     if not report.passed:
         raise PreconditionError("not a multiplicative Hom-Lie algebra: "
                                 + "; ".join(report.counterexamples[:3]))
-
-
-def commutator_checks(A: HomAlgebraDescriptor, count: int = 100,
-                      seed: int = 0) -> CheckReport:
-    """Hom-Lie axioms for the commutator bracket of a carrier, on samples."""
-    bracket = lambda x, y: A.sub(A.mul(x, y), A.mul(y, x))
-    bad = []
-    triples = _tuples(A, 3, count, seed)
-    for x, y, z in triples:
-        if not A.eq(bracket(x, y), A.scale(-1, bracket(y, x))):
-            bad.append(f"skew fails at {A.fmt(x)}, {A.fmt(y)}")
-            continue
-        total = A.zero
-        for u, v, w in ((x, y, z), (z, x, y), (y, z, x)):
-            total = A.add(total, bracket(A.alpha(u), bracket(v, w)))
-        if not A.eq(total, A.zero):
-            bad.append(f"hom-Jacobi fails at {A.fmt(x)}, {A.fmt(y)}, {A.fmt(z)}")
-            continue
-        if not A.eq(A.alpha(bracket(x, y)), bracket(A.alpha(x), A.alpha(y))):
-            bad.append(f"multiplicativity fails at {A.fmt(x)}, {A.fmt(y)}")
-    return CheckReport("commutator_hom_lie_axioms", len(triples), bad, seed)
 
 
 def direct_sum(parts, tags) -> HomLieAlgebra:

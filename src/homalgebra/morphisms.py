@@ -123,10 +123,6 @@ def morphism_from_matrix(target: HomAlgebraDescriptor, M) -> MorphismAssignment:
     return MorphismAssignment(target, {"a": m11, "b": m12, "c": m21, "d": m22})
 
 
-def matrix_of_morphism(m: MorphismAssignment):
-    return ((m.image("a"), m.image("b")), (m.image("c"), m.image("d")))
-
-
 # ---------------------------------------------------------------------------
 # tensor legs by generator tagging
 # ---------------------------------------------------------------------------

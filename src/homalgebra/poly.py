@@ -16,7 +16,7 @@ from itertools import combinations_with_replacement
 from math import comb, lcm
 from types import MappingProxyType
 
-from .terms import (MAX_POLY_SIZE, NAME, NAME_START, Coeff, add_into, as_coeff,
+from .terms import (MAX_POLY_SIZE, NAME, NAME_START, Coeff, _Frozen, add_into, as_coeff,
                     parse_natural, parse_rational)
 
 Mono = tuple[tuple[str, int], ...]
@@ -52,7 +52,7 @@ def _mono_str(m: Mono) -> str:
     return "*".join(v if e == 1 else f"{v}^{e}" for v, e in m)
 
 
-class Poly:
+class Poly(_Frozen):
     """Immutable exact-rational polynomial."""
 
     __slots__ = ("coeffs", "_hash")
@@ -67,9 +67,6 @@ class Poly:
                     cleaned[m] = c
         object.__setattr__(self, "coeffs", cleaned)
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Poly is immutable")
 
     @staticmethod
     def zero() -> "Poly":

@@ -57,12 +57,6 @@ class LawReport(_Report):
     def passed(self) -> bool:
         return all(item.passed for item in self.items)
 
-    def first_failure(self) -> Optional[LawItem]:
-        for item in self.items:
-            if not item.passed:
-                return item
-        return None
-
 
 class CheckReport(_Report):
     """A sampled axiom check: the law, the samples run, a line per
@@ -113,11 +107,10 @@ def render_text(doc: dict) -> str:
         lines.append(f"  {key}: {value}")
     for rep in doc["reports"]:
         status = "PASS" if rep["passed"] else "FAIL"
-        name = rep.get("law", rep.get("job", "report"))
         extra = ""
         if "samples_run" in rep:
             extra = f" ({rep['samples_run']} samples)"
-        lines.append(f"[{status}] {name}{extra}")
+        lines.append(f"[{status}] {rep['law']}{extra}")
         for item in rep.get("items", []):
             mark = "ok " if item["passed"] else "FAIL"
             lines.append(f"    {mark} {item['label']}: {item['verdict']}")

@@ -417,7 +417,11 @@ def sort_key(t: Term):
 
 def shift_term(t: Term, k: int) -> Term:
     """Raise every leaf exponent by ``k`` (the normal-form twist action)."""
-    return t if k == 0 else map_leaves(t, lambda lf: Leaf(lf.name, lf.exp + k))
+    if k == 0:
+        return t
+    if isinstance(t, Leaf):
+        return Leaf(t.name, t.exp + k)
+    return map_leaves(t, lambda lf: Leaf(lf.name, lf.exp + k))
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +443,7 @@ def add_into(out: dict, vec: Mapping, c: Coeff = 1) -> dict:
     return out
 
 
-class LinComb:
+class LinComb(_Frozen):
     """A finite rational combination of terms plus a unit component.
 
     ``unit`` is the coefficient of the adjoined unit 1; ``terms`` maps Term to
@@ -459,9 +463,6 @@ class LinComb:
                 if c:
                     cleaned[t] = c
         object.__setattr__(self, "terms", cleaned)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LinComb is immutable")
 
     # -- basic structure ----------------------------------------------------
 
@@ -558,7 +559,8 @@ class LinComb:
 
     def alpha(self) -> "LinComb":
         """Twist action in normal form: all leaf exponents up by one, unit fixed."""
-        return LinComb(self.unit, {shift_term(t, 1): c for t, c in self.terms.items()})
+        # the shift is injective and the coefficients are clean already
+        return trusted_lincomb(self.unit, {shift_term(t, 1): c for t, c in self.terms.items()})
 
     # -- inspection ----------------------------------------------------------
 

@@ -19,12 +19,11 @@ from homalgebra.congruence import (DEFAULT_TERM_CAP, Bound, OutOfWindowError,
                                    RelationBasis, ResourceCapError,
                                    SaturationConfig, Verdict, _Columns,
                                    _EchelonRows, _Saturator, _close_classes,
-                                   _vectorize, enumerate_terms, hom_associator, saturate)
+                                   _vectorize, enumerate_terms, saturate)
 from homalgebra.grammar import format_lincomb, format_term, parse_lincomb
 from homalgebra.homlie import (LEG_TAGS2, LEG_TAGS3, EnvelopeBialgebra,
-                               abelian_hom_lie, affine_line_twisted,
-                               bracket_relations, direct_sum, envelope,
-                               load_hom_lie)
+                               affine_line_twisted, bracket_relations, direct_sum,
+                               envelope, hom_lie_algebra, load_hom_lie)
 from homalgebra.terms import (Leaf, LinComb, Node, add_into, arity, leaves, make_leaf,
                               random_lincomb, rename, shift_term, sort_key)
 from test_cli import GOLDEN_FILES
@@ -43,6 +42,21 @@ def y(e=0):
 
 def z(e=0):
     return make_leaf("z", e)
+
+
+def store_rows(basis: RelationBasis) -> list[tuple[int, dict]]:
+    """The rows of a window as ``(pivot, vector)``, ascending by pivot: an
+    echelon store's own, or ``p - root[p]`` for each column ``p`` of a
+    column-class store that is not its class's root."""
+    store = basis._store
+    if isinstance(store, _EchelonRows):
+        return list(store.pivot_rows())
+    return [(p, {r: -1, p: 1}) for p, r in enumerate(store.root) if p != r]
+
+
+def hom_associator(u: LinComb, v: LinComb, w: LinComb) -> LinComb:
+    """(u v) alpha(w) - alpha(u) (v w), in the unit-strict arithmetic of LinComb."""
+    return (u * v) * w.alpha() - u.alpha() * (v * w)
 
 
 def test_hom_associator_plain():
@@ -240,6 +254,25 @@ def test_out_of_window_error_on_queries():
         assert str(err.value) == f"term {shown} lies outside bound Bound(max_arity=2, max_exp=1)"
 
 
+def test_a_term_too_deep_to_recurse_lies_outside_every_window():
+    # the cap admits no window wider than arity 12, so no window term is deeper
+    # than 11, and a term deep enough to exhaust the stack lies outside
+    _Columns(["x"], Bound(12, 0), DEFAULT_TERM_CAP)
+    with pytest.raises(ResourceCapError):
+        _Columns(["x"], Bound(13, 0), DEFAULT_TERM_CAP)
+    t = Leaf("x")
+    for _ in range(5000):
+        t = Node(Leaf("x"), t)
+    deep = LinComb.of_term(t)
+    basis = saturate(["x"], Bound(3, 1), UNITAL)
+    with pytest.raises(OutOfWindowError, match=r"^term \(x \* \(x \* .* lies outside bound "):
+        basis.equal_mod(deep, x())
+    verdict, residue = basis.decide(deep, x())
+    assert verdict == "NOT_PROVEN_WITHIN_BOUND"
+    assert residue.endswith("  (difference escapes the window)")
+    assert basis.decide(x(), x()) == ("PROVEN_EQUAL", None)
+
+
 def test_resource_cap():
     with pytest.raises(ResourceCapError) as err:
         _Columns(list("abcdefgh"), Bound(4, 2), 500)
@@ -390,7 +423,7 @@ def test_class_counts_match_a_recount_of_the_partition(gens, bound, config):
     assert all(members[0] == r for r, members in classes.items())
     pivots = sorted(p for members in classes.values() for p in members[1:])
     assert basis.rows_count == len(pivots) == len(root) - len(classes)
-    assert list(basis._store.pivot_rows()) == [(p, {root[p]: -1, p: 1}) for p in pivots]
+    assert list(basis._store.pivots()) == pivots
     assert basis.arity_counts() == {
         n: (starts[n + 1] - starts[n], sum(starts[n] <= p < starts[n + 1] for p in pivots))
         for n in range(1, bound.max_arity + 1)}
@@ -421,7 +454,7 @@ def test_class_rows_list_as_their_vectors(gens, bound, config):
     root, term = basis._store.root, basis._cols.term
     assert 0 not in root[1:]
     rows = basis.rows_as_lincombs()
-    want = [basis._devectorize(row) for _, row in basis._store.pivot_rows()]
+    want = [basis._devectorize(row) for _, row in store_rows(basis)]
     assert rows == want and len(rows) == basis.rows_count
     pivots = [p for p, r in enumerate(root) if p != r]
     for row, other, p in zip(rows, want, pivots):
@@ -512,7 +545,7 @@ def dense_abelian():
     rng = random.Random(11)
     entries = [Fraction(2, 3), Fraction(3, 2), Fraction(-1, 2), 2, Fraction(5, 4), -3]
     names = ("u", "v", "w")
-    return abelian_hom_lie(names, {n: {m: rng.choice(entries) for m in names} for n in names})
+    return hom_lie_algebra(names, {}, {n: {m: rng.choice(entries) for m in names} for n in names})
 
 
 # the envelope windows of the benchmark, and a dense rational twist
@@ -627,7 +660,7 @@ def test_saturated_rows_and_residues_are_exact():
     for basis in (saturate(["x", "y", "z"], Bound(3, 1), NON_UNITAL),
                   saturate(["x", "y", "z"], Bound(3, 1), UNITAL),
                   fractional_basis()):
-        for _, row in basis._store.pivot_rows():
+        for _, row in store_rows(basis):
             assert_exact(row.values())
         for row in basis.rows_as_lincombs():
             assert_exact(lincomb_coeffs(row))
@@ -654,7 +687,7 @@ def test_lincomb_results_are_exact():
 def test_non_unit_pivots_stay_exact():
     basis = fractional_basis()
     assert basis.rows_count == 34
-    assert any(type(c) is Fraction for _, row in basis._store.pivot_rows() for c in row.values())
+    assert any(type(c) is Fraction for _, row in store_rows(basis) for c in row.values())
     residue = basis.reduce(parse_lincomb("(y * x)"))
     assert format_lincomb(residue) == "1/6 * (x * x) + 2/3 * (x * y)"
     assert_exact(lincomb_coeffs(residue))
@@ -669,7 +702,7 @@ def rows_digest(basis) -> str:
     """sha256 of the rows listed by pivot, each as its sorted
     (column, str(coefficient)) pairs."""
     h = hashlib.sha256()
-    for p, row in basis._store.pivot_rows():
+    for p, row in store_rows(basis):
         pairs = sorted((i, str(c)) for i, c in row.items())
         h.update((f"{p}:" + ",".join(f"{i}={c}" for i, c in pairs) + "\n").encode())
     return h.hexdigest()
@@ -780,7 +813,7 @@ def twisted_hom_lie(draw):
     if draw(st.booleans()):
         return affine_line_twisted(draw(rationals), draw(rationals))
     names = ("u", "v", "w")[:draw(st.integers(2, 3))]
-    return abelian_hom_lie(names, {n: {m: draw(rationals) for m in names} for n in names})
+    return hom_lie_algebra(names, {}, {n: {m: draw(rationals) for m in names} for n in names})
 
 
 # the twist closure that the saturator leaves out holds on multiplicative twists
@@ -839,7 +872,7 @@ def test_column_classes_match_echelon_rows(gens, bound, config):
     basis, reference = saturate(gens, bound, config), echelon_basis(gens, bound, config)
     assert isinstance(reference._store, _EchelonRows)
     assert not isinstance(basis._store, _EchelonRows)
-    assert dict(basis._store.pivot_rows()) == reference._store.rows
+    assert dict(store_rows(basis)) == reference._store.rows
     assert basis.rows_count == reference.rows_count
     assert basis.arity_counts() == reference.arity_counts()
     for v in random_vectors(basis, random.Random(len(gens) * 100 + bound.max_arity)):

@@ -1,20 +1,20 @@
-"""Hom-Lie algebras, commutator checks, and bounded envelopes."""
+"""Hom-Lie algebras, commutator brackets of carriers, and bounded envelopes."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from homalgebra.algebras import (matrix_algebra, q_poly_algebra,
-                                 rational_algebra, PreconditionError)
+from homalgebra.algebras import (PreconditionError, _tuples, matrix_algebra, poly_algebra,
+                                 q_poly_algebra)
 from homalgebra.congruence import Verdict
 from homalgebra.homlie import (LEG_TAGS3, EnvelopeBialgebra, HomLieAlgebra,
-                               abelian_hom_lie, affine_line_twisted,
-                               bracket_relations,
+                               affine_line_twisted, bracket_relations,
                                check_envelope_bialgebra, check_hom_lie,
-                               commutator_checks, dimension_report, direct_sum,
-                               envelope, hom_lie_algebra, load_hom_lie,
-                               twist_hom_lie)
+                               dimension_report, direct_sum, envelope,
+                               hom_lie_algebra, load_hom_lie, twist_hom_lie)
+from homalgebra.poly import Poly
 from homalgebra.morphisms import MorphismAssignment, evaluate
 from homalgebra.terms import LinComb, make_leaf
 
@@ -26,7 +26,7 @@ def test_abelian_passes_with_any_twist():
     for _ in range(5):
         alpha = {n: {m: F(rng.randint(-3, 3)) for m in ("e1", "e2")}
                  for n in ("e1", "e2")}
-        L = abelian_hom_lie(("e1", "e2"), alpha)
+        L = hom_lie_algebra(("e1", "e2"), {}, alpha)
         assert check_hom_lie(L).passed
 
 
@@ -70,20 +70,49 @@ def test_twist_requires_bracket_endomorphism():
         twist_hom_lie(bad)
 
 
+def commutator_failures(A, count: int, seed: int) -> list[str]:
+    """Where the commutator bracket of carrier ``A`` breaks a Hom-Lie axiom
+    (skew, hom-Jacobi, multiplicativity) on sampled triples.  By Yau, the
+    commutator bracket of a multiplicative Hom-associative carrier is
+    Hom-Lie, so the list is empty for such a carrier."""
+    bracket = lambda x, y: A.add(A.mul(x, y), A.scale(-1, A.mul(y, x)))
+    triples = _tuples(A, 3, count, seed)
+    assert len(triples) >= count
+    bad = []
+    for x, y, z in triples:
+        if not A.eq(bracket(x, y), A.scale(-1, bracket(y, x))):
+            bad.append(f"skew fails at {A.fmt(x)}, {A.fmt(y)}")
+        total = A.zero
+        for u, v, w in ((x, y, z), (z, x, y), (y, z, x)):
+            total = A.add(total, bracket(A.alpha(u), bracket(v, w)))
+        if not A.eq(total, A.zero):
+            bad.append(f"hom-Jacobi fails at {A.fmt(x)}, {A.fmt(y)}, {A.fmt(z)}")
+        if not A.eq(A.alpha(bracket(x, y)), bracket(A.alpha(x), A.alpha(y))):
+            bad.append(f"multiplicativity fails at {A.fmt(x)}, {A.fmt(y)}")
+    return bad
+
+
 def test_commutator_abelian_for_commutative_carrier():
-    A = q_poly_algebra(2)
-    rep = commutator_checks(A, 40, seed=62)
-    assert rep.passed
+    assert commutator_failures(q_poly_algebra(2), 40, seed=62) == []
 
 
 def test_commutator_classical_matrices():
-    M = matrix_algebra(rational_algebra())
-    assert commutator_checks(M, 60, seed=63).passed
+    M = matrix_algebra(poly_algebra([]))
+    assert commutator_failures(M, 60, seed=63) == []
 
 
 def test_commutator_twisted_matrices():
     M = matrix_algebra(q_poly_algebra(2))
-    assert commutator_checks(M, 100, seed=64).passed
+    assert commutator_failures(M, 100, seed=64) == []
+
+
+def test_commutator_check_finds_a_broken_carrier():
+    # doubling one corner of a matrix is no algebra map, so the check must
+    # not be vacuous: the commutator bracket loses multiplicativity
+    M = matrix_algebra(poly_algebra([]))
+    double = lambda X: ((2 * X[0][0], X[0][1]), (X[1][0], X[1][1]))
+    bad = commutator_failures(replace(M, alpha=double), 20, seed=65)
+    assert any(line.startswith("multiplicativity fails") for line in bad)
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +120,7 @@ def test_commutator_twisted_matrices():
 # ---------------------------------------------------------------------------
 
 def test_abelian_envelope_commutes():
-    L = abelian_hom_lie(("e1", "e2"), {"e1": {"e1": 1}, "e2": {"e2": 1}})
+    L = hom_lie_algebra(("e1", "e2"), {}, {"e1": {"e1": 1}, "e2": {"e2": 1}})
     m = envelope(L, max_arity=2, unit_instances=False)
     e1, e2 = make_leaf("e1"), make_leaf("e2")
     r = m.equal_mod(e1 * e2, e2 * e1)
@@ -136,7 +165,7 @@ def test_direct_sum_blocks():
 
 def test_direct_sum_refuses_colliding_tagged_names():
     # e in the second leg and e' in the first are both e''
-    L = abelian_hom_lie(("e", "e'"))
+    L = hom_lie_algebra(("e", "e'"), {}, {})
     with pytest.raises(ValueError, match="collide"):
         direct_sum([L, L], ["'", "''"])
 
@@ -155,7 +184,7 @@ def test_cross_leg_commutation_in_doubled_envelope():
 # ---------------------------------------------------------------------------
 
 def test_primitive_classical_one_dim():
-    L = abelian_hom_lie(("e",), {"e": {"e": 1}})
+    L = hom_lie_algebra(("e",), {}, {"e": {"e": 1}})
     images = EnvelopeBialgebra(L).delta_at("'", "''")
     assert images["e"] == make_leaf("e'") + make_leaf("e''")
 
@@ -173,7 +202,7 @@ def test_envelope_bialgebra_suite_abelian_random_alpha():
     rng = random.Random(65)
     alpha = {n: {m: F(rng.randint(-2, 2)) for m in ("e1", "e2")}
              for n in ("e1", "e2")}
-    L = abelian_hom_lie(("e1", "e2"), alpha)
+    L = hom_lie_algebra(("e1", "e2"), {}, alpha)
     reports = check_envelope_bialgebra(L, max_arity=3)
     assert all(r.passed for r in reports)
 
@@ -197,18 +226,18 @@ def test_envelope_rows_evaluate_to_zero_in_compatible_carriers():
     # (1) classical affine line into 2x2 rationals, unit rows included
     L = hom_lie_algebra(("e1", "e2"), {("e1", "e2"): {"e2": 1}}, {})
     m = envelope(L, max_arity=3, unit_instances=True)
-    M2 = matrix_algebra(rational_algebra())
-    E11 = ((F(1), F(0)), (F(0), F(0)))
-    E12 = ((F(0), F(1)), (F(0), F(0)))
+    M2 = matrix_algebra(poly_algebra([]))
+    one, zero = Poly.one(), Poly.zero()
+    E11 = ((one, zero), (zero, zero))
+    E12 = ((zero, one), (zero, zero))
     assignment = MorphismAssignment(M2, {"e1": E11, "e2": E12})
     for row in m.rows_as_lincombs():
         assert M2.eq(evaluate(row, assignment), M2.zero)
     # (2) scaled one-dimensional algebra into the doubling twisted carrier,
     # unit rows excluded (the carrier unit is only weak)
-    L1 = abelian_hom_lie(("e",), {"e": {"e": 2}})
+    L1 = hom_lie_algebra(("e",), {}, {"e": {"e": 2}})
     m1 = envelope(L1, max_arity=3, unit_instances=False)
     A = q_poly_algebra(2)
-    from homalgebra.poly import Poly
     assignment = MorphismAssignment(A, {"e": Poly.var("t")})
     for row in m1.rows_as_lincombs():
         assert evaluate(row, assignment).is_zero()

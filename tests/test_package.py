@@ -4,8 +4,10 @@ interpreter, where nothing has been imported yet."""
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -22,17 +24,16 @@ NAMES = MODULES | {"__version__"} | {
     "LawItem", "LawReport", "Leaf", "LinComb", "MorphismAssignment", "NamingError", "Node",
     "OutOfWindowError", "Poly", "PolyComoduleAlgebra", "PolyEndo", "PolyHomBialgebra",
     "PreconditionError", "RelationBasis", "ResourceCapError", "SaturationConfig",
-    "TermSyntaxError", "UnitFlavor", "UnitMismatchError", "Verdict", "abelian_hom_lie",
-    "affine_line_twisted", "arity", "bracket_relations", "bracket_sides", "check_comodule",
+    "TermSyntaxError", "UnitFlavor", "UnitMismatchError", "Verdict", "affine_line_twisted", "arity", "bracket_relations", "bracket_sides", "check_comodule",
     "check_comodule_homalgebra", "check_comultiplicative", "check_delta_is_morphism",
     "check_envelope_bialgebra", "check_hom_associative", "check_hom_coassoc",
     "check_hom_lie", "check_multiplicative", "check_unital", "classical_affine_comodule",
-    "classical_m2_bialgebra", "commutator_checks", "dimension_report", "direct_sum",
+    "classical_m2_bialgebra", "dimension_report", "direct_sum",
     "dump_json", "enumerate_terms", "envelope", "evaluate", "format_lincomb", "format_term",
-    "free_algebra", "grading", "hom_affine_plane", "hom_associator", "hom_lie_algebra",
+    "free_algebra", "grading", "hom_affine_plane", "hom_lie_algebra",
     "lambda_scaling_pair", "load_hom_lie", "m_bialgebra", "make_leaf", "matrix_algebra",
-    "matrix_of_morphism", "monomials_up_to", "morphism_from_matrix", "parse_lincomb",
-    "parse_poly", "poly_algebra", "q_poly_algebra", "random_poly", "rational_algebra",
+    "monomials_up_to", "morphism_from_matrix", "parse_lincomb",
+    "parse_poly", "poly_algebra", "q_poly_algebra", "random_poly",
     "rename", "rename_embed", "render_text", "report_document", "representability_check",
     "saturate", "twist_comodule", "twist_hom_lie", "weight", "yau_twist_algebra",
     "yau_twist_bialgebra"}
@@ -150,3 +151,31 @@ def test_a_failed_command_runs_only_the_modules_it_needs(tmp_path):
             f"    assert homalgebra.cli.main({argv!r}) == 2\n"
             "assert err.getvalue().startswith('error: [Errno 2] No such file'), err.getvalue()\n")
     assert json.loads(fresh(code + EXECUTED)) == ["cli", "terms"]
+
+
+def used_names(path: Path) -> set:
+    """The identifiers a Python file uses, but not those a ``def`` or
+    ``class`` defines, and its string literals that are a bare identifier
+    (the benchmark names its span targets so)."""
+    used, previous = set(), None
+    with path.open("rb") as f:
+        for tok in tokenize.tokenize(f.readline):
+            if tok.type == tokenize.NAME and previous not in ("def", "class"):
+                used.add(tok.string)
+            elif tok.type == tokenize.STRING:
+                bare = re.fullmatch(r"""(['"])(\w+)\1""", tok.string)
+                if bare:
+                    used.add(bare[2])
+            previous = tok.string
+    return used
+
+
+def test_every_exported_name_is_used_outside_the_tests():
+    # API that only tests/ call belongs in tests/: the package uses each
+    # export beyond its definition, or a demo or the benchmark does
+    import homalgebra
+    files = [p for p in (ROOT / "src" / "homalgebra").glob("*.py") if p.name != "__init__.py"]
+    files += [*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
+    used = set().union(*map(used_names, files))
+    exported = {name for names in homalgebra._EXPORTS.values() for name in names}
+    assert sorted(exported - used) == []

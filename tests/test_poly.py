@@ -381,6 +381,18 @@ def test_image_table_stops_at_its_bound(monkeypatch):
     assert first == again == [ref_substitute(p, images) for p in ps]
 
 
+def test_polynomials_are_immutable():
+    p = 2 * x + y
+    hash(p)
+    for field in ("coeffs", "_hash", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, field, {})
+        with pytest.raises(AttributeError):
+            delattr(p, field)
+    assert p == 2 * x + y and hash(p) == hash(2 * x + y)
+    assert repr(p) == "2*x + y"
+
+
 def test_endomorphism_images_are_read_only():
     images = {"x": 2 * x}
     phi = PolyEndo(images)

@@ -289,12 +289,15 @@ def test_independently_built_terms_are_equal():
 
 def test_terms_are_immutable():
     t = Node(Leaf("x"), Leaf("y"))
-    for obj, field in ((t, "left"), (t.left, "name"), (t.left, "exp"), (t, "other")):
+    v = LinComb(2, {t: 3})
+    for obj, field in ((t, "left"), (t.left, "name"), (t.left, "exp"), (t, "other"),
+                       (v, "unit"), (v, "terms"), (v, "other")):
         with pytest.raises(AttributeError):
             setattr(obj, field, Leaf("z"))
         with pytest.raises(AttributeError):
             delattr(obj, field)
     assert t == Node(Leaf("x"), Leaf("y"))
+    assert v == LinComb(2, {t: 3}) and hash(v) == hash(LinComb(2, {t: 3}))
     assert repr(t) == "Node(left=Leaf(name='x', exp=0), right=Leaf(name='y', exp=0))"
 
 
