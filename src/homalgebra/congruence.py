@@ -4,7 +4,7 @@ Equality in the multiplicative Hom-associative quotient of the free term
 algebra is semi-decided: the relation instances whose terms fit in a finite
 window (arity and per-leaf exponent caps) are closed under windowed products
 and row-reduced over the exact rationals; no twist step is needed (see
-``_Saturator`` and ``_close_classes``).  A zero residue proves equality in
+``_echelon_rows`` and ``_close_classes``).  A zero residue proves equality in
 the quotient; a nonzero residue only means "not proven inside this window".
 Multiplicativity is definitional in the normal form.
 
@@ -14,10 +14,10 @@ over the whole unital algebra; both readings are first-class) also on the
 unit.  Both kinds of window are generated by the associators on non-unit
 terms and, unital, the collapses ``assoc(u, 1, 1) = u - alpha(u)`` alone,
 as the other unit instances and the twist follow; the envelope window needs
-only the generators' collapses (``_Saturator``).  The free window, under
+only the generators' collapses (``_echelon_rows``).  The free window, under
 the default twist, keeps its rows as column classes; the envelope window,
 under a client twist and seeded with its bracket relations, keeps echelon
-rows (``_Saturator``).  The saturated row space is a sound
+rows (``_echelon_rows``).  The saturated row space is a sound
 under-approximation of the congruence ideal inside the window.
 
 A unital free window with ``max_exp >= 1`` needs no saturation: its classes
@@ -56,10 +56,10 @@ from array import array
 from bisect import bisect_right
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, product, starmap
+from itertools import product
 from math import comb
 from operator import ne
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .grammar import format_lincomb, format_term
 from .terms import (NAME, Coeff, FrozenRecord, InputError, Leaf, LinComb, Node, Term,
@@ -448,125 +448,93 @@ class RelationBasis:
         }
 
 
-class _Saturator:
-    """Index-level worker: builds the envelope window's echelon rows to a
-    closure fixpoint.
+def _column_twist(cols: _Columns, leaf_twist: list[Vec]) -> Callable[[int], Vec]:
+    """The client twist on columns, memoized: ``leaf_twist[d]`` is the image
+    of leaf column ``1 + d``, and a product's image is the product of its two
+    factors' images.  Images keep arities, so every product fits, and
+    distinct pairs of columns graft to distinct columns."""
+    memo = dict(enumerate(leaf_twist, 1))
+    graft, factors = cols.graft, cols.factors
 
-    Products are column arithmetic (see ``_Columns``), and so is the twist:
-    ``leaf_twist[d]`` is the image of leaf column ``1 + d`` (None if it
-    escapes the window), and a product's image is the product of its two
-    factors' images.
+    def alpha(i: int) -> Vec:
+        img = memo.get(i)
+        if img is None:
+            a, b = map(alpha, factors(i))
+            img = memo[i] = {graft(p, q): as_coeff(c * d)
+                             for p, c in a.items() for q, d in b.items()}
+        return img
+    return alpha
 
-    It generates the associators on non-unit columns and, unital, the
-    generators' collapses ``g - alpha(g)``, closed under windowed products.
-    Every other collapse lies in that span, arity by arity: ``uv - alpha(u)
-    alpha(v) = (u - alpha(u)) v + alpha(u) (v - alpha(v))``, products of
-    narrower collapses by columns.  The other unit instances are products of
-    collapses (``_close_classes``; they need only ``alpha(1) = 1`` and
-    multiplicativity), so the span, which has one reduced echelon form, is the
-    literal ideal's.  That span is twist-closed, so there is no twist step:
-    in an exponent-free window with a client twist, ``alpha(assoc(u, v, w))
-    = assoc(alpha u, alpha v, alpha w)`` expands into windowed associators,
-    ``alpha(u - alpha u)`` is a combination of collapses, ``alpha(r_ij) =
-    sum a_ki a_lj r_kl`` for the bracket relations, as a checked Hom-Lie
-    twist (or a ``direct_sum`` of them) is multiplicative, ``alpha(m r) =
-    alpha(m) alpha(r)``, and the twist keeps arity, so nothing escapes.
+
+def _echelon_rows(cols: _Columns, unital: bool, leaf_twist: list[Vec],
+                  seeds: Iterable[Vec]) -> dict[int, Vec]:
+    """The envelope window's rows closed to a fixpoint, in reduced echelon
+    form: pivot column -> row, with coefficient 1 at the pivot, the largest
+    column of its row.
+
+    Products are column arithmetic (see ``_Columns``), and so is the twist
+    (``_column_twist``).  The rows span ``seeds``, the associators on non-unit
+    columns and, ``unital``, the generators' collapses ``g - alpha(g)``,
+    closed under windowed products.  Every other collapse lies in that span,
+    arity by arity: ``uv - alpha(u) alpha(v) = (u - alpha(u)) v + alpha(u) (v
+    - alpha(v))``, products of narrower collapses by columns.  The other unit
+    instances are products of collapses (``_close_classes``; they need only
+    ``alpha(1) = 1`` and multiplicativity), so the span, which has one reduced
+    echelon form, is the literal ideal's.  That span is twist-closed, so
+    there is no twist step: in an exponent-free window with a client twist,
+    ``alpha(assoc(u, v, w)) = assoc(alpha u, alpha v, alpha w)`` expands into
+    windowed associators, ``alpha(u - alpha u)`` is a combination of
+    collapses, ``alpha(r_ij) = sum a_ki a_lj r_kl`` for the bracket
+    relations, as a checked Hom-Lie twist (or a ``direct_sum`` of them) is
+    multiplicative, ``alpha(m r) = alpha(m) alpha(r)``, and the twist keeps
+    arity, so nothing escapes.
     """
+    starts, n_max, graft = cols.starts, cols.bound.max_arity, cols.graft
+    alpha = _column_twist(cols, leaf_twist)
+    rows: dict[int, Vec] = {}
+    pending: list[int] = []
 
-    def __init__(self, cols: _Columns, config, leaf_twist: list[Optional[Vec]]):
-        self.bound = cols.bound
-        self.config = config
-        self.cols = cols
-        self.rows: dict[int, Vec] = {}
-        self._graft = cols.graft
-        self._twists: dict[int, Optional[Vec]] = dict(enumerate(leaf_twist, 1))
+    def insert(vec: Vec):
+        vec = _reduce(rows, vec)
+        if vec:
+            p = max(vec)
+            if vec[p] != 1:
+                vec = add_into({}, vec, as_coeff(Fraction(1, vec[p])))
+            rows[p] = vec
+            pending.append(p)
 
-    def _alpha_col(self, i: int) -> Optional[Vec]:
-        """Image of basis column i under the twist, or None if it escapes."""
-        memo = self._twists
-        if i not in memo:
-            a, b = map(self._alpha_col, self.cols.factors(i))
-            # images keep arities, so every product fits, and distinct
-            # pairs of columns graft to distinct columns
-            memo[i] = None if a is None or b is None else {
-                self._graft(p, q): as_coeff(c * d) for p, c in a.items() for q, d in b.items()}
-        return memo[i]
-
-    def _mul_vec(self, i: int, vec: Vec, on_left: bool) -> Vec:
-        # grafting onto a fixed column is injective, so no two terms collide
-        graft = self._graft
-        return {graft(i, j) if on_left else graft(j, i): c for j, c in vec.items()}
-
-    def insert(self, vec: Vec) -> Optional[int]:
-        """Reduce and insert; returns the new pivot column, or None."""
-        vec = _reduce(self.rows, vec)
-        if not vec:
-            return None
-        p = max(vec)
-        if vec[p] != 1:
-            vec = add_into({}, vec, as_coeff(Fraction(1, vec[p])))
-        self.rows[p] = vec
-        return p
-
-    # -- relation instance generation -----------------------------------------
-
-    def _assoc_vec(self, iu, iv, iw) -> Optional[Vec]:
-        """Associator row on basis columns (0 = unit), or None if a twist
-        escapes; the arguments' arities sum to at most ``max_arity``."""
-        aw = self._alpha_col(iw)
-        au = self._alpha_col(iu)
-        if aw is None or au is None:
-            return None
-        vw = self._graft(iv, iw)
-        return add_into(self._mul_vec(self._graft(iu, iv), aw, on_left=True),
-                        {self._graft(j, vw): c for j, c in au.items()}, -1)
-
-    def initial_instances(self):
-        """Deterministically ordered instances that fit the window: unital,
-        the generators' collapses ``g - alpha(g)``, then the associators on
-        non-unit columns."""
-        n_max, starts = self.bound.max_arity, self.cols.starts
-        if self.config.unit_instances:
-            for g in range(1, starts[2]):
-                ag = self._alpha_col(g)
-                if ag is not None:
-                    yield add_into({g: 1}, ag, -1)
-        for a1 in range(1, n_max + 1):
-            for a2 in range(1, n_max - a1 + 1):
-                for a3 in range(1, n_max - a1 - a2 + 1):
-                    pools = [range(starts[a], starts[a + 1]) for a in (a1, a2, a3)]
-                    yield from filter(None, starmap(self._assoc_vec, product(*pools)))
-
-    def closure_candidates(self, vec):
-        # columns are ascending in arity: the row's widest term is its last,
-        # and the arity sums keep every product inside the window
-        room = self.bound.max_arity - _arity_of(self.cols.starts, max(vec))
-        for i in range(1, self.cols.starts[room + 1]):
-            yield self._mul_vec(i, vec, on_left=True)
-            yield self._mul_vec(i, vec, on_left=False)
-
-    def run(self, seed_vecs=()):
-        inserted = map(self.insert, chain(seed_vecs, self.initial_instances()))
-        pending = [p for p in inserted if p is not None]
-        # Each inserted row is expanded exactly once: images of rows that
-        # reduce to zero are spanned by images of already-expanded rows, so
-        # the final span is closed under the windowed ideal operations.
-        while pending:
-            p = pending.pop()
-            for cand in self.closure_candidates(self.rows[p]):
-                q = self.insert(cand)
-                if q is not None:
-                    pending.append(q)
-        self._interreduce()
-        return self.rows
-
-    def _interreduce(self):
-        for p in sorted(self.rows):
-            row = self.rows.pop(p)
-            tail = {i: c for i, c in row.items() if i != p}
-            tail = _reduce(self.rows, tail)
-            tail[p] = 1
-            self.rows[p] = tail
+    for vec in seeds:
+        insert(vec)
+    if unital:
+        for g in range(1, starts[2]):
+            insert(add_into({g: 1}, alpha(g), -1))
+    for a1 in range(1, n_max + 1):
+        for a2 in range(1, n_max - a1 + 1):
+            for a3 in range(1, n_max - a1 - a2 + 1):
+                pools = [range(starts[a], starts[a + 1]) for a in (a1, a2, a3)]
+                for u, v, w in product(*pools):
+                    # assoc(u, v, w) = (u v) alpha(w) - alpha(u) (v w)
+                    uv, vw = graft(u, v), graft(v, w)
+                    insert(add_into({graft(uv, j): c for j, c in alpha(w).items()},
+                                    {graft(j, vw): c for j, c in alpha(u).items()}, -1))
+    # Each inserted row is expanded exactly once: images of rows that reduce
+    # to zero are spanned by images of already-expanded rows, so the final
+    # span is closed under the windowed ideal operations.  Columns ascend in
+    # arity, so the pivot is the row's widest term, and the arity sums keep
+    # every product inside the window; grafting onto a fixed column is
+    # injective, so no two terms of a product collide.
+    while pending:
+        p = pending.pop()
+        row = rows[p]
+        for i in range(1, starts[n_max - _arity_of(starts, p) + 1]):
+            insert({graft(i, j): c for j, c in row.items()})
+            insert({graft(j, i): c for j, c in row.items()})
+    for p in sorted(rows):  # interreduce, ascending
+        row = rows.pop(p)
+        del row[p]
+        row = rows[p] = _reduce(rows, row)
+        row[p] = 1
+    return rows
 
 
 def _word_roots(cols: _Columns) -> list[int]:
@@ -683,7 +651,7 @@ def saturate(gens: Iterable[str], bound: Bound,
 
     As no row is twisted, ``relations`` must span a twist-invariant space, as
     the bracket relations of a multiplicative Hom-Lie algebra do (see
-    ``_Saturator``); otherwise the rows need not be twist-closed, but a
+    ``_echelon_rows``); otherwise the rows need not be twist-closed, but a
     ``PROVEN_EQUAL`` stays sound.
     """
     if twist is None and relations:
@@ -703,5 +671,5 @@ def saturate(gens: Iterable[str], bound: Bound,
     if any(not 0 < j < cols.starts[2] for vec in leaf_twist for j in vec):
         raise ValueError("a client twist maps each generator to a combination of generators")
     seeds = [_vectorize(cols, rel, "extra relation term") for rel in relations]
-    rows = _Saturator(cols, config, leaf_twist).run(seeds)
+    rows = _echelon_rows(cols, config.unit_instances, leaf_twist, seeds)
     return RelationBasis(cols, config, _EchelonRows(rows), len(seeds))

@@ -104,9 +104,13 @@ class Poly(_Frozen):
         return h
 
     def __add__(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):
+            return NotImplemented
         return _make(add_into(dict(self.coeffs), other.coeffs))
 
     def __sub__(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):
+            return NotImplemented
         return _make(add_into(dict(self.coeffs), other.coeffs, -1))
 
     def __neg__(self) -> "Poly":
@@ -193,7 +197,7 @@ def _product(a: dict[Mono, Coeff], b: dict[Mono, Coeff]) -> dict[Mono, Coeff]:
 IMAGE_TABLE_TERMS = 1 << 14
 
 
-class PolyEndo:
+class PolyEndo(_Frozen):
     """Algebra endomorphism given by images of variables, extended by
     substitution (hence automatically multiplicative and unital): the one
     substitution, which ``Poly.substitute`` applies.
@@ -209,9 +213,9 @@ class PolyEndo:
     __slots__ = ("_images", "_table", "_stored")
 
     def __init__(self, images: dict[str, Poly]):
-        self._images = MappingProxyType(dict(images))
-        self._table: dict[Mono, dict[Mono, Coeff]] = {_ONE: {_ONE: 1}}
-        self._stored = 1
+        _set_images(self, MappingProxyType(dict(images)))
+        _set_table(self, {_ONE: {_ONE: 1}})
+        _set_stored(self, 1)
 
     @property
     def images(self) -> MappingProxyType:
@@ -230,7 +234,7 @@ class PolyEndo:
             image = _product(image, {((v, 1),): 1} if p is None else p.coeffs)
             if self._stored + len(image) <= IMAGE_TABLE_TERMS:
                 table[m] = image
-                self._stored += len(image)
+                _set_stored(self, self._stored + len(image))
         return image
 
     def __call__(self, p: Poly) -> Poly:
@@ -257,6 +261,11 @@ class PolyEndo:
     def __repr__(self):
         body = ", ".join(f"{v} -> {p}" for v, p in sorted(self.images.items()))
         return f"PolyEndo({body})"
+
+
+_set_images = PolyEndo._images.__set__
+_set_table = PolyEndo._table.__set__
+_set_stored = PolyEndo._stored.__set__
 
 
 def monomials_up_to(names, degree: int) -> list[Poly]:

@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic, substitution, parsing."""
 
+import operator
 import random
 import re
 from fractions import Fraction
@@ -402,6 +403,27 @@ def test_endomorphism_images_are_read_only():
         phi.images = {"x": y}
     images["x"] = y
     assert phi(x * x) == 4 * (x * x) and phi.images == {"x": 2 * x}
+
+
+def test_endomorphism_fields_refuse_assignment_and_deletion():
+    phi = PolyEndo({"x": 2 * x})
+    for field in ("_images", "_table", "_stored", "other"):
+        with pytest.raises(AttributeError):
+            setattr(phi, field, {})
+        with pytest.raises(AttributeError):
+            delattr(phi, field)
+    # the table still grows, through the slot's own setter
+    assert phi(x ** 3) == 8 * x ** 3 and phi._stored == 4
+
+
+@pytest.mark.parametrize("other", [1, Fraction(1, 2), 0.5, "x"])
+def test_adding_a_non_polynomial_is_a_type_error(other):
+    for op in (operator.add, operator.sub):
+        with pytest.raises(TypeError):
+            op(Poly.one(), other)
+        with pytest.raises(TypeError):
+            op(other, Poly.one())
+    assert Poly.one() + Poly.const(Fraction(1, 2)) == Poly.const(Fraction(3, 2))
 
 
 # -- the reader against the recursive-descent reference ----------------------
